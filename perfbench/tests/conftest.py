@@ -1,0 +1,7 @@
+"""Make the benchmark modules and dilqr's sources importable for the self-tests."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
