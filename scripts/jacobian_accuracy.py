@@ -44,7 +44,7 @@ def main():
             return max(np.max(np.abs(m.A - A_ref)), np.max(np.abs(m.B - B_ref)))
 
         print(f"\n== {name} (n_x={env.n_x}, n_u={env.n_u}) ==")
-        print(f"{'method':>24} {'step calls':>11} {'max abs error':>14}")
+        print(f"{'method':>24} {'step rows':>11} {'max abs error':>14}")
         for sigma in args.sigmas:
             cfg = EstimatorConfig(sigma=sigma, seed=args.seed)
             m = estimate_llscd(env, x, u, cfg)

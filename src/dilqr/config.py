@@ -80,7 +80,6 @@ SCHEMA = {
     },
     "run": {
         "seed": (int, 0),
-        "threads": (int, 0),  # 0 = auto; caps worker parallelism
         "record_timing": (_parse_bool, False),
     },
 }

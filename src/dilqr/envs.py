@@ -206,7 +206,9 @@ def make_linear_env(
         x_goal = np.zeros(n_x)
 
     def step_fn(x, u):
-        return x @ A.T + u @ B.T if x.ndim > 1 else A @ x + B @ u
+        # one contraction for a single point and a batch, so each row of a
+        # batched call equals the unbatched call bit for bit
+        return np.einsum("...j,ij->...i", x, A) + np.einsum("...j,ij->...i", u, B)
 
     return Environment(
         name=name,

@@ -78,7 +78,7 @@ class IterationRecord:
     backward_success: bool
     accepted: bool
     wall_time_s: float
-    eval_count: int  # cumulative black-box step calls
+    eval_count: int  # cumulative black-box transitions (rows passed to step)
 
 
 @dataclass

@@ -2,11 +2,15 @@
 
 Two estimators share the LinearizedModel output type:
 
-* a batched least-squares central-difference estimator: n_s random
-  symmetric perturbations of state and control, paired rollouts, one
-  least-squares solve recovering [f_x f_u] simultaneously (2*n_s step
-  calls);
-* a per-coordinate central-difference baseline (2*(n_x+n_u) step calls).
+* a least-squares central-difference estimator: n_s random symmetric
+  perturbations of state and control, paired rollouts, one least-squares
+  solve recovering [f_x f_u] simultaneously (2*n_s black-box rows);
+* a per-coordinate central-difference baseline (2*(n_x+n_u) rows).
+
+Each estimate sends all of its perturbed points to the black box as one
+batched ``step`` call, and ``identify_ltv`` sends the 2*n_s rows of every
+timestep of a trajectory as a single call; ``eval_count`` still counts
+rows, one per transition.
 """
 
 from __future__ import annotations
@@ -63,31 +67,42 @@ class EstimatorConfig:
         return replace(self, seed=int(sub.generate_state(1, dtype=np.uint64)[0] >> 1))
 
 
-def estimate_llscd(
-    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
-) -> LinearizedModel:
-    """Batched central-difference least-squares estimate of (f_x, f_u).
+def _central_differences(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, D: np.ndarray
+) -> np.ndarray:
+    """f(z_t + d) - f(z_t - d) for every perturbation row d of D[t], in one step call.
 
-    Draws n_s Gaussian perturbation pairs with per-entry std sigma, rolls
-    out both signs of each, and solves the stacked system
-
-        [f_x f_u] [dx_i; du_i] = (f(x+dx_i, u+du_i) - f(x-dx_i, u-du_i)) / 2
-
-    in the least-squares sense. Bias is O(sigma^2) on smooth dynamics.
+    x_bar (T, n_x) and u_bar (T, n_u) are the nominal points z_t; D has shape
+    (T, m, n_x + n_u). Returns (T, m, n_x).
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    u_bar = np.asarray(u_bar, dtype=float)
-    n_s = cfg.resolve_n_s(env)
-    rng = np.random.default_rng(cfg.seed)
-    D = cfg.sigma * rng.standard_normal((n_s, env.n_x + env.n_u))
-    dX, dU = D[:, : env.n_x], D[:, env.n_x :]
+    if x_bar.shape[-1] != env.n_x or u_bar.shape[-1] != env.n_u:
+        raise ContractViolation(
+            f"bad dimensions for {env.name}: state {x_bar.shape}, control {u_bar.shape}"
+        )
+    dX, dU = D[..., : env.n_x], D[..., env.n_x :]
+    X = np.concatenate([x_bar[:, None] + dX, x_bar[:, None] - dX], axis=1)
+    U = np.concatenate([u_bar[:, None] + dU, u_bar[:, None] - dU], axis=1)
+    F = step(env, X.reshape(-1, env.n_x), U.reshape(-1, env.n_u))
+    F = F.reshape(D.shape[0], 2, D.shape[1], env.n_x)
+    return F[:, 0] - F[:, 1]
 
-    Y = np.empty((n_s, env.n_x))
-    for i in range(n_s):
-        f_plus = step(env, x_bar + dX[i], u_bar + dU[i])
-        f_minus = step(env, x_bar - dX[i], u_bar - dU[i])
-        Y[i] = 0.5 * (f_plus - f_minus)
 
+def _sample(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, seeds: list[int], cfg: EstimatorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perturbations D (T, n_s, n_x + n_u) and half-differences Y (T, n_s, n_x).
+
+    Point t draws its n_s perturbation pairs from seeds[t]; all T * 2 * n_s
+    rollouts go to the black box in one step call.
+    """
+    shape = (cfg.resolve_n_s(env), env.n_x + env.n_u)
+    D = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
+    return D, 0.5 * _central_differences(env, x_bar, u_bar, D)
+
+
+def _fit(env: Environment, D: np.ndarray, Y: np.ndarray, cfg: EstimatorConfig) -> LinearizedModel:
+    """Least-squares [f_x f_u] from one point's perturbations D and half-differences Y."""
+    n_s = D.shape[0]
     if cfg.approx_identity:
         # sample-covariance identity approximation: D'D ~ sigma^2 (n_s - 1) I
         AB = (Y.T @ D) / (cfg.sigma**2 * (n_s - 1))
@@ -102,35 +117,51 @@ def estimate_llscd(
     return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * n_s)
 
 
+def estimate_llscd(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
+) -> LinearizedModel:
+    """Central-difference least-squares estimate of (f_x, f_u).
+
+    Draws n_s Gaussian perturbation pairs with per-entry std sigma, rolls
+    out both signs of each, and solves the stacked system
+
+        [f_x f_u] [dx_i; du_i] = (f(x+dx_i, u+du_i) - f(x-dx_i, u-du_i)) / 2
+
+    in the least-squares sense. Bias is O(sigma^2) on smooth dynamics.
+    """
+    x_bar = np.asarray(x_bar, dtype=float)
+    u_bar = np.asarray(u_bar, dtype=float)
+    D, Y = _sample(env, x_bar[None], u_bar[None], [cfg.seed], cfg)
+    return _fit(env, D[0], Y[0], cfg)
+
+
 def estimate_fd(
     env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, h: float
 ) -> LinearizedModel:
-    """Per-coordinate central-difference baseline; 2*(n_x + n_u) step calls."""
+    """Per-coordinate central-difference baseline; 2*(n_x + n_u) black-box rows."""
     if h <= 0:
         raise ContractViolation("finite-difference step h must be positive")
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    A = np.empty((env.n_x, env.n_x))
-    B = np.empty((env.n_x, env.n_u))
-    for j in range(env.n_x):
-        e = np.zeros(env.n_x)
-        e[j] = h
-        A[:, j] = (step(env, x_bar + e, u_bar) - step(env, x_bar - e, u_bar)) / (2 * h)
-    for j in range(env.n_u):
-        e = np.zeros(env.n_u)
-        e[j] = h
-        B[:, j] = (step(env, x_bar, u_bar + e) - step(env, x_bar, u_bar - e)) / (2 * h)
-    return LinearizedModel(A=A, B=B, eval_count=2 * (env.n_x + env.n_u))
+    E = h * np.eye(env.n_x + env.n_u)
+    AB = (_central_differences(env, x_bar[None], u_bar[None], E[None])[0] / (2 * h)).T
+    return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * len(E))
 
 
 def identify_ltv(
     env: Environment, traj: NominalTrajectory, cfg: EstimatorConfig
 ) -> list[LinearizedModel]:
-    """One LinearizedModel per timestep along a nominal trajectory."""
+    """One LinearizedModel per timestep along a nominal trajectory.
+
+    Timestep t gets exactly the estimate_llscd result under cfg.child(t);
+    the whole trajectory costs one step call.
+    """
+    seeds = [cfg.child(t).seed for t in range(traj.horizon)]
+    D, Y = _sample(env, traj.states[:-1], traj.controls, seeds, cfg)
     models = []
     for t in range(traj.horizon):
         try:
-            models.append(estimate_llscd(env, traj.states[t], traj.controls[t], cfg.child(t)))
+            models.append(_fit(env, D[t], Y[t], cfg))
         except SingularSystem as exc:
             raise SingularSystem(f"identification failed at t={t}: {exc}") from exc
     return models

@@ -68,6 +68,23 @@ class TestStep:
         u = np.array([1.0])
         assert np.array_equal(step(env, x, u), step(env, x, u))
 
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_batch_rows_equal_single_point_calls_exactly(self, name):
+        env = make_env(name)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((64, env.n_x))
+        U = 2 * env.u_scale * rng.standard_normal((64, env.n_u))  # some rows clamp
+        batch = step(env, X, U)
+        for i in range(64):
+            assert np.array_equal(batch[i], step(env, X[i], U[i]))
+
+    def test_non_finite_row_in_a_batch_rejected(self):
+        env = make_pendulum_env()
+        X = np.zeros((8, 2))
+        X[5, 1] = np.nan
+        with pytest.raises(ContractViolation, match="non-finite"):
+            step(env, X, np.zeros((8, 1)))
+
 
 class TestIntegratorFidelity:
     def test_undamped_pendulum_conserves_energy(self):

@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dilqr
+from dilqr import sysid
 from dilqr.costs import QuadraticCostModel
-from dilqr.envs import LINEAR_TEST_A, LINEAR_TEST_B, make_linear_env, make_pendulum_env, rollout_open_loop
+from dilqr.envs import (
+    LINEAR_TEST_A,
+    LINEAR_TEST_B,
+    make_linear_env,
+    make_pendulum_env,
+    rollout_open_loop,
+    step,
+)
 from dilqr.errors import ContractViolation, SingularSystem
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd, identify_ltv
 
@@ -161,6 +171,105 @@ class TestTrajectoryIdentification:
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
         n_s = EstimatorConfig(seed=0).resolve_n_s(env)
         assert sum(m.eval_count for m in models) == 2 * n_s * 5
+
+
+def counting_env(env):
+    """A copy of env whose black-box map records the shape of every call."""
+    calls = []
+
+    def step_fn(x, u):
+        calls.append(x.shape)
+        return env.step_fn(x, u)
+
+    return dataclasses.replace(env, step_fn=step_fn), calls
+
+
+def random_trajectory(env, seed=3):
+    """Scattered states and controls (some beyond the bounds, so some rows clamp)."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((env.horizon + 1, env.n_x))
+    controls = 2 * env.u_scale * rng.standard_normal((env.horizon, env.n_u))
+    return dilqr.NominalTrajectory(states, controls, 0.0)
+
+
+ENV_NAMES = ["linear_test", "pendulum", "cartpole"]
+
+
+class TestBatchedIdentification:
+    @pytest.mark.parametrize("approx_identity", [False, True])
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_trajectory_equals_per_point_estimates_exactly(self, name, approx_identity):
+        env = dilqr.make_env(name)
+        traj = random_trajectory(env)
+        cfg = EstimatorConfig(seed=5, approx_identity=approx_identity)
+        models = identify_ltv(env, traj, cfg)
+        assert len(models) == traj.horizon
+        for t, m in enumerate(models):
+            ref = estimate_llscd(env, traj.states[t], traj.controls[t], cfg.child(t))
+            assert np.array_equal(m.A, ref.A) and np.array_equal(m.B, ref.B)
+            assert m.eval_count == ref.eval_count
+
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_fd_equals_per_coordinate_differences_exactly(self, name):
+        env = dilqr.make_env(name)
+        traj = random_trajectory(env)
+        x, u, h = traj.states[2], traj.controls[2], 1e-4
+        m = estimate_fd(env, x, u, h)
+        for j in range(env.n_x):
+            e = np.zeros(env.n_x)
+            e[j] = h
+            assert np.array_equal(m.A[:, j], (step(env, x + e, u) - step(env, x - e, u)) / (2 * h))
+        for j in range(env.n_u):
+            e = np.zeros(env.n_u)
+            e[j] = h
+            assert np.array_equal(m.B[:, j], (step(env, x, u + e) - step(env, x, u - e)) / (2 * h))
+
+    def test_each_estimate_is_one_step_call(self):
+        env, calls = counting_env(dilqr.make_cartpole_env())
+        traj = random_trajectory(env)
+        n_s = EstimatorConfig().resolve_n_s(env)
+        models = identify_ltv(env, traj, EstimatorConfig(seed=0))
+        assert calls == [(traj.horizon * 2 * n_s, env.n_x)]
+        assert sum(m.eval_count for m in models) == calls[0][0]
+        calls.clear()
+        estimate_llscd(env, env.x0, np.zeros(1), EstimatorConfig(seed=0))
+        assert calls == [(2 * n_s, env.n_x)]
+        calls.clear()
+        estimate_fd(env, env.x0, np.zeros(1), 1e-4)
+        assert calls == [(2 * (4 + 1), env.n_x)]
+
+    def test_non_finite_state_rejected(self):
+        env = make_pendulum_env()
+        traj = random_trajectory(env)
+        traj.states[17, 1] = np.inf  # past construction-time validation
+        with pytest.raises(ContractViolation, match="non-finite"):
+            identify_ltv(env, traj, EstimatorConfig(seed=0))
+
+    @pytest.mark.parametrize("n_x, n_u", [(3, 1), (1, 1), (2, 2)])
+    def test_wrong_trailing_dimension_rejected(self, n_x, n_u):
+        # (1, 1) would broadcast silently against the perturbations
+        env = make_pendulum_env()
+        traj = dilqr.NominalTrajectory(np.zeros((5, n_x)), np.zeros((4, n_u)), 0.0)
+        with pytest.raises(ContractViolation, match="dimensions"):
+            identify_ltv(env, traj, EstimatorConfig(seed=0))
+
+    def test_singular_system_names_its_timestep(self, monkeypatch):
+        env = make_pendulum_env()
+        traj = random_trajectory(env)
+        cfg = EstimatorConfig(seed=0)
+        # with rcond = 1 every point fails and reports its condition number
+        monkeypatch.setattr(sysid, "LSTSQ_RCOND", 1.0)
+        conds = []
+        for t in range(traj.horizon):
+            with pytest.raises(SingularSystem) as info:
+                estimate_llscd(env, traj.states[t], traj.controls[t], cfg.child(t))
+            conds.append(info.value.condition_number)
+        # a threshold between the two worst-conditioned points fails only the worst
+        worst = int(np.argmax(conds))
+        inv = np.sort(1.0 / np.array(conds))
+        monkeypatch.setattr(sysid, "LSTSQ_RCOND", 0.5 * (inv[0] + inv[1]))
+        with pytest.raises(SingularSystem, match=rf"identification failed at t={worst}: "):
+            identify_ltv(env, traj, cfg)
 
 
 class TestSingularSystemError:
