@@ -20,10 +20,9 @@ from .envs import (
     make_env,
     make_linear_env,
     make_pendulum_env,
-    rollout_closed_loop,
+    rollout,
     rollout_open_loop,
     step,
-    step_noisy,
 )
 from .evaluation import (
     RolloutStats,
@@ -55,10 +54,9 @@ __all__ = [
     "make_env",
     "make_linear_env",
     "make_pendulum_env",
-    "rollout_closed_loop",
+    "rollout",
     "rollout_open_loop",
     "step",
-    "step_noisy",
     "RolloutStats",
     "ScalingFit",
     "epsilon_sweep",

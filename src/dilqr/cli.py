@@ -25,7 +25,7 @@ from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval
 from .feedback import build_policy
 from .ilqr import optimize
 from .serialize import load_policy, load_trajectory, save_policy, save_trajectory
-from .sysid import estimate_fd, estimate_llscd, identify_ltv
+from .sysid import estimate_fd, estimate_llscd
 
 EXIT_OK = 0
 EXIT_USAGE = 1

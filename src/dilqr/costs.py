@@ -138,19 +138,31 @@ def _check_dims(x: np.ndarray, u: np.ndarray, cost: QuadraticCostModel) -> None:
         raise ContractViolation(f"control dimension {u.shape[-1]} != cost n_u {cost.n_u}")
 
 
-def stage_cost(x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel) -> float:
+def _quad(v: np.ndarray, M: np.ndarray) -> float | np.ndarray:
+    """v' M v over the last axis; each row of a batch equals the 1-D v @ M @ v bit for bit."""
+    return (v[..., None, :] @ M @ v[..., :, None])[..., 0, 0]
+
+
+def stage_cost(x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel) -> float | np.ndarray:
+    """Stage cost at one point, or per row over leading batch axes."""
     dx = np.asarray(x, dtype=float) - cost.x_goal
-    u = np.asarray(u, dtype=float)
-    return 0.5 * dx @ cost.Q_at(t) @ dx + 0.5 * u @ cost.R_at(t) @ u
+    return 0.5 * _quad(dx, cost.Q_at(t)) + 0.5 * _quad(np.asarray(u, dtype=float), cost.R_at(t))
 
 
-def terminal_cost(x: np.ndarray, cost: QuadraticCostModel) -> float:
-    dx = np.asarray(x, dtype=float) - cost.x_goal
-    return 0.5 * dx @ cost.Q_terminal @ dx
+def terminal_cost(x: np.ndarray, cost: QuadraticCostModel) -> float | np.ndarray:
+    """Terminal cost at one point, or per row over leading batch axes."""
+    return 0.5 * _quad(np.asarray(x, dtype=float) - cost.x_goal, cost.Q_terminal)
 
 
-def total_cost(states: np.ndarray, controls: np.ndarray, cost: QuadraticCostModel) -> float:
-    """Accumulate the quadratic cost of a trajectory, left to right over t."""
+def total_cost(
+    states: np.ndarray, controls: np.ndarray, cost: QuadraticCostModel
+) -> float | np.ndarray:
+    """Accumulate the quadratic cost of a trajectory, left to right over t.
+
+    states (N+1, ..., n_x) and controls (N, ..., n_u) are time-major; any
+    middle axes are a batch of trajectories, costed per row. A single
+    trajectory must have a finite cost.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     if states.shape[0] != controls.shape[0] + 1:
@@ -160,7 +172,7 @@ def total_cost(states: np.ndarray, controls: np.ndarray, cost: QuadraticCostMode
     for t in range(controls.shape[0]):
         J += stage_cost(states[t], controls[t], t, cost)
     J += terminal_cost(states[-1], cost)
-    if not np.isfinite(J):
+    if states.ndim == 2 and not np.isfinite(J):
         raise ContractViolation("total cost is not finite")
     return J
 

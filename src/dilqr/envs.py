@@ -5,14 +5,20 @@ no module outside the test suite ever reads an analytic Jacobian. The
 linear test system stores its defining matrices only as ground truth for
 estimator tests.
 
-Stochastic execution follows x_{t+1} = f(x_t, u_t) + eps * w_t with
-w_t i.i.d. standard Gaussian per dimension. Noise streams are keyed by
-(seed, rollout_id) so concurrent rollouts reproduce regardless of order.
+Execution goes through one kernel, ``rollout``: it applies the law
+u_t = clamp(ubar_t + K_t (x_t - xbar_t)) and sends every row of a batch
+through ``step`` once per timestep. The open-loop rollout (no K), the
+ILQR line search (one trajectory) and the Monte-Carlo evaluator (all M
+noisy rollouts at once) are calls to it. Stochastic execution adds
+eps * w_t to x_{t+1} on the state channel, or eps * u_scale * w_t to the
+control before clamping on the control channel, with w_t i.i.d. standard
+Gaussian per dimension. Noise streams are keyed by (seed, rollout_id), so
+a rollout reproduces whatever batch it runs in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,69 +99,78 @@ def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return env.step_fn(x, env.clamp(u))
 
 
-def step_noisy(
+def rollout(
     env: Environment,
-    x: np.ndarray,
-    u: np.ndarray,
-    noise: NoiseModel,
-    t: int,
-    rollout_id: int = 0,
-) -> np.ndarray:
-    """One stochastic transition, positioned deterministically by (seed, rollout, t)."""
-    if noise.channel == STATE_CHANNEL:
-        w = noise.draws(rollout_id, t + 1, env.n_x)[t]
-        return step(env, x, u) + noise.epsilon * w
-    w = noise.draws(rollout_id, t + 1, env.n_u)[t]
-    u_noisy = np.asarray(u, dtype=float) + noise.epsilon * env.u_scale * w
-    return step(env, x, u_noisy)
+    x_bar: np.ndarray,
+    u_bar: np.ndarray,
+    K: Optional[np.ndarray] = None,
+    noise: Optional[NoiseModel] = None,
+    w: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
+
+    x_bar (N+1, n_x) is the reference trajectory and x_bar[0] the start
+    state; without K only that row is read. u_bar is (N, n_u) and K
+    (N, n_u, n_x). A NoiseModel comes with its standard-normal draws w
+    (N, ..., dim), whose middle axes are the batch: on the state channel
+    eps * w_t is added to x_{t+1}, on the control channel eps * u_scale * w_t
+    is added to u_t before clamping. Without noise the batch shape is ().
+
+    Returns time-major states (N+1, ..., n_x), the applied controls
+    (N, ..., n_u) and the alive mask (...). A row whose state goes
+    non-finite is marked dead and held at 0 while the batch keeps stepping,
+    so every call makes exactly N step calls.
+    """
+    x_bar = np.asarray(x_bar, dtype=float)
+    u_bar = np.asarray(u_bar, dtype=float)
+    N = u_bar.shape[0]
+    if (noise is None) != (w is None):
+        raise ContractViolation("a noise model and its draws w go together")
+    channel = None if noise is None else noise.channel
+    dim = env.n_u if channel == CONTROL_CHANNEL else env.n_x
+    if (
+        x_bar.shape[-1] != env.n_x
+        or u_bar.shape[-1] != env.n_u
+        or (K is not None and (K.shape != (N, env.n_u, env.n_x) or len(x_bar) != N + 1))
+        or (w is not None and (w.shape[0] != N or w.shape[-1] != dim))
+    ):
+        shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K, w)]
+        raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
+    if not np.all(np.isfinite(u_bar)):
+        raise ContractViolation("non-finite nominal control passed to rollout")
+    batch = () if w is None else w.shape[1:-1]
+    states = np.empty((N + 1, *batch, env.n_x))
+    controls = np.empty((N, *batch, env.n_u))
+    alive = np.ones(batch, dtype=bool)
+    states[0] = x_bar[0]
+    with np.errstate(all="ignore"):
+        for t in range(N):
+            u = u_bar[t]
+            if K is not None:
+                # the per-point form: each row equals the unbatched K_t @ dx bit for bit
+                u = u + (K[t] @ (states[t] - x_bar[t])[..., None])[..., 0]
+            if channel == CONTROL_CHANNEL:
+                u = u + noise.epsilon * env.u_scale * w[t]
+            controls[t] = env.clamp(u)
+            x = step(env, states[t], controls[t])
+            if channel == STATE_CHANNEL:
+                x = x + noise.epsilon * w[t]
+            alive &= np.all(np.isfinite(x), axis=-1)
+            states[t + 1] = np.where(alive[..., None], x, 0.0)
+    return states, controls, alive
 
 
 def rollout_open_loop(
     env: Environment, x0: np.ndarray, controls: np.ndarray, cost: QuadraticCostModel
 ) -> NominalTrajectory:
-    """Deterministic rollout of a control sequence from x0, with its cost."""
-    controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    N = controls.shape[0]
-    states = np.empty((N + 1, env.n_x))
-    states[0] = np.asarray(x0, dtype=float)
-    for t in range(N):
-        states[t + 1] = step(env, states[t], controls[t])
-    return NominalTrajectory(states, controls, total_cost(states, controls, cost))
+    """Deterministic rollout of a control sequence from x0, with its cost.
 
-
-def rollout_closed_loop(
-    env: Environment,
-    policy,
-    noise: NoiseModel,
-    cost: QuadraticCostModel,
-    rollout_id: int = 0,
-):
-    """Execute u_t = ubar_t + K_t (x_t - xbar_t) under scaled process noise.
-
-    Returns (states, controls, realized_cost). Controls are clamped after
-    the feedback correction; on the control channel, noise is added before
-    clamping (actuator saturation acts on the physical command).
+    The trajectory records, and is charged for, the applied (clamped) controls.
     """
-    nominal = policy.nominal
-    N = nominal.horizon
-    dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
-    w = noise.draws(rollout_id, N, dim)
-    states = np.empty((N + 1, env.n_x))
-    controls = np.empty((N, env.n_u))
-    states[0] = nominal.states[0]
-    for t in range(N):
-        u = nominal.controls[t] + policy.gains[t] @ (states[t] - nominal.states[t])
-        if noise.channel == CONTROL_CHANNEL:
-            u = u + noise.epsilon * env.u_scale * w[t]
-        u = env.clamp(u)
-        controls[t] = u
-        x_next = env.step_fn(states[t], u)
-        if noise.channel == STATE_CHANNEL:
-            x_next = x_next + noise.epsilon * w[t]
-        states[t + 1] = x_next
-        if not np.all(np.isfinite(x_next)):
-            return states[: t + 2], controls[: t + 1], np.inf
-    return states, controls, total_cost(states, controls, cost)
+    states, applied, alive = rollout(env, np.atleast_2d(x0), np.atleast_2d(controls))
+    if not alive:
+        raise ContractViolation("open-loop rollout diverged")
+    return NominalTrajectory(states, applied, total_cost(states, applied, cost))
 
 
 # ---------------------------------------------------------------------------

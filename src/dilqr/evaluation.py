@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import QuadraticCostModel
-from .envs import Environment, NoiseModel
+from .costs import QuadraticCostModel, total_cost
+from .envs import STATE_CHANNEL, Environment, NoiseModel, rollout
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -46,46 +46,6 @@ class ScalingFit:
     dropped: int = 0
 
 
-def _batched_rollouts(
-    env: Environment,
-    policy: DecoupledPolicy,
-    noise: NoiseModel,
-    M: int,
-    cost: QuadraticCostModel,
-):
-    """Advance all M closed-loop rollouts in lockstep (vectorized over rollouts).
-
-    Uses the same per-rollout noise streams as rollout_closed_loop, so the
-    statistics stay keyed by (seed, rollout_id) and scheduling-independent.
-    """
-    nominal = policy.nominal
-    N = nominal.horizon
-    dim = env.n_x if noise.channel == "state" else env.n_u
-    w = np.stack([noise.draws(i, N, dim) for i in range(M)])  # (M, N, dim)
-
-    x = np.tile(nominal.states[0], (M, 1))
-    costs = np.zeros(M)
-    alive = np.ones(M, dtype=bool)
-    with np.errstate(all="ignore"):
-        for t in range(N):
-            u = nominal.controls[t] + (x - nominal.states[t]) @ policy.gains[t].T
-            if noise.channel == "control":
-                u = u + noise.epsilon * env.u_scale * w[:, t]
-            u = np.clip(u, env.control_bounds[:, 0], env.control_bounds[:, 1])
-            dx = x - cost.x_goal
-            costs += 0.5 * np.einsum("mi,ij,mj->m", dx, cost.Q_at(t), dx)
-            costs += 0.5 * np.einsum("mi,ij,mj->m", u, cost.R_at(t), u)
-            x = env.step_fn(x, u)
-            if noise.channel == "state":
-                x = x + noise.epsilon * w[:, t]
-            alive &= np.all(np.isfinite(x), axis=1)
-            x = np.where(alive[:, None], x, 0.0)
-        dx = x - cost.x_goal
-        costs += 0.5 * np.einsum("mi,ij,mj->m", dx, cost.Q_terminal, dx)
-        terminal_sq = np.sum(dx**2, axis=1)
-    return costs, terminal_sq, ~alive
-
-
 def monte_carlo_eval(
     env: Environment,
     policy: DecoupledPolicy,
@@ -93,10 +53,12 @@ def monte_carlo_eval(
     M: int,
     cost: QuadraticCostModel,
 ) -> RolloutStats:
-    """M independent closed-loop rollouts; unbiased sample moments.
+    """M independent closed-loop rollouts, run as one batch; unbiased sample moments.
 
-    Divergent rollouts (non-finite states) are excluded from the moments
-    and counted. Deterministic given (noise.seed, M).
+    Rollout i draws its noise from noise.draws(i, ...), so the moments are
+    keyed by (seed, rollout_id) whatever the batching. Divergent rollouts
+    (non-finite states) are excluded from the moments and counted.
+    Deterministic given (noise.seed, M).
     """
     if M < 1:
         raise ContractViolation("M must be >= 1")
@@ -112,8 +74,16 @@ def monte_carlo_eval(
             channel=noise.channel,
             seed=noise.seed,
         )
-    costs, terminal_sq, diverged = _batched_rollouts(env, policy, noise, M, cost)
-    ok = ~diverged
+    nominal = policy.nominal
+    N = nominal.horizon
+    dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
+    w = np.empty((N, M, dim))
+    for i in range(M):
+        w[:, i] = noise.draws(i, N, dim)
+    states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    with np.errstate(all="ignore"):
+        costs = total_cost(states, controls, cost)
+        terminal_sq = np.sum((states[-1] - cost.x_goal) ** 2, axis=-1)
     n_ok = int(np.sum(ok))
     if n_ok == 0:
         raise ContractViolation("all rollouts diverged; cannot form moments")
@@ -126,7 +96,7 @@ def monte_carlo_eval(
         terminal_mse_mean=float(np.mean(terminal_sq[ok])),
         channel=noise.channel,
         seed=noise.seed,
-        divergences=int(np.sum(diverged)),
+        divergences=M - n_ok,
     )
 
 

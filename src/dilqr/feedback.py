@@ -8,7 +8,7 @@ recursion. Gains are synthesized for every applied control, t = 0..N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ class DecoupledPolicy:
 
     nominal: NominalTrajectory
     gains: np.ndarray  # (N, n_u, n_x)
-    lqr_weights: Optional[QuadraticCostModel] = None
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -40,7 +39,7 @@ class DecoupledPolicy:
 
     def with_zero_gains(self) -> "DecoupledPolicy":
         """Open-loop variant of this policy (K_t = 0), for paired comparisons."""
-        return DecoupledPolicy(self.nominal, np.zeros_like(self.gains), self.lqr_weights)
+        return DecoupledPolicy(self.nominal, np.zeros_like(self.gains))
 
 
 def riccati_gains(
@@ -72,19 +71,6 @@ def riccati_gains(
     return K
 
 
-def riccati_value(models: Sequence[LinearizedModel], weights: QuadraticCostModel) -> np.ndarray:
-    """P_0 of the same recursion: predicted perturbation cost is dx0' P_0 dx0 / 1."""
-    N = len(models)
-    K = riccati_gains(models, weights)
-    P = weights.Q_terminal.copy()
-    for t in range(N - 1, -1, -1):
-        A, B = models[t].A, models[t].B
-        Acl = A + B @ K[t]
-        P = weights.Q_at(t) + K[t].T @ weights.R_at(t) @ K[t] + Acl.T @ P @ Acl
-        P = 0.5 * (P + P.T)
-    return P
-
-
 def build_policy(
     env: Environment,
     nominal: NominalTrajectory,
@@ -94,4 +80,4 @@ def build_policy(
     """Identify the perturbation system along nominal and synthesize gains."""
     models = identify_ltv(env, nominal, est)
     gains = riccati_gains(models, weights)
-    return DecoupledPolicy(nominal=nominal, gains=gains, lqr_weights=weights)
+    return DecoupledPolicy(nominal=nominal, gains=gains)

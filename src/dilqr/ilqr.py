@@ -22,7 +22,7 @@ from .costs import (
     terminal_partials,
     total_cost,
 )
-from .envs import Environment, rollout_open_loop, step
+from .envs import Environment, rollout, rollout_open_loop
 from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
 from .sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
@@ -150,16 +150,9 @@ def forward_pass(
     if gains.horizon != prev.horizon:
         raise ContractViolation("gain and trajectory horizons disagree")
     ref = prev.cost if reference_cost is None else reference_cost
-    N = prev.horizon
-    states = np.empty_like(prev.states)
-    controls = np.empty_like(prev.controls)
-    states[0] = prev.states[0]
-    for t in range(N):
-        u = prev.controls[t] + alpha * gains.k[t] + gains.K[t] @ (states[t] - prev.states[t])
-        controls[t] = env.clamp(u)
-        states[t + 1] = step(env, states[t], controls[t])
-        if not np.all(np.isfinite(states[t + 1])):
-            return prev, False
+    states, controls, alive = rollout(env, prev.states, prev.controls + alpha * gains.k, gains.K)
+    if not alive:
+        return prev, False
     candidate_cost = total_cost(states, controls, cost)
     if candidate_cost <= ref * (1.0 + band) + 1e-300:
         return NominalTrajectory(states, controls, candidate_cost), True
@@ -216,7 +209,7 @@ def optimize(
             candidate, ok = forward_pass(
                 current, gains, alpha, env, cost, band=cfg.band, reference_cost=best.cost
             )
-            eval_count += current.horizon
+            eval_count += current.horizon  # the kernel steps all N rows, even on divergence
             if ok:
                 current = candidate
                 accepted = True

@@ -86,6 +86,23 @@ class TestTotalCost:
         ) + terminal_cost(states[-1], c)
         assert total_cost(states, controls, c) == pytest.approx(decomposed, rel=1e-14)
 
+    def test_batch_rows_equal_single_trajectories_exactly(self):
+        rng = np.random.default_rng(5)
+        c = QuadraticCostModel(
+            Q=np.stack([np.diag(rng.uniform(0.1, 2.0, 3)) for _ in range(6)]),
+            R=np.array([[0.7]]), Q_terminal=np.diag([3.0, 1.0, 2.0]), x_goal=[0.5, -1.0, 2.0],
+        )
+        states = rng.standard_normal((7, 9, 3))  # time-major, 9 trajectories
+        controls = rng.standard_normal((6, 9, 1))
+        batch = total_cost(states, controls, c)
+        assert batch.shape == (9,)
+        for i in range(9):
+            assert batch[i] == total_cost(states[:, i], controls[:, i], c)
+            # and a single point keeps the plain 1-D quadratic form bit for bit
+            dx, u = states[0, i] - c.x_goal, controls[0, i]
+            plain = 0.5 * (dx @ c.Q_at(0) @ dx) + 0.5 * (u @ c.R_at(0) @ u)
+            assert stage_cost(states[0], controls[0], 0, c)[i] == plain
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation, match="one more"):
             total_cost(np.zeros((3, 2)), np.zeros((3, 1)), simple_cost())

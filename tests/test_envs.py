@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilqr
-from dilqr.costs import QuadraticCostModel
+from dilqr.costs import QuadraticCostModel, total_cost
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
@@ -15,17 +17,23 @@ from dilqr.envs import (
     make_pendulum_env,
     pendulum_deriv,
     rk4_step,
-    rollout_closed_loop,
+    rollout,
     rollout_open_loop,
     step,
-    step_noisy,
 )
 from dilqr.errors import ContractViolation
-from dilqr.feedback import DecoupledPolicy
 
 
 def unit_cost(n_x, n_u):
     return QuadraticCostModel(np.eye(n_x), np.eye(n_u), np.eye(n_x), np.zeros(n_x))
+
+
+def time_major_draws(noise, M, horizon, dim):
+    """The (horizon, M, dim) draws of rollouts 0..M-1, as the batched kernel takes them."""
+    w = np.empty((horizon, M, dim))
+    for i in range(M):
+        w[:, i] = noise.draws(i, horizon, dim)
+    return w
 
 
 class TestStep:
@@ -118,9 +126,11 @@ class TestNoiseModel:
         env = make_linear_env()
         noise = NoiseModel(epsilon=0.0, channel="state", seed=5)
         x, u = np.array([1.0, 2.0]), np.array([0.3])
-        assert np.array_equal(step_noisy(env, x, u, noise, t=0), step(env, x, u))
+        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=noise.draws(0, 1, env.n_x))
+        assert np.array_equal(states[1], step(env, x, u))
         noise_c = NoiseModel(epsilon=0.0, channel="control", seed=5)
-        assert np.allclose(step_noisy(env, x, u, noise_c, t=0), step(env, x, u))
+        states, _, _ = rollout(env, x[None], u[None], noise=noise_c, w=noise_c.draws(0, 1, env.n_u))
+        assert np.allclose(states[1], step(env, x, u))
 
     def test_state_noise_std_matches_epsilon(self):
         env = make_linear_env()
@@ -128,9 +138,9 @@ class TestNoiseModel:
         noise = NoiseModel(epsilon=eps, channel="state", seed=11)
         x, u = np.array([1.0, 0.0]), np.array([0.0])
         base = step(env, x, u)
-        residuals = np.array(
-            [step_noisy(env, x, u, noise, t=0, rollout_id=i) - base for i in range(10_000)]
-        )
+        w = time_major_draws(noise, 10_000, 1, env.n_x)
+        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=w)
+        residuals = states[1] - base
         stds = residuals.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - eps) / eps < 0.05)
 
@@ -176,14 +186,15 @@ class TestRollouts:
         cost = unit_cost(2, 1)
         controls = 0.1 * np.ones((8, 1))
         nominal = rollout_open_loop(env, env.x0, controls, cost)
-        policy = DecoupledPolicy(nominal, np.zeros((8, 1, 2)))
         noise = NoiseModel(epsilon=0.05, channel="state", seed=2)
-        states, applied, _ = rollout_closed_loop(env, policy, noise, cost, rollout_id=4)
+        w = noise.draws(4, 8, 2)
+        states, applied, _ = rollout(
+            env, nominal.states, nominal.controls, np.zeros((8, 1, 2)), noise, w
+        )
         # zero gains: applied controls are exactly the nominal ones
-        assert np.allclose(applied, controls)
+        assert np.array_equal(applied, controls)
         # and states reproduce a manual noisy propagation
         x = env.x0.copy()
-        w = noise.draws(4, 8, 2)
         for t in range(8):
             x = step(env, x, controls[t]) + noise.epsilon * w[t]
             assert np.allclose(states[t + 1], x)
@@ -193,11 +204,11 @@ class TestRollouts:
         cost = unit_cost(2, 1)
         nominal = rollout_open_loop(env, env.x0, np.zeros((20, 1)), cost)
         gains = np.tile(np.array([[-1.0, -1.5]]), (20, 1, 1))
-        policy = DecoupledPolicy(nominal, gains)
         noise = NoiseModel(epsilon=0.02, channel="state", seed=9)
-        states_fb, _, _ = rollout_closed_loop(env, policy, noise, cost, rollout_id=0)
-        states_ol, _, _ = rollout_closed_loop(
-            env, policy.with_zero_gains(), noise, cost, rollout_id=0
+        w = noise.draws(0, 20, 2)
+        states_fb, _, _ = rollout(env, nominal.states, nominal.controls, gains, noise, w)
+        states_ol, _, _ = rollout(
+            env, nominal.states, nominal.controls, np.zeros_like(gains), noise, w
         )
         dev_fb = np.linalg.norm(states_fb - nominal.states)
         dev_ol = np.linalg.norm(states_ol - nominal.states)
@@ -207,11 +218,91 @@ class TestRollouts:
         env = make_linear_env()
         cost = unit_cost(2, 1)
         nominal = rollout_open_loop(env, env.x0, np.zeros((5, 1)), cost)
-        policy = DecoupledPolicy(nominal, np.zeros((5, 1, 2)))
         noise = NoiseModel(epsilon=0.1, channel="state", seed=1)
-        a = rollout_closed_loop(env, policy, noise, cost, rollout_id=2)
-        b = rollout_closed_loop(env, policy, noise, cost, rollout_id=2)
-        assert np.array_equal(a[0], b[0]) and a[2] == b[2]
+        a = rollout(env, nominal.states, nominal.controls, np.zeros((5, 1, 2)), noise, noise.draws(2, 5, 2))
+        b = rollout(env, nominal.states, nominal.controls, np.zeros((5, 1, 2)), noise, noise.draws(2, 5, 2))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        assert total_cost(a[0], a[1], cost) == total_cost(b[0], b[1], cost)
+
+    def test_open_loop_records_and_charges_applied_controls(self):
+        # the torque limit is 10: u = 50 drives the same states as u = 10,
+        # so it must also record and cost the same controls
+        env = make_pendulum_env()
+        cost = unit_cost(2, 1)
+        over = rollout_open_loop(env, env.x0, 50.0 * np.ones((30, 1)), cost)
+        at_limit = rollout_open_loop(env, env.x0, 10.0 * np.ones((30, 1)), cost)
+        assert over.controls[0, 0] == 10.0
+        assert np.array_equal(over.states, at_limit.states)
+        assert np.array_equal(over.controls, at_limit.controls)
+        assert over.cost == at_limit.cost
+
+    def test_open_loop_in_bounds_equals_step_by_step_exactly(self):
+        env = make_cartpole_env()
+        cost = unit_cost(4, 1)
+        controls = np.random.default_rng(0).uniform(-15.0, 15.0, (30, 1))
+        traj = rollout_open_loop(env, env.x0, controls, cost)
+        x = env.x0
+        for t in range(30):
+            x = step(env, x, controls[t])
+            assert np.array_equal(traj.states[t + 1], x)
+        assert np.array_equal(traj.controls, controls)
+        assert traj.cost == total_cost(traj.states, controls, cost)
+
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_batch_rows_equal_single_rollouts_exactly(self, name, channel):
+        env = make_env(name)
+        rng = np.random.default_rng(1)
+        N, M = 12, 16
+        u_bar = 0.8 * env.u_scale * rng.uniform(-1.0, 1.0, (N, env.n_u))
+        nominal = rollout_open_loop(env, env.x0, u_bar, unit_cost(env.n_x, env.n_u))
+        K = rng.standard_normal((N, env.n_u, env.n_x))
+        noise = NoiseModel(epsilon=0.3, channel=channel, seed=7)
+        dim = env.n_x if channel == "state" else env.n_u
+        w = time_major_draws(noise, M, N, dim)
+        states, controls, alive = rollout(env, nominal.states, nominal.controls, K, noise, w)
+        assert states.shape == (N + 1, M, env.n_x) and controls.shape == (N, M, env.n_u)
+        for i in range(M):
+            s_i, c_i, a_i = rollout(env, nominal.states, nominal.controls, K, noise, w[:, i])
+            assert np.array_equal(states[:, i], s_i)
+            assert np.array_equal(controls[:, i], c_i)
+            assert alive[i] == a_i
+
+    def test_divergent_row_is_held_at_zero_while_the_batch_steps_on(self):
+        env = make_linear_env(A=10.0 * np.eye(2), B=[[0.0], [1.0]], horizon=4)
+        calls = []
+
+        def counting(x, u):
+            calls.append(x.shape)
+            return env.step_fn(x, u)
+
+        counted = replace(env, step_fn=counting)
+        noise = NoiseModel(epsilon=0.5, channel="state", seed=0)
+        w = np.zeros((4, 3, 2))
+        w[0, 1, 0] = 1e308  # row 1 reaches 5e307, then overflows at t = 1
+        states, _, alive = rollout(counted, np.zeros((1, 2)), np.zeros((4, 1)), None, noise, w)
+        assert alive.tolist() == [True, False, True]
+        assert np.all(states[2:, 1] == 0.0)
+        assert np.all(np.isfinite(states))
+        assert calls == [(3, 2)] * 4
+
+    def test_non_finite_nominal_control_rejected(self):
+        # clamping would turn an infinite control into the bound; it is refused instead
+        env = make_pendulum_env()
+        controls = np.zeros((5, 1))
+        controls[2] = np.inf
+        with pytest.raises(ContractViolation, match="non-finite"):
+            rollout_open_loop(env, env.x0, controls, unit_cost(2, 1))
+
+    def test_rollout_dimension_mismatch_rejected(self):
+        env = make_pendulum_env()
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((1, 4)), np.zeros((5, 1)))
+        noise = NoiseModel(epsilon=0.1)
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((1, 2)), np.zeros((5, 1)), None, noise, np.zeros((5, 3, 4)))
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((6, 2)), np.zeros((5, 1)), np.zeros((5, 1, 4)))
 
 
 class TestBuilders:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from dilqr.costs import QuadraticCostModel
-from dilqr.envs import NoiseModel, make_linear_env, rollout_open_loop
+from dilqr.envs import (
+    NoiseModel,
+    make_cartpole_env,
+    make_linear_env,
+    make_pendulum_env,
+    rollout_open_loop,
+)
 from dilqr.errors import ContractViolation
 from dilqr.evaluation import (
     COST_VAR,
@@ -136,6 +142,14 @@ class TestMonteCarloEval:
         policy = DecoupledPolicy(nominal, np.zeros((10, 1, 2)))
         with pytest.raises(ContractViolation, match="diverged"):
             monte_carlo_eval(env, policy, NoiseModel(epsilon=0.1, seed=0), 8, cost)
+
+    def test_policy_for_another_environment_rejected(self):
+        cartpole = make_cartpole_env()
+        cost = QuadraticCostModel(Q=np.eye(4), R=1.0, Q_terminal=np.eye(4), x_goal=np.zeros(4))
+        nominal = rollout_open_loop(cartpole, cartpole.x0, np.zeros((30, 1)), cost)
+        policy = DecoupledPolicy(nominal, np.zeros((30, 1, 4)))
+        with pytest.raises(ContractViolation, match="dimensions"):
+            monte_carlo_eval(make_pendulum_env(), policy, NoiseModel(epsilon=0.05), 4, cost)
 
 
 class TestEpsilonSweep:

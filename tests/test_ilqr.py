@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import dilqr.ilqr as ilqr_mod
-from dilqr.costs import QuadraticCostModel
+from dilqr.costs import NominalTrajectory, QuadraticCostModel
 from dilqr.envs import make_linear_env, make_pendulum_env, rollout_open_loop
 from dilqr.errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
 from dilqr.ilqr import (
@@ -106,6 +108,23 @@ class TestForwardPass:
         gains = backward_pass(traj, cost, models, mu=0.0)
         with pytest.raises(ContractViolation):
             forward_pass(traj, gains, 1.5, env, cost)
+
+    def test_divergent_candidate_is_rejected_after_exactly_n_step_rows(self):
+        # x_2 = (0, 1e200) and x_3 overflows; the pass still makes all N rows,
+        # so optimize's eval_count (+N per tried alpha) stays exact
+        env = make_linear_env(A=1e200 * np.eye(2), B=[[0.0], [1.0]], horizon=5)
+        rows = []
+
+        def counting(x, u):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return env.step_fn(x, u)
+
+        cost = QuadraticCostModel(Q=np.eye(2), R=1.0, Q_terminal=np.eye(2), x_goal=np.zeros(2))
+        prev = NominalTrajectory(np.zeros((6, 2)), np.zeros((5, 1)), 0.0)
+        gains = IterationGains(k=np.ones((5, 1)), K=np.zeros((5, 1, 2)))
+        out, ok = forward_pass(prev, gains, 1.0, replace(env, step_fn=counting), cost)
+        assert not ok and out is prev
+        assert sum(rows) == prev.horizon
 
 
 class TestOptimize:
