@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from dilqr.cli import _reference_jacobian
 from dilqr.envs import make_env
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd
 
@@ -23,13 +24,6 @@ PROBE_POINTS = {
 }
 
 
-def reference(env, x, u):
-    h = 1e-5
-    m1 = estimate_fd(env, x, u, h)
-    m2 = estimate_fd(env, x, u, h / 2)
-    return (4 * m2.A - m1.A) / 3, (4 * m2.B - m1.B) / 3
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sigmas", type=float, nargs="+", default=[1e-2, 1e-3, 1e-4])
@@ -38,7 +32,7 @@ def main():
 
     for name, (x, u) in PROBE_POINTS.items():
         env = make_env(name)
-        A_ref, B_ref = reference(env, x, u)
+        A_ref, B_ref = _reference_jacobian(env, x, u)
 
         def err(m):
             return max(np.max(np.abs(m.A - A_ref)), np.max(np.abs(m.B - B_ref)))

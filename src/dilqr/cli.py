@@ -56,6 +56,14 @@ def _prepare(args) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
+def _config_env(cfg: RunConfig, file_env: str, made: str):
+    """The config's environment, which must be the one the input file was made on."""
+    env = cfg.make_env()
+    if env.name != file_env:
+        raise ConfigError(f"{made} on {file_env!r} but config selects {env.name!r}")
+    return env
+
+
 def cmd_train(args) -> int:
     cfg, out = _prepare(args)
     env = cfg.make_env()
@@ -80,9 +88,7 @@ def cmd_train(args) -> int:
 def cmd_feedback(args) -> int:
     cfg, out = _prepare(args)
     traj, env_name = load_trajectory(args.trajectory)
-    env = cfg.make_env()
-    if env.name != env_name:
-        raise ConfigError(f"trajectory was recorded on {env_name!r} but config selects {env.name!r}")
+    env = _config_env(cfg, env_name, "trajectory was recorded")
     policy = build_policy(env, traj, cfg.make_estimator(), cfg.make_cost(env))
     save_policy(out / "policy.txt", policy, env.name)
     print(f"feedback: wrote {out / 'policy.txt'} ({traj.horizon} gains)")
@@ -103,9 +109,7 @@ def _stats_row(s):
 def cmd_eval(args) -> int:
     cfg, out = _prepare(args)
     policy, env_name = load_policy(args.policy)
-    env = cfg.make_env()
-    if env.name != env_name:
-        raise ConfigError(f"policy was built on {env_name!r} but config selects {env.name!r}")
+    env = _config_env(cfg, env_name, "policy was built")
     cost = cfg.make_cost(env)
     stats = monte_carlo_eval(env, policy, cfg.make_noise(), cfg.get("eval", "rollouts"), cost)
     _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
@@ -116,9 +120,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, out = _prepare(args)
     policy, env_name = load_policy(args.policy)
-    env = cfg.make_env()
-    if env.name != env_name:
-        raise ConfigError(f"policy was built on {env_name!r} but config selects {env.name!r}")
+    env = _config_env(cfg, env_name, "policy was built")
     cost = cfg.make_cost(env)
     sweep = epsilon_sweep(
         env, policy, cfg.get("noise", "channel"),

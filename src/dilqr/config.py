@@ -1,14 +1,20 @@
 """Run configuration: flat `key = value` text with bracketed sections.
 
-Every key has a documented default; unknown sections or keys are rejected
-with the offending line number. The effective (fully defaulted) config is
-echoed alongside every run's outputs for provenance.
+Every key has a default; unknown sections or keys are rejected with the
+offending line number. The effective (fully defaulted) config is echoed
+alongside every run's outputs for provenance.
+
+Each default has one home. The [optimizer] and [estimator] sections are
+built from the fields of `ilqr.OptimizerConfig` and `sysid.EstimatorConfig`
+(the estimator's seed is `run.seed`), and `eval.epsilons` defaults to
+`evaluation.DEFAULT_EPSILON_GRID`. The [env], [cost], [noise] and [run]
+defaults are written out in SCHEMA below.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +22,8 @@ import numpy as np
 from . import envs
 from .costs import QuadraticCostModel
 from .envs import Environment, NoiseModel
-from .ilqr import OptimizerConfig, default_alpha_schedule
+from .evaluation import DEFAULT_EPSILON_GRID
+from .ilqr import OptimizerConfig
 from .sysid import EstimatorConfig
 
 
@@ -36,6 +43,17 @@ def _parse_floats(s: str) -> tuple:
     return tuple(float(v) for v in s.replace(",", " ").split())
 
 
+def _fields_section(cls, omit: str) -> dict:
+    """(parser, default) per field of a config dataclass; the parser follows the default's type."""
+    section = {}
+    for f in fields(cls):
+        if f.name != omit:
+            default = f.default if f.default_factory is MISSING else f.default_factory()
+            parser = {bool: _parse_bool, tuple: _parse_floats}.get(type(default), type(default))
+            section[f.name] = (parser, default)
+    return section
+
+
 # (parser, default); None default means "derived from the environment"
 SCHEMA = {
     "env": {
@@ -53,30 +71,15 @@ SCHEMA = {
         "q_terminal": (_parse_floats, None),
         "goal": (_parse_floats, None),
     },
-    "optimizer": {
-        "mu": (float, 1e-6),
-        "mu_factor": (float, 10.0),
-        "mu_min": (float, 1e-9),
-        "mu_max": (float, 1e10),
-        "alphas": (_parse_floats, default_alpha_schedule()),
-        "band": (float, 0.05),
-        "conv_tol": (float, 5e-3),
-        "conv_patience": (int, 5),
-        "max_iters": (int, 500),
-    },
-    "estimator": {
-        "n_s": (int, 0),  # 0 -> n_x + n_u + 4
-        "sigma": (float, 1e-3),
-        "approx_identity": (_parse_bool, False),
-        "fd_step": (float, 1e-4),
-    },
+    "optimizer": _fields_section(OptimizerConfig, omit="estimator"),
+    "estimator": _fields_section(EstimatorConfig, omit="seed"),
     "noise": {
         "epsilon": (float, 0.05),
         "channel": (str, "state"),
     },
     "eval": {
         "rollouts": (int, 1000),
-        "epsilons": (_parse_floats, (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)),
+        "epsilons": (_parse_floats, DEFAULT_EPSILON_GRID),
     },
     "run": {
         "seed": (int, 0),
@@ -110,18 +113,7 @@ class RunConfig:
 
     def make_env(self) -> Environment:
         name = self.get("env", "name")
-        overrides = {}
-        for key, builder_key in (
-            ("horizon", "horizon"),
-            ("dt", "dt"),
-            ("torque_limit", "torque_limit"),
-            ("force_limit", "force_limit"),
-            ("damping", "damping"),
-            ("substeps", "substeps"),
-        ):
-            value = self.get("env", key)
-            if value is not None:
-                overrides[builder_key] = value
+        overrides = {k: v for k, v in self.values["env"].items() if k != "name" and v is not None}
         if name not in envs.ENV_BUILDERS:
             raise ConfigError(f"unknown environment {name!r}")
         allowed = inspect.signature(envs.ENV_BUILDERS[name]).parameters
@@ -157,27 +149,10 @@ class RunConfig:
         )
 
     def make_estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            n_s=self.get("estimator", "n_s"),
-            sigma=self.get("estimator", "sigma"),
-            seed=self.get("run", "seed"),
-            approx_identity=self.get("estimator", "approx_identity"),
-            fd_step=self.get("estimator", "fd_step"),
-        )
+        return EstimatorConfig(**self.values["estimator"], seed=self.get("run", "seed"))
 
     def make_optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            mu=self.get("optimizer", "mu"),
-            mu_factor=self.get("optimizer", "mu_factor"),
-            mu_min=self.get("optimizer", "mu_min"),
-            mu_max=self.get("optimizer", "mu_max"),
-            alphas=self.get("optimizer", "alphas"),
-            band=self.get("optimizer", "band"),
-            conv_tol=self.get("optimizer", "conv_tol"),
-            conv_patience=self.get("optimizer", "conv_patience"),
-            max_iters=self.get("optimizer", "max_iters"),
-            estimator=self.make_estimator(),
-        )
+        return OptimizerConfig(**self.values["optimizer"], estimator=self.make_estimator())
 
     def make_noise(self, epsilon: float | None = None) -> NoiseModel:
         return NoiseModel(

@@ -86,6 +86,12 @@ class NoiseModel:
         return rng.standard_normal((horizon, dim))
 
 
+def child_seed(seed: int, *key: int) -> int:
+    """An independent non-negative 63-bit seed for subproblem `key` of `seed`."""
+    sub = np.random.SeedSequence([int(seed) & (2**63 - 1), *key])
+    return int(sub.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
 def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Deterministic black-box transition; controls clamped before integration."""
     x = np.asarray(x, dtype=float)

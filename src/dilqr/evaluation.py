@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import QuadraticCostModel, total_cost
-from .envs import STATE_CHANNEL, Environment, NoiseModel, rollout
+from .envs import STATE_CHANNEL, Environment, NoiseModel, child_seed, rollout
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -62,19 +62,24 @@ def monte_carlo_eval(
     """
     if M < 1:
         raise ContractViolation("M must be >= 1")
+    nominal = policy.nominal
+    # states, controls, gains, cost (n_x, n_u): checked before the noiseless shortcut
+    dims = (nominal.states.shape[1:], nominal.controls.shape[1:], policy.gains.shape[1:],
+            (cost.n_x, cost.n_u))
+    if dims != ((env.n_x,), (env.n_u,), (env.n_u, env.n_x), (env.n_x, env.n_u)):
+        raise ContractViolation(f"policy and cost dimensions {dims} do not fit {env.name}")
     if noise.epsilon == 0.0:
         # noiseless degeneracy: every rollout reproduces the nominal exactly
-        mse = float(np.sum((policy.nominal.terminal_state - cost.x_goal) ** 2))
+        mse = float(np.sum((nominal.terminal_state - cost.x_goal) ** 2))
         return RolloutStats(
             epsilon=0.0,
             n_rollouts=M,
-            cost_mean=policy.nominal.cost,
+            cost_mean=float(nominal.cost),
             cost_var=0.0,
             terminal_mse_mean=mse,
             channel=noise.channel,
             seed=noise.seed,
         )
-    nominal = policy.nominal
     N = nominal.horizon
     dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
     w = np.empty((N, M, dim))
@@ -100,11 +105,6 @@ def monte_carlo_eval(
     )
 
 
-def _child_seed(seed: int, index: int) -> int:
-    sub = np.random.SeedSequence([int(seed) & (2**63 - 1), index])
-    return int(sub.generate_state(1, dtype=np.uint64)[0] >> 1)
-
-
 def epsilon_sweep(
     env: Environment,
     policy: DecoupledPolicy,
@@ -120,7 +120,7 @@ def epsilon_sweep(
         raise ContractViolation("epsilons must be non-negative and ascending")
     out = []
     for i, eps in enumerate(epsilons):
-        noise = NoiseModel(epsilon=eps, channel=channel, seed=_child_seed(seed, i))
+        noise = NoiseModel(epsilon=eps, channel=channel, seed=child_seed(seed, i))
         out.append(monte_carlo_eval(env, policy, noise, M, cost))
     return out
 

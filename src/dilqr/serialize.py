@@ -8,12 +8,10 @@ header fields, then bracketed array sections with one row per line.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .costs import NominalTrajectory
-from .envs import Environment
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -25,38 +23,30 @@ def _format_row(row) -> str:
     return " ".join(repr(float(v)) for v in np.atleast_1d(row))
 
 
-def _header_lines(env_name: str, n_x: int, n_u: int, horizon: int, cost: float) -> list[str]:
-    return [
+def _trajectory_lines(magic: str, traj: NominalTrajectory, env_name: str) -> list[str]:
+    lines = [
+        magic,
         f"env = {env_name}",
-        f"n_x = {n_x}",
-        f"n_u = {n_u}",
-        f"horizon = {horizon}",
-        f"cost = {repr(float(cost))}",
+        f"n_x = {traj.states.shape[1]}",
+        f"n_u = {traj.controls.shape[1]}",
+        f"horizon = {traj.horizon}",
+        f"cost = {repr(float(traj.cost))}",
+        "[states]",
     ]
-
-
-def save_trajectory(path, traj: NominalTrajectory, env_name: str) -> None:
-    n_x = traj.states.shape[1]
-    n_u = traj.controls.shape[1]
-    lines = [TRAJECTORY_MAGIC]
-    lines += _header_lines(env_name, n_x, n_u, traj.horizon, traj.cost)
-    lines.append("[states]")
     lines += [_format_row(row) for row in traj.states]
     lines.append("[controls]")
     lines += [_format_row(row) for row in traj.controls]
+    return lines
+
+
+def save_trajectory(path, traj: NominalTrajectory, env_name: str) -> None:
+    lines = _trajectory_lines(TRAJECTORY_MAGIC, traj, env_name)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_policy(path, policy: DecoupledPolicy, env_name: str) -> None:
-    traj = policy.nominal
-    n_x = traj.states.shape[1]
-    n_u = traj.controls.shape[1]
-    lines = [POLICY_MAGIC]
-    lines += _header_lines(env_name, n_x, n_u, traj.horizon, traj.cost)
-    lines.append("[states]")
-    lines += [_format_row(row) for row in traj.states]
-    lines.append("[controls]")
-    lines += [_format_row(row) for row in traj.controls]
+    """The trajectory file of the policy's nominal, under the policy magic, plus [gains]."""
+    lines = _trajectory_lines(POLICY_MAGIC, policy.nominal, env_name)
     lines.append("[gains]")
     lines += [_format_row(K.reshape(-1)) for K in policy.gains]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -90,22 +80,22 @@ class _Parser:
         return data
 
 
-def load_trajectory(path) -> tuple[NominalTrajectory, str]:
-    p = _Parser(path, TRAJECTORY_MAGIC)
+def _read_trajectory(path, magic: str) -> tuple[_Parser, NominalTrajectory]:
+    p = _Parser(path, magic)
     n_x, n_u = int(p.header["n_x"]), int(p.header["n_u"])
     N = int(p.header["horizon"])
     states = p.section("states", N + 1, n_x)
     controls = p.section("controls", N, n_u)
-    traj = NominalTrajectory(states, controls, float(p.header["cost"]))
+    return p, NominalTrajectory(states, controls, float(p.header["cost"]))
+
+
+def load_trajectory(path) -> tuple[NominalTrajectory, str]:
+    p, traj = _read_trajectory(path, TRAJECTORY_MAGIC)
     return traj, p.header["env"]
 
 
 def load_policy(path) -> tuple[DecoupledPolicy, str]:
-    p = _Parser(path, POLICY_MAGIC)
-    n_x, n_u = int(p.header["n_x"]), int(p.header["n_u"])
-    N = int(p.header["horizon"])
-    states = p.section("states", N + 1, n_x)
-    controls = p.section("controls", N, n_u)
+    p, traj = _read_trajectory(path, POLICY_MAGIC)
+    N, n_x, n_u = traj.horizon, traj.states.shape[1], traj.controls.shape[1]
     gains = p.section("gains", N, n_u * n_x).reshape(N, n_u, n_x)
-    traj = NominalTrajectory(states, controls, float(p.header["cost"]))
     return DecoupledPolicy(nominal=traj, gains=gains), p.header["env"]

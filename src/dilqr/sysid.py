@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import NominalTrajectory
-from .envs import Environment, step
+from .envs import Environment, child_seed, step
 from .errors import ContractViolation, SingularSystem
 
 LSTSQ_RCOND = 1e-12
@@ -63,8 +63,7 @@ class EstimatorConfig:
 
     def child(self, *key: int) -> "EstimatorConfig":
         """Derive a config with an independent seed for a subproblem."""
-        sub = np.random.SeedSequence([int(self.seed) & (2**63 - 1), *key])
-        return replace(self, seed=int(sub.generate_state(1, dtype=np.uint64)[0] >> 1))
+        return replace(self, seed=child_seed(self.seed, *key))
 
 
 def _central_differences(

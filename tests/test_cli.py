@@ -140,12 +140,17 @@ class TestExitCodes:
     def test_environment_mismatch_is_usage_error(self, tmp_path, linear_cfg, capsys):
         out = tmp_path / "run"
         run("train", "--config", linear_cfg, "--out", str(out))
+        run("feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt"))
+        capsys.readouterr()
         # default config selects the pendulum, not the trained linear system
-        assert (
-            run("feedback", "--out", str(tmp_path / "o"), str(out / "trajectory.txt"))
-            == EXIT_USAGE
-        )
-        assert "linear_test" in capsys.readouterr().err
+        for command, made, path in (
+            ("feedback", "trajectory was recorded", "trajectory.txt"),
+            ("eval", "policy was built", "policy.txt"),
+            ("sweep", "policy was built", "policy.txt"),
+        ):
+            assert run(command, "--out", str(tmp_path / "o"), str(out / path)) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{made} on 'linear_test' but config selects 'pendulum'" in err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import dilqr.cli as cli_mod

@@ -8,6 +8,54 @@ from dilqr.config import (
     load_config,
     parse_config,
 )
+from dilqr.ilqr import OptimizerConfig
+from dilqr.sysid import EstimatorConfig
+
+DEFAULT_ECHO = """\
+[env]
+name = pendulum
+horizon = default
+dt = default
+torque_limit = default
+force_limit = default
+damping = default
+substeps = default
+
+[cost]
+q = default
+r = default
+q_terminal = default
+goal = default
+
+[optimizer]
+mu = 1e-06
+mu_factor = 10.0
+mu_min = 1e-09
+mu_max = 10000000000.0
+alphas = 1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.001953125
+band = 0.05
+conv_tol = 0.005
+conv_patience = 5
+max_iters = 500
+
+[estimator]
+n_s = 0
+sigma = 0.001
+approx_identity = false
+fd_step = 0.0001
+
+[noise]
+epsilon = 0.05
+channel = state
+
+[eval]
+rollouts = 1000
+epsilons = 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08
+
+[run]
+seed = 0
+record_timing = false
+"""
 
 
 class TestDefaults:
@@ -25,6 +73,14 @@ class TestDefaults:
     def test_default_epsilon_grid_is_the_linear_eight_point_one(self):
         cfg = default_config()
         assert cfg.get("eval", "epsilons") == (0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08)
+
+    def test_default_echo_text_is_pinned(self):
+        assert default_config().dump() == DEFAULT_ECHO
+
+    def test_default_optimizer_and_estimator_are_the_dataclass_defaults(self):
+        cfg = default_config()
+        assert cfg.make_optimizer() == OptimizerConfig()
+        assert cfg.make_estimator() == EstimatorConfig()
 
 
 class TestFactories:
@@ -121,6 +177,22 @@ class TestParsing:
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("[run]\nseed 1\n")
+
+    def test_dataclass_sections_parse_by_default_type(self):
+        cfg = parse_config(
+            "[optimizer]\nalphas = 1.0 0.3\nconv_patience = 7\n"
+            "[estimator]\nn_s = 9\napprox_identity = yes\n"
+        )
+        opt = cfg.make_optimizer()
+        assert opt.alphas == (1.0, 0.3) and opt.conv_patience == 7
+        assert opt.estimator == EstimatorConfig(n_s=9, approx_identity=True)
+        for text in ("[estimator]\nn_s = 2.5\n", "[estimator]\napprox_identity = maybe\n"):
+            with pytest.raises(ConfigError, match="bad value"):
+                parse_config(text)
+
+    def test_estimator_seed_is_not_an_estimator_key(self):
+        with pytest.raises(ConfigError, match="unknown key estimator.seed"):
+            parse_config("[estimator]\nseed = 3\n")
 
     def test_float_list_parsing_accepts_commas_and_spaces(self):
         cfg = parse_config("[cost]\nq = 1.0, 2.0\nr = 0.5\n")

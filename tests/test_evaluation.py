@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilqr.costs import QuadraticCostModel
+from dilqr.costs import NominalTrajectory, QuadraticCostModel
 from dilqr.envs import (
     NoiseModel,
     make_cartpole_env,
@@ -151,6 +151,30 @@ class TestMonteCarloEval:
         with pytest.raises(ContractViolation, match="dimensions"):
             monte_carlo_eval(make_pendulum_env(), policy, NoiseModel(epsilon=0.05), 4, cost)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_policy_or_cost_for_another_environment_rejected_at_every_epsilon(self, epsilon):
+        cartpole, pendulum = make_cartpole_env(), make_pendulum_env()
+        cost4 = QuadraticCostModel(Q=np.eye(4), R=1.0, Q_terminal=np.eye(4), x_goal=np.zeros(4))
+        cost2 = QuadraticCostModel(Q=np.eye(2), R=1.0, Q_terminal=np.eye(2), x_goal=np.zeros(2))
+        nominal = rollout_open_loop(cartpole, cartpole.x0, np.zeros((30, 1)), cost4)
+        cartpole_policy = DecoupledPolicy(nominal, np.zeros((30, 1, 4)))
+        nominal = rollout_open_loop(pendulum, pendulum.x0, np.zeros((30, 1)), cost2)
+        pendulum_policy = DecoupledPolicy(nominal, np.zeros((30, 1, 2)))
+        noise = NoiseModel(epsilon=epsilon)
+        for policy, cost in ((cartpole_policy, cost4), (cartpole_policy, cost2),
+                             (pendulum_policy, cost4)):
+            with pytest.raises(ContractViolation, match="dimensions"):
+                monte_carlo_eval(pendulum, policy, noise, 4, cost)
+
+    def test_zero_epsilon_cost_mean_is_a_python_float(self):
+        env, cost, policy = small_problem()
+        nominal = policy.nominal
+        nominal = NominalTrajectory(nominal.states, nominal.controls, np.float64(nominal.cost))
+        stats = monte_carlo_eval(env, DecoupledPolicy(nominal, policy.gains),
+                                 NoiseModel(epsilon=0.0), 5, cost)
+        assert type(stats.cost_mean) is float
+        assert stats.cost_mean == policy.nominal.cost
+
 
 class TestEpsilonSweep:
     def test_one_stat_per_epsilon_in_order(self):
@@ -164,6 +188,14 @@ class TestEpsilonSweep:
         env, cost, policy = small_problem()
         sweep = epsilon_sweep(env, policy, "state", (0.05, 0.05001), 50, cost, seed=0)
         assert sweep[0].seed != sweep[1].seed
+
+    def test_stream_seeds_are_pinned(self):
+        # the SeedSequence derivation shared with EstimatorConfig.child; stored sweeps depend on it
+        env, cost, policy = small_problem()
+        sweep = epsilon_sweep(env, policy, "state", (0.01, 0.02), 5, cost, seed=0)
+        assert [s.seed for s in sweep] == [7896617691693857887, 2918264622725855778]
+        sweep = epsilon_sweep(env, policy, "state", (0.01, 0.02), 5, cost, seed=2**64 + 11)
+        assert sweep[1].seed == 9080609714381269916
 
     def test_unsorted_grid_rejected(self):
         env, cost, policy = small_problem()

@@ -81,6 +81,18 @@ class TestPolicyRoundTrip:
         save_policy(b, loaded, name)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_policy_file_is_the_trajectory_file_plus_gains(self, tmp_path):
+        policy = self._policy()
+        a, b = tmp_path / "traj.txt", tmp_path / "policy.txt"
+        save_trajectory(a, policy.nominal, "cartpole")
+        save_policy(b, policy, "cartpole")
+        traj_lines, policy_lines = a.read_text().splitlines(), b.read_text().splitlines()
+        n = len(traj_lines)
+        assert policy_lines[0] == POLICY_MAGIC and traj_lines[0] == TRAJECTORY_MAGIC
+        assert policy_lines[1:n] == traj_lines[1:]
+        assert policy_lines[n] == "[gains]"
+        assert len(policy_lines) == n + 1 + policy.nominal.horizon
+
     def test_gains_reshape_preserves_layout(self, tmp_path):
         traj = awkward_trajectory()
         gains = np.arange(8, dtype=float).reshape(4, 1, 2)
