@@ -36,7 +36,7 @@ def study(name, rollouts, channel, seed):
     gap_fit = variance_scaling_fit(sweep, MEAN_COST_GAP, nominal_cost=traj.cost)
 
     print(f"\n== {name} (channel={channel}, M={rollouts}) ==")
-    print(f"nominal cost {traj.cost:.4f} after {len(trace)} iterations")
+    print(f"nominal cost {traj.cost:.4f} after {len(trace)} iterations ({trace.stop_reason})")
     print(f"{'eps':>6} {'cost_mean':>12} {'cost_var':>12} {'terminal_mse':>12}")
     for s in sweep:
         print(f"{s.epsilon:>6} {s.cost_mean:>12.5f} {s.cost_var:>12.5g} {s.terminal_mse_mean:>12.5g}")

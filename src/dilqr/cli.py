@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 2
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # plain round-trip digits, also for np.float64
     return str(v)
 
 
@@ -72,16 +72,22 @@ def cmd_train(args) -> int:
     traj, trace = optimize(env, cost, env.x0, u_init, cfg.make_optimizer())
     save_trajectory(out / "trajectory.txt", traj, env.name)
     record_timing = cfg.get("run", "record_timing")
+    last = len(trace) - 1
     _write_csv(
         out / "trace.csv",
-        ["iteration", "cost", "mu", "alpha", "accepted", "wall_time_s", "eval_count"],
+        ["iteration", "cost", "mu", "alpha", "accepted", "wall_time_s", "eval_count",
+         "backward_success", "best_cost", "stop_reason"],
         [
             (r.iteration, r.cost, r.mu, r.alpha, int(r.accepted),
-             r.wall_time_s if record_timing else 0.0, r.eval_count)
-            for r in trace.records
+             r.wall_time_s if record_timing else 0.0, r.eval_count,
+             int(r.backward_success), r.best_cost, trace.stop_reason if i == last else "")
+            for i, r in enumerate(trace.records)
         ],
     )
-    print(f"train: {env.name} final cost {traj.cost!r} after {len(trace)} iterations")
+    print(
+        f"train: {env.name} final cost {float(traj.cost)!r} after {len(trace)} iterations "
+        f"({trace.stop_reason})"
+    )
     return EXIT_OK
 
 

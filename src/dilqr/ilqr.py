@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Literal, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -54,6 +54,7 @@ class OptimizerConfig:
     conv_tol: float = 5e-3
     conv_patience: int = 5
     max_iters: int = 500
+    stall_window: int = 30
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
@@ -65,7 +66,10 @@ class OptimizerConfig:
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
             raise ContractViolation("alpha schedule must be strictly decreasing")
         object.__setattr__(self, "alphas", alphas)
-        if self.band < 0 or self.conv_tol <= 0 or self.conv_patience < 1 or self.max_iters < 0:
+        if (
+            self.band < 0 or self.conv_tol <= 0 or self.conv_patience < 1
+            or self.max_iters < 0 or self.stall_window < 1
+        ):
             raise ContractViolation("invalid convergence parameters")
 
 
@@ -73,6 +77,7 @@ class OptimizerConfig:
 class IterationRecord:
     iteration: int
     cost: float
+    best_cost: float  # lowest cost seen so far, the open-loop rollout included
     mu: float
     alpha: float
     backward_success: bool
@@ -81,9 +86,13 @@ class IterationRecord:
     eval_count: int  # cumulative black-box transitions (rows passed to step)
 
 
+StopReason = Literal["converged", "stalled", "line_search_exhausted", "max_iters"]
+
+
 @dataclass
 class ConvergenceTrace:
     records: list[IterationRecord] = field(default_factory=list)
+    stop_reason: StopReason = "max_iters"
 
     def append(self, rec: IterationRecord) -> None:
         self.records.append(rec)
@@ -168,13 +177,25 @@ def optimize(
 ) -> tuple[NominalTrajectory, ConvergenceTrace]:
     """Outer ILQR loop: identify, backward pass, line search, band acceptance.
 
-    mu escalates on backward failure and decays after accepted iterations;
-    termination on sustained small relative cost change, full line-search
-    rejection, or the iteration cap. Returns the best-cost trajectory seen.
+    mu escalates (to at least mu_min) on a failed backward pass and decays
+    after an accepted iteration; RegularizationExhausted is raised when the
+    pass still fails at mu_max. Three rules stop the loop early, and
+    trace.stop_reason names the one that fired:
+
+    - "converged": the relative cost change stayed below conv_tol for
+      conv_patience accepted iterations in a row;
+    - "line_search_exhausted": every alpha was rejected by the band test;
+    - "stalled": the best cost has not improved for stall_window
+      iterations (the open-loop rollout is iteration 0, and failed
+      backward passes count as iterations without improvement).
+
+    Otherwise the loop ends at "max_iters". Returns the best-cost
+    trajectory seen; band acceptance lets the last accepted one be worse.
     """
     t_start = time.perf_counter()
     current = rollout_open_loop(env, x0, u_init, cost)
     best = current
+    best_it = 0
     trace = ConvergenceTrace()
     mu = cfg.mu
     eval_count = 0
@@ -185,27 +206,19 @@ def optimize(
         eval_count += sum(m.eval_count for m in models)
         try:
             gains = backward_pass(current, cost, models, mu)
-            backward_ok = True
         except NotPositiveDefinite:
-            backward_ok = False
-        if not backward_ok:
+            gains = None
+        if gains is None:
             if mu >= cfg.mu_max:
                 raise RegularizationExhausted(
                     f"mu reached {mu:g} with the backward pass still failing"
                 )
-            mu = min(mu * cfg.mu_factor, cfg.mu_max)
-            trace.append(
-                IterationRecord(
-                    it, current.cost, mu, float("nan"), False, False,
-                    time.perf_counter() - t_start, eval_count,
-                )
-            )
-            continue
+            mu = min(max(mu * cfg.mu_factor, cfg.mu_min), cfg.mu_max)
 
         accepted = False
         alpha_used = float("nan")
         prev_cost = current.cost
-        for alpha in cfg.alphas:
+        for alpha in (cfg.alphas if gains is not None else ()):
             candidate, ok = forward_pass(
                 current, gains, alpha, env, cost, band=cfg.band, reference_cost=best.cost
             )
@@ -215,20 +228,26 @@ def optimize(
                 accepted = True
                 alpha_used = alpha
                 break
+        if current.cost < best.cost:
+            best, best_it = current, it
         trace.append(
             IterationRecord(
-                it, current.cost, mu, alpha_used, True, accepted,
+                it, current.cost, best.cost, mu, alpha_used, gains is not None, accepted,
                 time.perf_counter() - t_start, eval_count,
             )
         )
-        if not accepted:
-            break
-        if current.cost < best.cost:
-            best = current
-        mu = max(mu / cfg.mu_factor, cfg.mu_min)
-        rel_change = abs(prev_cost - current.cost) / max(abs(prev_cost), 1e-300)
-        patience = patience + 1 if rel_change < cfg.conv_tol else 0
-        if patience >= cfg.conv_patience:
+        if gains is not None:
+            if not accepted:
+                trace.stop_reason = "line_search_exhausted"
+                break
+            mu = max(mu / cfg.mu_factor, cfg.mu_min)
+            rel_change = abs(prev_cost - current.cost) / max(abs(prev_cost), 1e-300)
+            patience = patience + 1 if rel_change < cfg.conv_tol else 0
+            if patience >= cfg.conv_patience:
+                trace.stop_reason = "converged"
+                break
+        if it - best_it >= cfg.stall_window:
+            trace.stop_reason = "stalled"
             break
 
     return best, trace

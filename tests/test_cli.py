@@ -75,6 +75,24 @@ class TestPipeline:
         assert any(",llscd," in line for line in lines)
         assert any(",fd," in line for line in lines)
 
+    def test_trace_explains_the_run(self, tmp_path, linear_cfg, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--config", linear_cfg, "--out", str(out)) == EXIT_OK
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == (
+            "iteration,cost,mu,alpha,accepted,wall_time_s,eval_count,"
+            "backward_success,best_cost,stop_reason"
+        )
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[-1] for row in rows] == [""] * (len(rows) - 1) + ["converged"]
+        assert all(row[7] == "1" for row in rows)
+        best = [float(row[8]) for row in rows]
+        assert best == sorted(best, reverse=True)
+        assert all(float(row[1]) >= b for row, b in zip(rows, best))
+        traj, _ = load_trajectory(out / "trajectory.txt")
+        assert best[-1] == traj.cost
+        assert f"after {len(rows)} iterations (converged)" in capsys.readouterr().out
+
     def test_effective_config_echo_is_reloadable(self, tmp_path, linear_cfg):
         out = tmp_path / "run"
         run("train", "--config", linear_cfg, "--out", str(out))

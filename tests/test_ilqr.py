@@ -5,6 +5,7 @@ import pytest
 
 import dilqr.ilqr as ilqr_mod
 from dilqr.costs import NominalTrajectory, QuadraticCostModel
+from dilqr.config import default_config
 from dilqr.envs import make_linear_env, make_pendulum_env, rollout_open_loop
 from dilqr.errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
 from dilqr.ilqr import (
@@ -26,6 +27,10 @@ def scalar_setup():
     traj = rollout_open_loop(env, np.array([1.0]), np.zeros((1, 1)), cost)
     models = [LinearizedModel(A=np.array([[1.0]]), B=np.array([[1.0]]), eval_count=0)]
     return env, cost, traj, models
+
+
+def _always_fail(*args, **kwargs):
+    raise NotPositiveDefinite(0)
 
 
 class TestBackwardPass:
@@ -215,6 +220,15 @@ class TestOptimize:
         assert first.mu == pytest.approx(1e-5)  # escalated by mu_factor
         assert any(r.accepted for r in trace.records[1:])
 
+    def test_mu_escalates_from_zero(self, monkeypatch):
+        # mu = 0 first escalates to mu_min, so the regularizer still reaches
+        # mu_max and a pass that keeps failing raises instead of spinning
+        monkeypatch.setattr(ilqr_mod, "backward_pass", _always_fail)
+        env, cost, _, _ = scalar_setup()
+        cfg = OptimizerConfig(mu=0.0, max_iters=200)
+        with pytest.raises(RegularizationExhausted):
+            optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), cfg)
+
     def test_eval_count_is_cumulative_and_increasing(self):
         env, cost, _, _ = scalar_setup()
         cfg = OptimizerConfig(max_iters=5)
@@ -223,7 +237,76 @@ class TestOptimize:
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
 
+def _default_run(name, **overrides):
+    cfg = default_config()
+    cfg.set("env", "name", name)
+    env = cfg.make_env()
+    cost = cfg.make_cost(env)
+    opt = replace(cfg.make_optimizer(), **overrides)
+    return optimize(env, cost, env.x0, np.zeros((env.horizon, env.n_u)), opt)
+
+
+def _rows(trace):
+    # every field but the wall clock, as round-trip text so NaN alphas compare equal
+    return [repr((r.iteration, r.cost, r.best_cost, r.mu, r.alpha, r.backward_success,
+                  r.accepted, r.eval_count)) for r in trace.records]
+
+
+class TestTermination:
+    def test_linear_problem_converges(self):
+        _, trace = _default_run("linear_test")
+        assert trace.stop_reason == "converged"
+
+    def test_rejected_line_search_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(ilqr_mod, "forward_pass", lambda prev, *a, **k: (prev, False))
+        _, trace = _default_run("linear_test")
+        assert trace.stop_reason == "line_search_exhausted"
+        assert len(trace) == 1 and not trace.records[0].accepted
+
+    def test_iteration_cap(self):
+        _, trace = _default_run("pendulum", max_iters=3)
+        assert trace.stop_reason == "max_iters"
+        assert len(trace) == 3
+
+    def test_failed_backward_passes_count_toward_the_stall(self, monkeypatch):
+        monkeypatch.setattr(ilqr_mod, "backward_pass", _always_fail)
+        env, cost, _, _ = scalar_setup()
+        cfg = OptimizerConfig(stall_window=4, max_iters=50)
+        traj, trace = optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), cfg)
+        assert trace.stop_reason == "stalled"
+        assert len(trace) == 4
+        assert traj.cost == pytest.approx(1.0)  # the open-loop rollout, iteration 0
+
+    def test_pendulum_stalls_stall_window_after_its_last_improvement(self, trained_pendulum):
+        r = trained_pendulum
+        assert r.trace.stop_reason == "stalled"
+        best = rollout_open_loop(r.env, r.env.x0, np.zeros((r.env.horizon, r.env.n_u)), r.cost).cost
+        last_improvement = 0
+        for rec in r.trace.records:
+            assert rec.best_cost == min(best, rec.cost)
+            if rec.best_cost < best:
+                best, last_improvement = rec.best_cost, rec.iteration
+        assert r.traj.cost == best
+        assert len(r.trace) == last_improvement + OptimizerConfig().stall_window
+
+    def test_stall_stop_is_bit_identical_to_a_capped_run(self, trained_pendulum):
+        # the rule only ends the run: up to the stop, every iteration is
+        # computed as without it
+        r = trained_pendulum
+        stop = len(r.trace)
+        traj, trace = _default_run("pendulum", max_iters=stop, stall_window=stop + 1)
+        assert trace.stop_reason == "max_iters"
+        assert _rows(trace) == _rows(r.trace)
+        assert np.array_equal(traj.states, r.traj.states)
+        assert np.array_equal(traj.controls, r.traj.controls)
+        assert traj.cost == r.traj.cost
+
+
 class TestOptimizerConfig:
+    def test_stall_window_must_be_positive(self):
+        with pytest.raises(ContractViolation):
+            OptimizerConfig(stall_window=0)
+
     def test_alpha_schedule_must_decrease(self):
         with pytest.raises(ContractViolation, match="decreasing"):
             OptimizerConfig(alphas=(0.5, 0.5))

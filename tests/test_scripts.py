@@ -45,6 +45,12 @@ def test_study_scripts_run_on_the_linear_system(tmp_path, name, args, expect):
     assert "linear_test" in out and expect in out
 
 
+def test_noise_scaling_study_reports_the_stop_reason(tmp_path):
+    out = run_script("noise_scaling_study.py", "--envs", "linear_test", "--rollouts", "50",
+                     cwd=tmp_path)
+    assert "iterations (converged)" in out
+
+
 def test_train_swingup_help(tmp_path):
     out = run_script("train_swingup.py", "--help", cwd=tmp_path)
     assert "--rollouts" in out
