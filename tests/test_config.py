@@ -37,7 +37,6 @@ band = 0.05
 conv_tol = 0.005
 conv_patience = 5
 max_iters = 500
-stall_window = 30
 
 [estimator]
 n_s = 0

@@ -269,15 +269,37 @@ class TestTermination:
         assert len(trace) == 3
 
     def test_failed_backward_passes_count_toward_the_stall(self, monkeypatch):
-        monkeypatch.setattr(ilqr_mod, "backward_pass", _always_fail)
+        # three failed passes, then passes whose line search accepts without
+        # improving: the stall fires on the first successful pass, iteration 4
+        real = ilqr_mod.backward_pass
+        calls = {"n": 0}
+
+        def fail_three(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] <= 3:
+                raise NotPositiveDefinite(0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ilqr_mod, "STALL_WINDOW", 4)
+        monkeypatch.setattr(ilqr_mod, "backward_pass", fail_three)
+        monkeypatch.setattr(ilqr_mod, "forward_pass", lambda prev, *a, **k: (prev, True))
         env, cost, _, _ = scalar_setup()
-        cfg = OptimizerConfig(stall_window=4, max_iters=50)
-        traj, trace = optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), cfg)
+        traj, trace = optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), OptimizerConfig())
         assert trace.stop_reason == "stalled"
-        assert len(trace) == 4
+        assert [r.backward_success for r in trace.records] == [False, False, False, True]
         assert traj.cost == pytest.approx(1.0)  # the open-loop rollout, iteration 0
 
-    def test_pendulum_stalls_stall_window_after_its_last_improvement(self, trained_pendulum):
+    def test_failing_backward_pass_raises_before_it_stalls(self, monkeypatch):
+        # escalating 1e-6 -> 1e10 by 1.5 takes about 91 failures, far more
+        # than the window; exhaustion must still raise, not stop "stalled"
+        monkeypatch.setattr(ilqr_mod, "STALL_WINDOW", 4)
+        monkeypatch.setattr(ilqr_mod, "backward_pass", _always_fail)
+        env, cost, _, _ = scalar_setup()
+        cfg = OptimizerConfig(mu_factor=1.5, max_iters=500)
+        with pytest.raises(RegularizationExhausted):
+            optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), cfg)
+
+    def test_pendulum_stalls_one_window_after_its_last_improvement(self, trained_pendulum):
         r = trained_pendulum
         assert r.trace.stop_reason == "stalled"
         best = rollout_open_loop(r.env, r.env.x0, np.zeros((r.env.horizon, r.env.n_u)), r.cost).cost
@@ -287,14 +309,15 @@ class TestTermination:
             if rec.best_cost < best:
                 best, last_improvement = rec.best_cost, rec.iteration
         assert r.traj.cost == best
-        assert len(r.trace) == last_improvement + OptimizerConfig().stall_window
+        assert len(r.trace) == last_improvement + ilqr_mod.STALL_WINDOW
 
-    def test_stall_stop_is_bit_identical_to_a_capped_run(self, trained_pendulum):
+    def test_stall_stop_is_bit_identical_to_a_capped_run(self, trained_pendulum, monkeypatch):
         # the rule only ends the run: up to the stop, every iteration is
         # computed as without it
         r = trained_pendulum
         stop = len(r.trace)
-        traj, trace = _default_run("pendulum", max_iters=stop, stall_window=stop + 1)
+        monkeypatch.setattr(ilqr_mod, "STALL_WINDOW", stop + 1)
+        traj, trace = _default_run("pendulum", max_iters=stop)
         assert trace.stop_reason == "max_iters"
         assert _rows(trace) == _rows(r.trace)
         assert np.array_equal(traj.states, r.traj.states)
@@ -303,10 +326,6 @@ class TestTermination:
 
 
 class TestOptimizerConfig:
-    def test_stall_window_must_be_positive(self):
-        with pytest.raises(ContractViolation):
-            OptimizerConfig(stall_window=0)
-
     def test_alpha_schedule_must_decrease(self):
         with pytest.raises(ContractViolation, match="decreasing"):
             OptimizerConfig(alphas=(0.5, 0.5))
