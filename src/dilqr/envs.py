@@ -19,6 +19,7 @@ a rollout reproduces whatever batch it runs in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -184,15 +185,26 @@ def rollout_open_loop(
 
 
 def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) -> np.ndarray:
-    """Classic fixed-step RK4 over dt, split into substeps for fidelity."""
+    """Classic fixed-step RK4 over dt, split into substeps for fidelity.
+
+    deriv takes the tuple of state components and the tuple of control
+    components, each an array over the batch axes of x and u, and returns
+    the tuple of state derivatives. x and u are split into components once,
+    every stage is computed per component, and the result is stacked once.
+    """
     h = dt / substeps
+    x = tuple(x[..., i] for i in range(x.shape[-1]))
+    u = tuple(u[..., i] for i in range(u.shape[-1]))
     for _ in range(substeps):
         k1 = deriv(x, u)
-        k2 = deriv(x + 0.5 * h * k1, u)
-        k3 = deriv(x + 0.5 * h * k2, u)
-        k4 = deriv(x + h * k3, u)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+        k2 = deriv(tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)), u)
+        k3 = deriv(tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)), u)
+        k4 = deriv(tuple(xi + h * ki for xi, ki in zip(x, k3)), u)
+        x = tuple(
+            xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        )
+    return np.stack(x, axis=-1)
 
 
 LINEAR_TEST_A = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -247,13 +259,17 @@ def make_linear_env(
 
 
 def pendulum_deriv(x, u, mass=1.0, length=1.0, gravity=9.81, damping=0.1):
-    """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright."""
-    theta, omega = x[..., 0], x[..., 1]
-    torque = u[..., 0]
+    """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright.
+
+    Component form: x = (theta, omega) and u = (torque,); returns
+    (d theta/dt, d omega/dt).
+    """
+    theta, omega = x
+    (torque,) = u
     alpha = (torque - damping * omega - mass * gravity * length * np.sin(theta)) / (
         mass * length**2
     )
-    return np.stack([omega, alpha], axis=-1)
+    return omega, alpha
 
 
 def make_pendulum_env(
@@ -263,10 +279,10 @@ def make_pendulum_env(
     damping: float = PENDULUM_PARAMS["damping"],
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
-    params = dict(PENDULUM_PARAMS, damping=damping)
+    deriv = partial(pendulum_deriv, **dict(PENDULUM_PARAMS, damping=damping))
 
     def step_fn(x, u):
-        return rk4_step(lambda xx, uu: pendulum_deriv(xx, uu, **params), x, u, dt, substeps)
+        return rk4_step(deriv, x, u, dt, substeps)
 
     return Environment(
         name="pendulum",
@@ -282,15 +298,19 @@ def make_pendulum_env(
 
 
 def cartpole_deriv(x, u, cart_mass=1.0, pole_mass=0.1, pole_length=0.5, gravity=9.81):
-    """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright."""
-    theta, dpos, dtheta = x[..., 2], x[..., 1], x[..., 3]
-    force = u[..., 0]
+    """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright.
+
+    Component form: x = (pos, dpos, theta, dtheta) and u = (force,); returns
+    their time derivatives in the same order.
+    """
+    _, dpos, theta, dtheta = x
+    (force,) = u
     s, c = np.sin(theta), np.cos(theta)
     accel = (force + pole_mass * s * (pole_length * dtheta**2 + gravity * c)) / (
         cart_mass + pole_mass * s**2
     )
     ang_accel = -(accel * c + gravity * s) / pole_length
-    return np.stack([dpos, accel, dtheta, ang_accel], axis=-1)
+    return dpos, accel, dtheta, ang_accel
 
 
 def make_cartpole_env(
@@ -299,8 +319,10 @@ def make_cartpole_env(
     force_limit: float = 20.0,
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
+    deriv = partial(cartpole_deriv, **CARTPOLE_PARAMS)
+
     def step_fn(x, u):
-        return rk4_step(lambda xx, uu: cartpole_deriv(xx, uu, **CARTPOLE_PARAMS), x, u, dt, substeps)
+        return rk4_step(deriv, x, u, dt, substeps)
 
     return Environment(
         name="cartpole",

@@ -133,8 +133,8 @@ def backward_pass(
             chol = scipy.linalg.cho_factor(Q_uu, lower=True)
         except scipy.linalg.LinAlgError:
             raise NotPositiveDefinite(t) from None
-        k[t] = -scipy.linalg.cho_solve(chol, Q_u)
-        K[t] = -scipy.linalg.cho_solve(chol, Q_ux)
+        kK = -scipy.linalg.cho_solve(chol, np.column_stack([Q_u, Q_ux]))
+        k[t], K[t] = kK[:, 0], kK[:, 1:]
         J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
         J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
         J_xx = 0.5 * (J_xx + J_xx.T)

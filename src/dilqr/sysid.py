@@ -155,7 +155,7 @@ def identify_ltv(
     Timestep t gets exactly the estimate_llscd result under cfg.child(t);
     the whole trajectory costs one step call.
     """
-    seeds = [cfg.child(t).seed for t in range(traj.horizon)]
+    seeds = [child_seed(cfg.seed, t) for t in range(traj.horizon)]
     D, Y = _sample(env, traj.states[:-1], traj.controls, seeds, cfg)
     models = []
     for t in range(traj.horizon):

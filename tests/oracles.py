@@ -1,8 +1,9 @@
 """Closed-form reference results the library must reproduce.
 
 These are computed independently of the code under test: analytic
-Jacobians pushed through the integrator by the chain rule, and the exact
-finite-horizon discrete Riccati recursion on known (A, B).
+Jacobians pushed through the integrator by the chain rule, the exact
+finite-horizon discrete Riccati recursion on known (A, B), and the RK4
+integrator in its earlier stacked form.
 """
 
 import numpy as np
@@ -93,10 +94,11 @@ def _field_value(fx_fu, x, u):
     """Recover the vector-field value matching a Jacobian function."""
     from dilqr.envs import cartpole_deriv, pendulum_deriv
 
+    x, u = tuple(np.asarray(x, dtype=float)), tuple(np.atleast_1d(u))
     if fx_fu is pendulum_continuous_jacobians:
-        return pendulum_deriv(np.asarray(x, dtype=float), np.atleast_1d(u))
+        return np.array(pendulum_deriv(x, u))
     if fx_fu is cartpole_continuous_jacobians:
-        return cartpole_deriv(np.asarray(x, dtype=float), np.atleast_1d(u))
+        return np.array(cartpole_deriv(x, u))
     raise ValueError("unknown field")
 
 
@@ -132,3 +134,52 @@ def riccati_reference_gains(A, B, Q, R, Q_N, N):
         P = 0.5 * (P + P.T)
         gains.append(K)
     return list(reversed(gains))
+
+
+# The integrator in its stacked form, as it was before the RK4 stages ran per
+# component: every derivative stacks its output and the stages do their
+# arithmetic on the stacked arrays. The component-wise environments must
+# reproduce it bit for bit.
+
+
+def stacked_rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) -> np.ndarray:
+    """Classic fixed-step RK4 over dt, split into substeps for fidelity."""
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = deriv(x, u)
+        k2 = deriv(x + 0.5 * h * k1, u)
+        k3 = deriv(x + 0.5 * h * k2, u)
+        k4 = deriv(x + h * k3, u)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def stacked_pendulum_deriv(x, u, mass=1.0, length=1.0, gravity=9.81, damping=0.1):
+    """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright."""
+    theta, omega = x[..., 0], x[..., 1]
+    torque = u[..., 0]
+    alpha = (torque - damping * omega - mass * gravity * length * np.sin(theta)) / (
+        mass * length**2
+    )
+    return np.stack([omega, alpha], axis=-1)
+
+
+def stacked_cartpole_deriv(x, u, cart_mass=1.0, pole_mass=0.1, pole_length=0.5, gravity=9.81):
+    """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright."""
+    theta, dpos, dtheta = x[..., 2], x[..., 1], x[..., 3]
+    force = u[..., 0]
+    s, c = np.sin(theta), np.cos(theta)
+    accel = (force + pole_mass * s * (pole_length * dtheta**2 + gravity * c)) / (
+        cart_mass + pole_mass * s**2
+    )
+    ang_accel = -(accel * c + gravity * s) / pole_length
+    return np.stack([dpos, accel, dtheta, ang_accel], axis=-1)
+
+
+def stacked_pendulum_step(x, u, dt=0.1, damping=PENDULUM_PARAMS["damping"], substeps=4):
+    params = dict(PENDULUM_PARAMS, damping=damping)
+    return stacked_rk4_step(lambda xx, uu: stacked_pendulum_deriv(xx, uu, **params), x, u, dt, substeps)
+
+
+def stacked_cartpole_step(x, u, dt=0.15, substeps=4):
+    return stacked_rk4_step(lambda xx, uu: stacked_cartpole_deriv(xx, uu, **CARTPOLE_PARAMS), x, u, dt, substeps)

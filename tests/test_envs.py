@@ -22,6 +22,7 @@ from dilqr.envs import (
     step,
 )
 from dilqr.errors import ContractViolation
+from oracles import stacked_cartpole_step, stacked_pendulum_step
 
 
 def unit_cost(n_x, n_u):
@@ -115,10 +116,33 @@ class TestIntegratorFidelity:
         a = -0.7
 
         def deriv(x, u):
-            return a * x
+            (x1,) = x
+            return (a * x1,)
 
         x = rk4_step(deriv, np.array([1.0]), np.zeros(1), 0.1, substeps=4)
         assert x[0] == pytest.approx(np.exp(a * 0.1), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "make, reference, params",
+        [
+            (make_pendulum_env, stacked_pendulum_step, {}),
+            (make_cartpole_env, stacked_cartpole_step, {}),
+            (make_pendulum_env, stacked_pendulum_step, dict(dt=0.07, damping=0.35, substeps=3)),
+            (make_cartpole_env, stacked_cartpole_step, dict(dt=0.2, substeps=7)),
+        ],
+        ids=["pendulum", "cartpole", "pendulum-dt-damping-substeps", "cartpole-dt-substeps"],
+    )
+    @pytest.mark.parametrize("batch", [(), (7,), (420,), (10_000,), (3, 5)])
+    def test_step_matches_stacked_rk4_bit_for_bit(self, make, reference, params, batch):
+        env = make(**params)
+        rng = np.random.default_rng(len(batch) * 1000 + sum(batch))
+        x = rng.normal(scale=3.0, size=(*batch, env.n_x))
+        u = rng.normal(scale=2.0 * env.u_scale, size=(*batch, env.n_u))
+        out = env.step_fn(x, u)
+        expected = reference(x, u, **params)
+        assert out.shape == expected.shape == (*batch, env.n_x)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
 
 
 class TestNoiseModel:
@@ -336,7 +360,7 @@ class TestBuilders:
         torque=st.floats(-5.0, 5.0),
     )
     def test_pendulum_deriv_velocity_slot_is_consistent(self, theta, omega, torque):
-        d = pendulum_deriv(np.array([theta, omega]), np.array([torque]))
+        d = pendulum_deriv((theta, omega), (torque,))
         assert d[0] == omega
 
     @settings(max_examples=20, deadline=None)

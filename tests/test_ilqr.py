@@ -2,9 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dilqr.ilqr as ilqr_mod
-from dilqr.costs import NominalTrajectory, QuadraticCostModel
+from dilqr.costs import NominalTrajectory, QuadraticCostModel, cost_partials, terminal_partials
 from dilqr.config import default_config
 from dilqr.envs import make_linear_env, make_pendulum_env, rollout_open_loop
 from dilqr.errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
@@ -15,7 +16,7 @@ from dilqr.ilqr import (
     forward_pass,
     optimize,
 )
-from dilqr.sysid import EstimatorConfig, LinearizedModel
+from dilqr.sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
 from oracles import lqr_optimal_cost
 
@@ -31,6 +32,38 @@ def scalar_setup():
 
 def _always_fail(*args, **kwargs):
     raise NotPositiveDefinite(0)
+
+
+def two_solve_backward_pass(traj, cost, models, mu):
+    """The backward pass with k_t and K_t from two separate Cholesky solves."""
+    N, n_x = traj.horizon, traj.states.shape[1]
+    k = np.empty((N, traj.controls.shape[1]))
+    K = np.empty((N, *k.shape[1:], n_x))
+    J_x, J_xx = terminal_partials(traj.states[N], cost)
+    for t in range(N - 1, -1, -1):
+        A, B = models[t].A, models[t].B
+        c = cost_partials(traj.states[t], traj.controls[t], t, cost)
+        J_xx_reg = J_xx + mu * np.eye(n_x)
+        Q_x = c.c_x + A.T @ J_x
+        Q_u = c.c_u + B.T @ J_x
+        Q_xx = c.c_xx + A.T @ J_xx @ A
+        Q_ux = c.c_ux + B.T @ J_xx_reg @ A
+        Q_uu = c.c_uu + B.T @ J_xx_reg @ B
+        Q_uu = 0.5 * (Q_uu + Q_uu.T)
+        chol = scipy.linalg.cho_factor(Q_uu, lower=True)
+        k[t] = -scipy.linalg.cho_solve(chol, Q_u)
+        K[t] = -scipy.linalg.cho_solve(chol, Q_ux)
+        J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
+        J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
+        J_xx = 0.5 * (J_xx + J_xx.T)
+    return k, K
+
+
+def assert_single_solve_is_bit_identical(traj, cost, models, mu):
+    gains = backward_pass(traj, cost, models, mu)
+    k, K = two_solve_backward_pass(traj, cost, models, mu)
+    assert np.array_equal(gains.k, k)
+    assert np.array_equal(gains.K, K)
 
 
 class TestBackwardPass:
@@ -65,6 +98,35 @@ class TestBackwardPass:
         _, cost, traj, models = scalar_setup()
         with pytest.raises(ContractViolation, match="models"):
             backward_pass(traj, cost, models * 2, mu=0.0)
+
+    def test_single_solve_matches_two_solves_on_two_controls(self):
+        rng = np.random.default_rng(3)
+        A = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
+        B = rng.normal(size=(3, 2))
+        env = make_linear_env(A=A, B=B, horizon=12)
+        cost = QuadraticCostModel(np.diag([2.0, 1.0, 0.5]), np.diag([0.3, 0.7]), 5 * np.eye(3), np.zeros(3))
+        traj = rollout_open_loop(env, env.x0, rng.normal(size=(12, 2)), cost)
+        models = identify_ltv(env, traj, EstimatorConfig(seed=0))
+        for mu in (0.0, 1e-6, 1e-2):
+            assert_single_solve_is_bit_identical(traj, cost, models, mu)
+
+    def test_single_solve_matches_two_solves_on_pendulum(self, trained_pendulum):
+        run = trained_pendulum
+        models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
+        assert_single_solve_is_bit_identical(run.traj, run.cost, models, OptimizerConfig().mu)
+
+    def test_single_solve_matches_two_solves_on_random_systems(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_x, n_u, N = int(rng.integers(2, 9)), int(rng.integers(2, 6)), 4
+            Q, R = np.diag(rng.uniform(0.1, 3.0, n_x)), np.diag(rng.uniform(0.1, 3.0, n_u))
+            cost = QuadraticCostModel(Q, R, 10 * Q, rng.normal(size=n_x))
+            traj = NominalTrajectory(rng.normal(size=(N + 1, n_x)), rng.normal(size=(N, n_u)), 0.0)
+            models = [
+                LinearizedModel(A=rng.normal(size=(n_x, n_x)), B=rng.normal(size=(n_x, n_u)), eval_count=0)
+                for _ in range(N)
+            ]
+            assert_single_solve_is_bit_identical(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
 
 
 class TestForwardPass:
