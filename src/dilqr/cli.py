@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config
 from .envs import make_env
-from .errors import ContractViolation, RegularizationExhausted, SingularSystem, SynthesisFailure
+from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted, SingularSystem
 from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
 from .feedback import build_policy
 from .ilqr import optimize
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RegularizationExhausted, SynthesisFailure, SingularSystem) as exc:
+    except (RegularizationExhausted, NotPositiveDefinite, SingularSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

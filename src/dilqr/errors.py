@@ -24,10 +24,3 @@ class NotPositiveDefinite(RuntimeError):
 class RegularizationExhausted(RuntimeError):
     """The regularizer hit its cap with the backward pass still failing."""
 
-
-class SynthesisFailure(RuntimeError):
-    """Feedback-gain synthesis failed (non-PD control-weight block)."""
-
-    def __init__(self, t):
-        super().__init__(f"gain synthesis failed at t={t}: R + B'PB not positive definite")
-        self.t = t

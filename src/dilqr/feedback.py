@@ -2,7 +2,8 @@
 
 The perturbation system (A_t, B_t) is identified along the nominal with
 the sampled estimator, then gains come from the finite-horizon Riccati
-recursion. Gains are synthesized for every applied control, t = 0..N-1.
+recursion, which is the ILQR backward pass at mu = 0. Gains are
+synthesized for every applied control, t = 0..N-1.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .costs import NominalTrajectory, QuadraticCostModel
 from .envs import Environment
-from .errors import ContractViolation, SynthesisFailure
+from .errors import ContractViolation
+from .ilqr import backward_pass
 from .sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
 
@@ -43,32 +44,15 @@ class DecoupledPolicy:
 
 
 def riccati_gains(
-    models: Sequence[LinearizedModel], weights: QuadraticCostModel
+    nominal: NominalTrajectory, models: Sequence[LinearizedModel], weights: QuadraticCostModel
 ) -> np.ndarray:
-    """Backward Riccati recursion for the time-varying perturbation system.
+    """Riccati feedback gains K_t, computed as the ILQR backward pass at mu = 0.
 
-    P_N = Q_N; K_t = -(R_t + B'P B)^{-1} B'P A;
-    P_t = Q_t + K'R K + (A + BK)' P (A + BK), symmetrized each step.
+    The cost has c_ux = 0, c_xx = Q_t and c_uu = R_t, so that pass is the
+    recursion K_t = -(R_t + B'P B)^{-1} B'P A from P_N = Q_N. Raises
+    NotPositiveDefinite(t) where R_t + B'P B is not positive definite.
     """
-    N = len(models)
-    n_x = weights.n_x
-    n_u = weights.n_u
-    K = np.empty((N, n_u, n_x))
-    P = weights.Q_terminal.copy()
-    for t in range(N - 1, -1, -1):
-        A, B = models[t].A, models[t].B
-        Rt = weights.R_at(t)
-        H = Rt + B.T @ P @ B
-        H = 0.5 * (H + H.T)
-        try:
-            chol = scipy.linalg.cho_factor(H, lower=True)
-        except scipy.linalg.LinAlgError:
-            raise SynthesisFailure(t) from None
-        K[t] = -scipy.linalg.cho_solve(chol, B.T @ P @ A)
-        Acl = A + B @ K[t]
-        P = weights.Q_at(t) + K[t].T @ Rt @ K[t] + Acl.T @ P @ Acl
-        P = 0.5 * (P + P.T)
-    return K
+    return backward_pass(nominal, weights, models, 0.0).K
 
 
 def build_policy(
@@ -79,5 +63,5 @@ def build_policy(
 ) -> DecoupledPolicy:
     """Identify the perturbation system along nominal and synthesize gains."""
     models = identify_ltv(env, nominal, est)
-    gains = riccati_gains(models, weights)
+    gains = riccati_gains(nominal, models, weights)
     return DecoupledPolicy(nominal=nominal, gains=gains)

@@ -54,9 +54,8 @@ def save_policy(path, policy: DecoupledPolicy, env_name: str) -> None:
 
 class _Parser:
     def __init__(self, path, magic: str):
-        text = Path(path).read_text()
-        self.lines = text.splitlines()
-        self.pos = 0
+        self.path = path
+        self.lines = Path(path).read_text().splitlines()
         if not self.lines or self.lines[0] != magic:
             raise ContractViolation(f"{path}: expected a file starting with {magic!r}")
         self.pos = 1
@@ -73,29 +72,46 @@ class _Parser:
         block = self.lines[self.pos : self.pos + rows]
         if len(block) != rows:
             raise ContractViolation(f"section [{name}] truncated")
+        data = np.empty((rows, cols))
+        for i, line in enumerate(block):
+            where = f"{self.path}:{self.pos + i + 1}: section [{name}]"
+            try:
+                row = [float(v) for v in line.split()]
+            except ValueError:
+                raise ContractViolation(f"{where} row is not numeric: {line!r}") from None
+            if len(row) != cols:
+                raise ContractViolation(f"{where} row has {len(row)} values, want {cols}")
+            data[i] = row
         self.pos += rows
-        data = np.array([[float(v) for v in line.split()] for line in block])
-        if data.shape != (rows, cols):
-            raise ContractViolation(f"section [{name}] has shape {data.shape}, want {(rows, cols)}")
         return data
+
+    def field(self, key: str, parse=str):
+        """Header field `key` converted by parse; missing or malformed raises ContractViolation."""
+        if key not in self.header:
+            raise ContractViolation(f"{self.path}: header field {key!r} missing")
+        try:
+            return parse(self.header[key])
+        except ValueError:
+            raise ContractViolation(f"{self.path}: bad {key} = {self.header[key]!r}") from None
 
 
 def _read_trajectory(path, magic: str) -> tuple[_Parser, NominalTrajectory]:
     p = _Parser(path, magic)
-    n_x, n_u = int(p.header["n_x"]), int(p.header["n_u"])
-    N = int(p.header["horizon"])
+    n_x, n_u, N = (p.field(key, int) for key in ("n_x", "n_u", "horizon"))
+    if min(n_x, n_u, N) < 1:
+        raise ContractViolation(f"{path}: n_x, n_u and horizon must be positive")
     states = p.section("states", N + 1, n_x)
     controls = p.section("controls", N, n_u)
-    return p, NominalTrajectory(states, controls, float(p.header["cost"]))
+    return p, NominalTrajectory(states, controls, p.field("cost", float))
 
 
 def load_trajectory(path) -> tuple[NominalTrajectory, str]:
     p, traj = _read_trajectory(path, TRAJECTORY_MAGIC)
-    return traj, p.header["env"]
+    return traj, p.field("env")
 
 
 def load_policy(path) -> tuple[DecoupledPolicy, str]:
     p, traj = _read_trajectory(path, POLICY_MAGIC)
     N, n_x, n_u = traj.horizon, traj.states.shape[1], traj.controls.shape[1]
     gains = p.section("gains", N, n_u * n_x).reshape(N, n_u, n_x)
-    return DecoupledPolicy(nominal=traj, gains=gains), p.header["env"]
+    return DecoupledPolicy(nominal=traj, gains=gains), p.field("env")

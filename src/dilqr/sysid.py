@@ -52,6 +52,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.sigma <= 0 or self.fd_step <= 0:
             raise ContractViolation("sigma and fd_step must be positive")
+        if self.n_s < 0:
+            raise ContractViolation(f"n_s={self.n_s} is negative; 0 selects the default count")
 
     def resolve_n_s(self, env: Environment) -> int:
         n_s = self.n_s if self.n_s > 0 else env.n_x + env.n_u + 4

@@ -2,11 +2,13 @@
 
 These are computed independently of the code under test: analytic
 Jacobians pushed through the integrator by the chain rule, the exact
-finite-horizon discrete Riccati recursion on known (A, B), and the RK4
-integrator in its earlier stacked form.
+finite-horizon discrete Riccati recursion on known (A, B), the
+time-varying Riccati recursion in Joseph form, and the RK4 integrator in
+its earlier stacked form.
 """
 
 import numpy as np
+import scipy.linalg
 
 from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS
 
@@ -134,6 +136,31 @@ def riccati_reference_gains(A, B, Q, R, Q_N, N):
         P = 0.5 * (P + P.T)
         gains.append(K)
     return list(reversed(gains))
+
+
+def joseph_riccati_gains(models, weights):
+    """Time-varying Riccati recursion in Joseph form, the former feedback synthesis.
+
+    P_N = Q_N; K_t = -(R_t + B'P B)^{-1} B'P A;
+    P_t = Q_t + K'R K + (A + BK)' P (A + BK), symmetrized each step.
+    A non-PD R_t + B'P B raises scipy.linalg.LinAlgError.
+    """
+    N = len(models)
+    n_x = weights.n_x
+    n_u = weights.n_u
+    K = np.empty((N, n_u, n_x))
+    P = weights.Q_terminal.copy()
+    for t in range(N - 1, -1, -1):
+        A, B = models[t].A, models[t].B
+        Rt = weights.R_at(t)
+        H = Rt + B.T @ P @ B
+        H = 0.5 * (H + H.T)
+        chol = scipy.linalg.cho_factor(H, lower=True)
+        K[t] = -scipy.linalg.cho_solve(chol, B.T @ P @ A)
+        Acl = A + B @ K[t]
+        P = weights.Q_at(t) + K[t].T @ Rt @ K[t] + Acl.T @ P @ Acl
+        P = 0.5 * (P + P.T)
+    return K
 
 
 # The integrator in its stacked form, as it was before the RK4 stages ran per

@@ -181,6 +181,36 @@ class TestExitCodes:
         assert run("train", "--out", str(tmp_path / "o")) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_failed_gain_synthesis_is_numerical_failure(
+        self, tmp_path, linear_cfg, monkeypatch, capsys
+    ):
+        import dilqr.ilqr as ilqr_mod
+        import scipy.linalg
+
+        out = tmp_path / "run"
+        run("train", "--config", linear_cfg, "--out", str(out))
+        capsys.readouterr()
+
+        def boom(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(ilqr_mod.scipy.linalg, "cho_factor", boom)
+        code = run(
+            "feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt")
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in captured.err
+        assert "t=14" in captured.err  # horizon 15: the recursion fails at its first step, N-1
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_malformed_trajectory_file_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "traj.txt"
+        bad.write_text("dilqr-trajectory v1\nenv = pendulum\nn_x = two\n")
+        assert run("feedback", "--out", str(tmp_path / "o"), str(bad)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_x" in err
+
     def test_module_entry_point_exists(self):
         import dilqr.cli as cli_mod
 

@@ -8,6 +8,7 @@ from dilqr.config import (
     load_config,
     parse_config,
 )
+from dilqr.errors import ContractViolation
 from dilqr.ilqr import OptimizerConfig
 from dilqr.sysid import EstimatorConfig
 
@@ -189,6 +190,11 @@ class TestParsing:
         for text in ("[estimator]\nn_s = 2.5\n", "[estimator]\napprox_identity = maybe\n"):
             with pytest.raises(ConfigError, match="bad value"):
                 parse_config(text)
+
+    def test_negative_sample_count_rejected(self):
+        cfg = parse_config("[estimator]\nn_s = -5\n")
+        with pytest.raises(ContractViolation, match="n_s=-5"):
+            cfg.make_estimator()
 
     def test_estimator_seed_is_not_an_estimator_key(self):
         with pytest.raises(ConfigError, match="unknown key estimator.seed"):

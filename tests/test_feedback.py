@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import dilqr.feedback as fb_mod
-from dilqr.costs import QuadraticCostModel
+import dilqr.ilqr as ilqr_mod
+from dilqr.config import default_config
+from dilqr.costs import NominalTrajectory, QuadraticCostModel
 from dilqr.envs import make_linear_env, rollout_open_loop
-from dilqr.errors import ContractViolation, SynthesisFailure
+from dilqr.errors import ContractViolation, NotPositiveDefinite
 from dilqr.feedback import DecoupledPolicy, build_policy, riccati_gains
-from dilqr.sysid import EstimatorConfig, LinearizedModel
+from dilqr.sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
-from oracles import riccati_reference_gains
+from oracles import joseph_riccati_gains, riccati_reference_gains
 
 
 def scalar_models(n):
     m = LinearizedModel(A=np.array([[1.0]]), B=np.array([[1.0]]), eval_count=0)
     return [m] * n
+
+
+def zero_nominal(n, n_x=1, n_u=1):
+    return NominalTrajectory(np.zeros((n + 1, n_x)), np.zeros((n, n_u)), 0.0)
 
 
 def unit_weights(n_x=1, n_u=1):
@@ -27,7 +32,7 @@ class TestRiccatiGains:
     def test_scalar_two_step_hand_oracle(self):
         # A=B=Q=R=Q_N=1: P_2=1, K_1=-1/2, P_1=3/2, K_0=-3/5, P_0=8/5
         w = unit_weights()
-        K = riccati_gains(scalar_models(2), w)
+        K = riccati_gains(zero_nominal(2), scalar_models(2), w)
         assert K[1, 0, 0] == pytest.approx(-0.5, abs=1e-14)
         assert K[0, 0, 0] == pytest.approx(-0.6, abs=1e-14)
 
@@ -41,7 +46,7 @@ class TestRiccatiGains:
         models = [
             LinearizedModel(A=env.true_A, B=env.true_B, eval_count=0) for _ in range(N)
         ]
-        K = riccati_gains(models, w)
+        K = riccati_gains(zero_nominal(N, 2), models, w)
         ref = riccati_reference_gains(env.true_A, env.true_B, w.Q, w.R, w.Q_terminal, N)
         for t in range(N):
             assert np.allclose(K[t], ref[t], atol=1e-12)
@@ -55,22 +60,25 @@ class TestRiccatiGains:
         models = [
             LinearizedModel(A=env.true_A, B=env.true_B, eval_count=0) for _ in range(8)
         ]
-        assert np.allclose(riccati_gains(models, w), riccati_gains(models, w.scaled(7.3)))
+        nominal = zero_nominal(8, 2)
+        assert np.allclose(
+            riccati_gains(nominal, models, w), riccati_gains(nominal, models, w.scaled(7.3))
+        )
 
     def test_terminal_gain_uses_terminal_weight(self):
         # one-step problem: K_0 depends only on Q_N, R; with Q_N large the
         # gain approaches dead-beat -(B'B)^-1 B'A
         w = QuadraticCostModel(Q=1.0, R=1e-9, Q_terminal=1e6, x_goal=[0.0])
-        K = riccati_gains(scalar_models(1), w)
+        K = riccati_gains(zero_nominal(1), scalar_models(1), w)
         assert K[0, 0, 0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_synthesis_failure_carries_timestep(self, monkeypatch):
         def boom(*args, **kwargs):
             raise scipy.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(fb_mod.scipy.linalg, "cho_factor", boom)
-        with pytest.raises(SynthesisFailure) as exc_info:
-            riccati_gains(scalar_models(3), unit_weights())
+        monkeypatch.setattr(ilqr_mod.scipy.linalg, "cho_factor", boom)
+        with pytest.raises(NotPositiveDefinite) as exc_info:
+            riccati_gains(zero_nominal(3), scalar_models(3), unit_weights())
         assert exc_info.value.t == 2  # recursion runs backward from the end
 
 
@@ -84,6 +92,17 @@ class TestBuildPolicy:
         assert policy.gains.shape == (10, 1, 2)
         for t in range(10):
             assert np.allclose(policy.gains[t], ref[t], atol=1e-8)
+
+    @pytest.mark.parametrize("which", ["pendulum", "cartpole"])
+    def test_trained_gains_match_joseph_form_recursion(
+        self, which, trained_pendulum, trained_cartpole
+    ):
+        # the backward pass at mu = 0 against the former Joseph-form synthesis,
+        # on the identified models of a trained nonlinear nominal
+        r = {"pendulum": trained_pendulum, "cartpole": trained_cartpole}[which]
+        models = identify_ltv(r.env, r.traj, default_config().make_estimator())
+        ref = joseph_riccati_gains(models, r.cost)
+        np.testing.assert_allclose(r.policy.gains, ref, rtol=0, atol=1e-12)
 
     def test_deterministic_for_fixed_estimator_seed(self):
         env = make_linear_env(horizon=5)

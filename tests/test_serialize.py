@@ -143,6 +143,26 @@ class TestMalformedFiles:
         with pytest.raises(ContractViolation, match=r"expected section \[states\]"):
             load_trajectory(p)
 
+    @pytest.mark.parametrize(
+        "index, replacement, match",
+        [
+            (2, None, "header field 'n_x' missing"),
+            (2, "n_x = two", "n_x = 'two'"),
+            (8, "0 zero", r"traj.txt:9: section \[states\] row is not numeric"),
+            (4, "horizon = 0", "must be positive"),
+        ],
+        ids=["missing-header-field", "non-integer-header-field", "non-numeric-row", "zero-horizon"],
+    )
+    def test_malformed_fields_and_rows_rejected(self, tmp_path, index, replacement, match):
+        src = tmp_path / "src.txt"
+        save_trajectory(src, awkward_trajectory(), "pendulum")
+        lines = src.read_text().splitlines()
+        lines[index : index + 1] = [] if replacement is None else [replacement]
+        bad = tmp_path / "traj.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ContractViolation, match=match):
+            load_trajectory(bad)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("")

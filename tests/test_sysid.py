@@ -82,6 +82,11 @@ class TestLeastSquaresEstimator:
         with pytest.raises(ContractViolation, match="unsolvable"):
             cfg.resolve_n_s(dilqr.make_cartpole_env())
 
+    def test_negative_sample_count_rejected(self):
+        # n_s = 0 is the documented "auto"; a negative count must not fall back to it
+        with pytest.raises(ContractViolation, match="n_s=-5"):
+            EstimatorConfig(n_s=-5)
+
     def test_identity_approximation_is_coarser_but_close(self):
         env = make_linear_env()
         x, u = np.array([0.5, 0.5]), np.array([0.1])
