@@ -15,13 +15,13 @@ import numpy as np
 
 import dilqr
 from dilqr.config import default_config
-from dilqr.envs import NoiseModel
+from dilqr.envs import ENV_BUILDERS, NoiseModel
 from dilqr.evaluation import monte_carlo_eval
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--env", default="pendulum", choices=["linear_test", "pendulum", "cartpole"])
+    ap.add_argument("--env", default="pendulum", choices=list(ENV_BUILDERS))
     ap.add_argument("--epsilons", type=float, nargs="+", default=[0.02, 0.05, 0.1])
     ap.add_argument("--rollouts", type=int, default=1_000)
     ap.add_argument("--channel", default="state", choices=["state", "control"])

@@ -16,6 +16,7 @@ import numpy as np
 
 import dilqr
 from dilqr.config import default_config
+from dilqr.envs import ENV_BUILDERS
 from dilqr.evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, variance_scaling_fit
 
 
@@ -46,7 +47,7 @@ def study(name, rollouts, channel, seed):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--envs", nargs="+", default=["linear_test", "pendulum", "cartpole"])
+    ap.add_argument("--envs", nargs="+", default=list(ENV_BUILDERS))
     ap.add_argument("--rollouts", type=int, default=10_000)
     ap.add_argument("--channel", default="state", choices=["state", "control"])
     ap.add_argument("--seed", type=int, default=0)

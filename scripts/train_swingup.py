@@ -12,11 +12,12 @@ import sys
 from pathlib import Path
 
 from dilqr.cli import main as cli_main
+from dilqr.envs import ENV_BUILDERS
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--env", default="pendulum", choices=["linear_test", "pendulum", "cartpole"])
+    ap.add_argument("--env", default="pendulum", choices=list(ENV_BUILDERS))
     ap.add_argument("--out", default=None, help="output directory (default out/<env>)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--rollouts", type=int, default=10_000, help="Monte-Carlo rollouts per epsilon")

@@ -7,7 +7,6 @@ noise level.
 """
 
 from .costs import (
-    CostPartials,
     NominalTrajectory,
     QuadraticCostModel,
     cost_partials,
@@ -43,7 +42,6 @@ from .ilqr import (
 from .sysid import EstimatorConfig, LinearizedModel, estimate_fd, estimate_llscd, identify_ltv
 
 __all__ = [
-    "CostPartials",
     "NominalTrajectory",
     "QuadraticCostModel",
     "cost_partials",

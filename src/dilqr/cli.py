@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config
-from .envs import make_env
+from .envs import ENV_BUILDERS, make_env
 from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted, SingularSystem
 from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
 from .feedback import build_policy
@@ -163,7 +163,7 @@ def cmd_jacobian_bench(args) -> int:
     est = cfg.make_estimator()
     record_timing = cfg.get("run", "record_timing")
     rows = []
-    for name in ("linear_test", "pendulum", "cartpole"):
+    for name in ENV_BUILDERS:
         env = make_env(name)
         x, u = env.x0, np.zeros(env.n_u)
         refs = _reference_jacobian(env, x, u)

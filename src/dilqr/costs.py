@@ -86,22 +86,6 @@ class QuadraticCostModel:
     def R_at(self, t: int) -> np.ndarray:
         return self.R if self.R.ndim == 2 else self.R[t]
 
-    def scaled(self, factor: float) -> "QuadraticCostModel":
-        return QuadraticCostModel(
-            factor * self.Q, factor * self.R, factor * self.Q_terminal, self.x_goal
-        )
-
-
-@dataclass(frozen=True)
-class CostPartials:
-    """First and second partials of the incremental cost at one (x, u, t)."""
-
-    c_x: np.ndarray
-    c_u: np.ndarray
-    c_xx: np.ndarray
-    c_uu: np.ndarray
-    c_ux: np.ndarray
-
 
 @dataclass(frozen=True)
 class NominalTrajectory:
@@ -177,24 +161,21 @@ def total_cost(
     return J
 
 
-def cost_partials(x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel) -> CostPartials:
-    """Closed-form partials of the incremental quadratic cost at (x, u, t)."""
+def cost_partials(
+    x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (c_x, c_u) of the stage cost at (x, u, t).
+
+    The Hessians are the weights themselves, cost.Q_at(t) and cost.R_at(t),
+    and the cross term is zero.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     _check_dims(x, u, cost)
-    Qt = cost.Q_at(t)
-    Rt = cost.R_at(t)
-    dx = x - cost.x_goal
-    return CostPartials(
-        c_x=Qt @ dx,
-        c_u=Rt @ u,
-        c_xx=Qt.copy(),
-        c_uu=Rt.copy(),
-        c_ux=np.zeros((cost.n_u, cost.n_x)),
-    )
+    return cost.Q_at(t) @ (x - cost.x_goal), cost.R_at(t) @ u
 
 
-def terminal_partials(x: np.ndarray, cost: QuadraticCostModel):
-    """Gradient and Hessian of the terminal cost, the backward-pass boundary."""
+def terminal_partials(x: np.ndarray, cost: QuadraticCostModel) -> np.ndarray:
+    """Gradient of the terminal cost, the backward-pass boundary; its Hessian is Q_terminal."""
     dx = np.atleast_1d(np.asarray(x, dtype=float)) - cost.x_goal
-    return cost.Q_terminal @ dx, cost.Q_terminal.copy()
+    return cost.Q_terminal @ dx

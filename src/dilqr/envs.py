@@ -219,24 +219,19 @@ RK4_SUBSTEPS = 4
 def make_linear_env(
     A=LINEAR_TEST_A,
     B=LINEAR_TEST_B,
-    name: str = "linear_test",
-    dt: float = 0.1,
     horizon: int = 30,
     control_bounds=None,
-    x0=None,
-    x_goal=None,
 ) -> Environment:
-    """Exactly linear system x_{t+1} = A x + B u; ground truth for Jacobian tests."""
+    """Exactly linear system x_{t+1} = A x + B u from e_1 to the origin.
+
+    dt is the 0.1 s step that LINEAR_TEST_A and LINEAR_TEST_B encode; the map
+    does not read it, so it is not a parameter.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n_x, n_u = B.shape
     if control_bounds is None:
         control_bounds = np.tile([-100.0, 100.0], (n_u, 1))
-    if x0 is None:
-        x0 = np.zeros(n_x)
-        x0[0] = 1.0
-    if x_goal is None:
-        x_goal = np.zeros(n_x)
 
     def step_fn(x, u):
         # one contraction for a single point and a batch, so each row of a
@@ -244,17 +239,32 @@ def make_linear_env(
         return np.einsum("...j,ij->...i", x, A) + np.einsum("...j,ij->...i", u, B)
 
     return Environment(
-        name=name,
+        name="linear_test",
         n_x=n_x,
         n_u=n_u,
-        dt=dt,
+        dt=0.1,
         horizon=horizon,
         control_bounds=control_bounds,
-        x0=x0,
-        x_goal=x_goal,
+        x0=np.eye(n_x)[0],
+        x_goal=np.zeros(n_x),
         step_fn=step_fn,
         true_A=A,
         true_B=B,
+    )
+
+
+def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
+    """A one-input system integrated by rk4_step, starting at rest at the origin."""
+    return Environment(
+        name=name,
+        n_x=len(x_goal),
+        n_u=1,
+        dt=dt,
+        horizon=horizon,
+        control_bounds=[[-limit, limit]],
+        x0=np.zeros(len(x_goal)),
+        x_goal=x_goal,
+        step_fn=partial(rk4_step, deriv, dt=dt, substeps=substeps),
     )
 
 
@@ -280,21 +290,7 @@ def make_pendulum_env(
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
     deriv = partial(pendulum_deriv, **dict(PENDULUM_PARAMS, damping=damping))
-
-    def step_fn(x, u):
-        return rk4_step(deriv, x, u, dt, substeps)
-
-    return Environment(
-        name="pendulum",
-        n_x=2,
-        n_u=1,
-        dt=dt,
-        horizon=horizon,
-        control_bounds=np.array([[-torque_limit, torque_limit]]),
-        x0=np.zeros(2),
-        x_goal=np.array([np.pi, 0.0]),
-        step_fn=step_fn,
-    )
+    return _rk4_env("pendulum", deriv, [np.pi, 0.0], dt, horizon, torque_limit, substeps)
 
 
 def cartpole_deriv(x, u, cart_mass=1.0, pole_mass=0.1, pole_length=0.5, gravity=9.81):
@@ -320,21 +316,7 @@ def make_cartpole_env(
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
     deriv = partial(cartpole_deriv, **CARTPOLE_PARAMS)
-
-    def step_fn(x, u):
-        return rk4_step(deriv, x, u, dt, substeps)
-
-    return Environment(
-        name="cartpole",
-        n_x=4,
-        n_u=1,
-        dt=dt,
-        horizon=horizon,
-        control_bounds=np.array([[-force_limit, force_limit]]),
-        x0=np.zeros(4),
-        x_goal=np.array([0.0, 0.0, np.pi, 0.0]),
-        step_fn=step_fn,
-    )
+    return _rk4_env("cartpole", deriv, [0.0, 0.0, np.pi, 0.0], dt, horizon, force_limit, substeps)
 
 
 ENV_BUILDERS = {

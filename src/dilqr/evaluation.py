@@ -39,7 +39,6 @@ class RolloutStats:
 @dataclass(frozen=True)
 class ScalingFit:
     epsilons: tuple
-    responses: tuple
     slope: float
     intercept: float
     r_squared: float
@@ -164,7 +163,6 @@ def variance_scaling_fit(
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     return ScalingFit(
         epsilons=tuple(e for e, _ in kept),
-        responses=tuple(r for _, r in kept),
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(min(r2, 1.0)),

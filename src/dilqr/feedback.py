@@ -48,7 +48,7 @@ def riccati_gains(
 ) -> np.ndarray:
     """Riccati feedback gains K_t, computed as the ILQR backward pass at mu = 0.
 
-    The cost has c_ux = 0, c_xx = Q_t and c_uu = R_t, so that pass is the
+    The cost Hessians are Q_t and R_t with no cross term, so that pass is the
     recursion K_t = -(R_t + B'P B)^{-1} B'P A from P_N = Q_N. Raises
     NotPositiveDefinite(t) where R_t + B'P B is not positive definite.
     """

@@ -118,16 +118,17 @@ def backward_pass(
     k = np.empty((N, n_u))
     K = np.empty((N, n_u, n_x))
 
-    J_x, J_xx = terminal_partials(traj.states[N], cost)
+    J_x = terminal_partials(traj.states[N], cost)
+    J_xx = cost.Q_terminal
     for t in range(N - 1, -1, -1):
         A, B = models[t].A, models[t].B
-        c = cost_partials(traj.states[t], traj.controls[t], t, cost)
+        c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
         J_xx_reg = J_xx + mu * np.eye(n_x)
-        Q_x = c.c_x + A.T @ J_x
-        Q_u = c.c_u + B.T @ J_x
-        Q_xx = c.c_xx + A.T @ J_xx @ A
-        Q_ux = c.c_ux + B.T @ J_xx_reg @ A
-        Q_uu = c.c_uu + B.T @ J_xx_reg @ B
+        Q_x = c_x + A.T @ J_x
+        Q_u = c_u + B.T @ J_x
+        Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
+        Q_ux = B.T @ J_xx_reg @ A
+        Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
         Q_uu = 0.5 * (Q_uu + Q_uu.T)
         try:
             chol = scipy.linalg.cho_factor(Q_uu, lower=True)

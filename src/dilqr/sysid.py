@@ -108,13 +108,14 @@ def _fit(env: Environment, D: np.ndarray, Y: np.ndarray, cfg: EstimatorConfig) -
         # sample-covariance identity approximation: D'D ~ sigma^2 (n_s - 1) I
         AB = (Y.T @ D) / (cfg.sigma**2 * (n_s - 1))
     else:
-        sv = np.linalg.svd(D, compute_uv=False)
+        X, _, _, sv = np.linalg.lstsq(D, Y, rcond=LSTSQ_RCOND)
+        # test sv directly, not lstsq's rank: gelsd reads rcond >= 1 as machine epsilon
         if sv[-1] <= LSTSQ_RCOND * sv[0]:
             raise SingularSystem(
                 f"perturbation matrix rank-deficient (cond {sv[0] / max(sv[-1], 1e-300):.3e})",
                 condition_number=sv[0] / max(sv[-1], 1e-300),
             )
-        AB = np.linalg.lstsq(D, Y, rcond=LSTSQ_RCOND)[0].T
+        AB = X.T
     return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * n_s)
 
 

@@ -95,11 +95,15 @@ class TestFactories:
         assert np.allclose(env.control_bounds, [[-3.0, 3.0]])
 
     def test_inapplicable_override_rejected(self):
-        cfg = default_config()
-        cfg.set("env", "name", "cartpole")
-        cfg.set("env", "torque_limit", 3.0)  # cart-pole has force_limit instead
-        with pytest.raises(ConfigError, match="does not accept"):
-            cfg.make_env()
+        for name, key, value in [
+            ("cartpole", "torque_limit", 3.0),  # cart-pole has force_limit instead
+            ("linear_test", "dt", 0.5),  # the linear map never reads dt
+        ]:
+            cfg = default_config()
+            cfg.set("env", "name", name)
+            cfg.set("env", key, value)
+            with pytest.raises(ConfigError, match=rf"{name!r} does not accept \['{key}'\]"):
+                cfg.make_env()
 
     def test_make_cost_uses_per_environment_weights(self):
         for name in DEFAULT_WEIGHTS:

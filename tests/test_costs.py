@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilqr.costs import (
-    CostPartials,
     NominalTrajectory,
     QuadraticCostModel,
     cost_partials,
@@ -55,7 +54,8 @@ class TestQuadraticCostModel:
         assert np.allclose(c.Q_at(1), 3 * np.eye(2))
 
     def test_scaled_multiplies_all_weights(self):
-        c = simple_cost().scaled(4.0)
+        base = simple_cost()
+        c = QuadraticCostModel(4.0 * base.Q, 4.0 * base.R, 4.0 * base.Q_terminal, base.x_goal)
         assert np.allclose(c.Q, 4 * np.eye(2))
         assert np.allclose(c.R, 4 * np.eye(1))
         assert np.allclose(c.Q_terminal, 8 * np.eye(2))
@@ -115,7 +115,8 @@ class TestTotalCost:
         states = rng.standard_normal((5, 2))
         controls = rng.standard_normal((4, 1))
         base = total_cost(states, controls, c)
-        scaled = total_cost(states, controls, c.scaled(scale))
+        c_scaled = QuadraticCostModel(scale * c.Q, scale * c.R, scale * c.Q_terminal, c.x_goal)
+        scaled = total_cost(states, controls, c_scaled)
         assert scaled == pytest.approx(scale * base, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -138,29 +139,25 @@ class TestPartials:
         )
         x = np.array([0.3, 0.7])
         u = np.array([-0.2])
-        p = cost_partials(x, u, 0, c)
+        c_x, c_u = cost_partials(x, u, 0, c)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
             num = (stage_cost(x + e, u, 0, c) - stage_cost(x - e, u, 0, c)) / (2 * h)
-            assert p.c_x[i] == pytest.approx(num, abs=1e-8)
+            assert c_x[i] == pytest.approx(num, abs=1e-8)
         num_u = (stage_cost(x, u + h, 0, c) - stage_cost(x, u - h, 0, c)) / (2 * h)
-        assert p.c_u[0] == pytest.approx(num_u, abs=1e-8)
-        assert np.allclose(p.c_xx, c.Q)
-        assert np.allclose(p.c_uu, c.R)
-        assert np.allclose(p.c_ux, 0.0)
+        assert c_u[0] == pytest.approx(num_u, abs=1e-8)
 
     def test_terminal_partials_at_goal_vanish(self):
         c = simple_cost()
-        g, H = terminal_partials(np.zeros(2), c)
+        g = terminal_partials(np.zeros(2), c)
         assert np.allclose(g, 0.0)
-        assert np.allclose(H, c.Q_terminal)
 
     def test_partials_type_is_complete(self):
-        p = cost_partials(np.zeros(2), np.zeros(1), 0, simple_cost())
-        assert isinstance(p, CostPartials)
-        assert p.c_ux.shape == (1, 2)
+        # the partials are the two gradients; the Hessians are the weights
+        c_x, c_u = cost_partials(np.zeros(2), np.zeros(1), 0, simple_cost())
+        assert c_x.shape == (2,) and c_u.shape == (1,)
 
 
 class TestNominalTrajectory:

@@ -10,6 +10,7 @@ from dilqr.costs import QuadraticCostModel, total_cost
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
+    ENV_BUILDERS,
     NoiseModel,
     make_cartpole_env,
     make_env,
@@ -343,6 +344,25 @@ class TestBuilders:
         env = make_pendulum_env(dt=0.05, horizon=40, torque_limit=3.0)
         assert env.dt == 0.05 and env.horizon == 40
         assert np.allclose(env.control_bounds, [[-3.0, 3.0]])
+        env = make_cartpole_env(dt=0.2, horizon=25, force_limit=7.5)
+        assert env.dt == 0.2 and env.horizon == 25
+        assert np.allclose(env.control_bounds, [[-7.5, 7.5]])
+
+    @pytest.mark.parametrize(
+        "name, n_x, dt, limit, x0, x_goal",
+        [
+            ("linear_test", 2, 0.1, 100.0, [1.0, 0.0], [0.0, 0.0]),
+            ("pendulum", 2, 0.1, 10.0, [0.0, 0.0], [np.pi, 0.0]),
+            ("cartpole", 4, 0.15, 20.0, [0.0] * 4, [0.0, 0.0, np.pi, 0.0]),
+        ],
+        ids=["linear_test", "pendulum", "cartpole"],
+    )
+    def test_builder_defaults_are_pinned(self, name, n_x, dt, limit, x0, x_goal):
+        env = ENV_BUILDERS[name]()
+        assert env.name == name
+        assert (env.n_x, env.n_u, env.dt, env.horizon) == (n_x, 1, dt, 30)
+        assert np.array_equal(env.control_bounds, [[-limit, limit]])
+        assert np.array_equal(env.x0, x0) and np.array_equal(env.x_goal, x_goal)
 
     def test_dimensions(self):
         assert (make_env("linear_test").n_x, make_env("linear_test").n_u) == (2, 1)

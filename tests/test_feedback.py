@@ -61,8 +61,9 @@ class TestRiccatiGains:
             LinearizedModel(A=env.true_A, B=env.true_B, eval_count=0) for _ in range(8)
         ]
         nominal = zero_nominal(8, 2)
+        scaled = QuadraticCostModel(7.3 * w.Q, 7.3 * w.R, 7.3 * w.Q_terminal, w.x_goal)
         assert np.allclose(
-            riccati_gains(nominal, models, w), riccati_gains(nominal, models, w.scaled(7.3))
+            riccati_gains(nominal, models, w), riccati_gains(nominal, models, scaled)
         )
 
     def test_terminal_gain_uses_terminal_weight(self):

@@ -39,16 +39,16 @@ def two_solve_backward_pass(traj, cost, models, mu):
     N, n_x = traj.horizon, traj.states.shape[1]
     k = np.empty((N, traj.controls.shape[1]))
     K = np.empty((N, *k.shape[1:], n_x))
-    J_x, J_xx = terminal_partials(traj.states[N], cost)
+    J_x, J_xx = terminal_partials(traj.states[N], cost), cost.Q_terminal
     for t in range(N - 1, -1, -1):
         A, B = models[t].A, models[t].B
-        c = cost_partials(traj.states[t], traj.controls[t], t, cost)
+        c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
         J_xx_reg = J_xx + mu * np.eye(n_x)
-        Q_x = c.c_x + A.T @ J_x
-        Q_u = c.c_u + B.T @ J_x
-        Q_xx = c.c_xx + A.T @ J_xx @ A
-        Q_ux = c.c_ux + B.T @ J_xx_reg @ A
-        Q_uu = c.c_uu + B.T @ J_xx_reg @ B
+        Q_x = c_x + A.T @ J_x
+        Q_u = c_u + B.T @ J_x
+        Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
+        Q_ux = B.T @ J_xx_reg @ A
+        Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
         Q_uu = 0.5 * (Q_uu + Q_uu.T)
         chol = scipy.linalg.cho_factor(Q_uu, lower=True)
         k[t] = -scipy.linalg.cho_solve(chol, Q_u)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from dilqr.envs import ENV_BUILDERS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -51,7 +53,10 @@ def test_noise_scaling_study_reports_the_stop_reason(tmp_path):
     assert "iterations (converged)" in out
 
 
-def test_train_swingup_help(tmp_path):
-    out = run_script("train_swingup.py", "--help", cwd=tmp_path)
+@pytest.mark.parametrize("name", ["train_swingup.py", "feedback_vs_open_loop.py"])
+def test_script_help_lists_every_environment(tmp_path, name):
+    out = run_script(name, "--help", cwd=tmp_path)
     assert "--rollouts" in out
+    for env_name in ENV_BUILDERS:
+        assert env_name in out
     assert not any(tmp_path.iterdir())
