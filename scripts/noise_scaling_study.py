@@ -34,7 +34,8 @@ def study(name, rollouts, channel, seed):
         env, policy, channel, cfg.get("eval", "epsilons"), rollouts, cost, seed=seed
     )
     var_fit = variance_scaling_fit(sweep, COST_VAR)
-    gap_fit = variance_scaling_fit(sweep, MEAN_COST_GAP, nominal_cost=traj.cost)
+    nominal_cost = dilqr.monte_carlo_eval(env, policy, cfg.make_noise(0.0), 1, cost).cost_mean
+    gap_fit = variance_scaling_fit(sweep, MEAN_COST_GAP, nominal_cost=nominal_cost)
 
     print(f"\n== {name} (channel={channel}, M={rollouts}) ==")
     print(f"nominal cost {traj.cost:.4f} after {len(trace)} iterations ({trace.stop_reason})")

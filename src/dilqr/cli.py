@@ -135,10 +135,11 @@ def cmd_sweep(args) -> int:
     )
     _write_csv(out / "sweep.csv", SWEEP_HEADER, [_stats_row(s) for s in sweep])
     clean = [s for s in sweep if s.divergences == 0]
+    nominal_cost = monte_carlo_eval(env, policy, cfg.make_noise(0.0), 1, cost).cost_mean
     fit_rows = []
     for response in (COST_VAR, MEAN_COST_GAP):
         try:
-            fit = variance_scaling_fit(clean, response, nominal_cost=policy.nominal.cost)
+            fit = variance_scaling_fit(clean, response, nominal_cost=nominal_cost)
             fit_rows.append((response, fit.slope, fit.intercept, fit.r_squared, len(fit.epsilons)))
         except ContractViolation:
             pass  # too few usable points for this response

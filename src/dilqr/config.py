@@ -39,8 +39,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _parse_floats(s: str) -> tuple:
-    return tuple(float(v) for v in s.replace(",", " ").split())
+    return tuple(_parse_float(v) for v in s.replace(",", " ").split())
 
 
 def _fields_section(cls, omit: str) -> dict:
@@ -49,7 +56,9 @@ def _fields_section(cls, omit: str) -> dict:
     for f in fields(cls):
         if f.name != omit:
             default = f.default if f.default_factory is MISSING else f.default_factory()
-            parser = {bool: _parse_bool, tuple: _parse_floats}.get(type(default), type(default))
+            parser = {bool: _parse_bool, float: _parse_float, tuple: _parse_floats}.get(
+                type(default), type(default)
+            )
             section[f.name] = (parser, default)
     return section
 
@@ -59,10 +68,10 @@ SCHEMA = {
     "env": {
         "name": (str, "pendulum"),
         "horizon": (int, None),
-        "dt": (float, None),
-        "torque_limit": (float, None),
-        "force_limit": (float, None),
-        "damping": (float, None),
+        "dt": (_parse_float, None),
+        "torque_limit": (_parse_float, None),
+        "force_limit": (_parse_float, None),
+        "damping": (_parse_float, None),
         "substeps": (int, None),
     },
     "cost": {
@@ -74,7 +83,7 @@ SCHEMA = {
     "optimizer": _fields_section(OptimizerConfig, omit="estimator"),
     "estimator": _fields_section(EstimatorConfig, omit="seed"),
     "noise": {
-        "epsilon": (float, 0.05),
+        "epsilon": (_parse_float, 0.05),
         "channel": (str, "state"),
     },
     "eval": {

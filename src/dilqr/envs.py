@@ -255,6 +255,8 @@ def make_linear_env(
 
 def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
     """A one-input system integrated by rk4_step, starting at rest at the origin."""
+    if substeps < 1:
+        raise ContractViolation(f"substeps={substeps} must be >= 1")
     return Environment(
         name=name,
         n_x=len(x_goal),
@@ -268,7 +270,7 @@ def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
     )
 
 
-def pendulum_deriv(x, u, mass=1.0, length=1.0, gravity=9.81, damping=0.1):
+def pendulum_deriv(x, u, *, mass, length, gravity, damping):
     """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright.
 
     Component form: x = (theta, omega) and u = (torque,); returns
@@ -293,7 +295,7 @@ def make_pendulum_env(
     return _rk4_env("pendulum", deriv, [np.pi, 0.0], dt, horizon, torque_limit, substeps)
 
 
-def cartpole_deriv(x, u, cart_mass=1.0, pole_mass=0.1, pole_length=0.5, gravity=9.81):
+def cartpole_deriv(x, u, *, cart_mass, pole_mass, pole_length, gravity):
     """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright.
 
     Component form: x = (pos, dpos, theta, dtheta) and u = (force,); returns

@@ -62,27 +62,17 @@ def monte_carlo_eval(
     if M < 1:
         raise ContractViolation("M must be >= 1")
     nominal = policy.nominal
-    # states, controls, gains, cost (n_x, n_u): checked before the noiseless shortcut
+    # states, controls, gains, cost (n_x, n_u)
     dims = (nominal.states.shape[1:], nominal.controls.shape[1:], policy.gains.shape[1:],
             (cost.n_x, cost.n_u))
     if dims != ((env.n_x,), (env.n_u,), (env.n_u, env.n_x), (env.n_x, env.n_u)):
         raise ContractViolation(f"policy and cost dimensions {dims} do not fit {env.name}")
-    if noise.epsilon == 0.0:
-        # noiseless degeneracy: every rollout reproduces the nominal exactly
-        mse = float(np.sum((nominal.terminal_state - cost.x_goal) ** 2))
-        return RolloutStats(
-            epsilon=0.0,
-            n_rollouts=M,
-            cost_mean=float(nominal.cost),
-            cost_var=0.0,
-            terminal_mse_mean=mse,
-            channel=noise.channel,
-            seed=noise.seed,
-        )
+    # at epsilon = 0 every rollout is the same noiseless rollout
+    rows = 1 if noise.epsilon == 0.0 else M
     N = nominal.horizon
     dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
-    w = np.empty((N, M, dim))
-    for i in range(M):
+    w = np.empty((N, rows, dim))
+    for i in range(rows):
         w[:, i] = noise.draws(i, N, dim)
     states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
     with np.errstate(all="ignore"):
@@ -100,7 +90,7 @@ def monte_carlo_eval(
         terminal_mse_mean=float(np.mean(terminal_sq[ok])),
         channel=noise.channel,
         seed=noise.seed,
-        divergences=M - n_ok,
+        divergences=rows - n_ok,
     )
 
 

@@ -98,9 +98,9 @@ def _field_value(fx_fu, x, u):
 
     x, u = tuple(np.asarray(x, dtype=float)), tuple(np.atleast_1d(u))
     if fx_fu is pendulum_continuous_jacobians:
-        return np.array(pendulum_deriv(x, u))
+        return np.array(pendulum_deriv(x, u, **PENDULUM_PARAMS))
     if fx_fu is cartpole_continuous_jacobians:
-        return np.array(cartpole_deriv(x, u))
+        return np.array(cartpole_deriv(x, u, **CARTPOLE_PARAMS))
     raise ValueError("unknown field")
 
 

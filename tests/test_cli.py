@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from dilqr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from dilqr.config import parse_config
+from dilqr.costs import total_cost
+from dilqr.envs import rollout
 from dilqr.serialize import load_policy, load_trajectory
 
 
@@ -101,6 +104,42 @@ class TestPipeline:
         out2 = tmp_path / "run2"
         assert run("train", "--config", str(echoed), "--out", str(out2)) == EXIT_OK
         assert (out / "trajectory.txt").read_bytes() == (out2 / "trajectory.txt").read_bytes()
+
+    def test_noiseless_eval_charges_the_config_cost(self, tmp_path, linear_cfg):
+        out = tmp_path / "run"
+        run("train", "--config", linear_cfg, "--out", str(out))
+        run("feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt"))
+        text = LINEAR_CFG + "\n[cost]\nq = 5\n\n[noise]\nepsilon = 0\n"
+        q5 = tmp_path / "q5.cfg"
+        q5.write_text(text)
+        policy_file = str(out / "policy.txt")
+        assert run("eval", "--config", str(q5), "--out", str(out), policy_file) == EXIT_OK
+        row = (out / "eval.csv").read_text().splitlines()[1].split(",")
+        cfg = parse_config(text)
+        env = cfg.make_env()
+        policy, _ = load_policy(out / "policy.txt")
+        states, controls, _ = rollout(
+            env, policy.nominal.states, policy.nominal.controls, policy.gains
+        )
+        assert float(row[4]) == total_cost(states, controls, cfg.make_cost(env))
+        assert float(row[4]) != policy.nominal.cost
+
+    def test_sweep_mean_gap_is_measured_from_the_config_cost(self, tmp_path):
+        # the gap's reference is the noiseless rollout under q = 5, not the
+        # cost stored with the policy (slope 0.11 against that reference)
+        cfg = tmp_path / "q5.cfg"
+        cfg.write_text("[env]\nname = linear_test\n")
+        out = tmp_path / "run"
+        run("train", "--config", str(cfg), "--out", str(out))
+        run("feedback", "--config", str(cfg), "--out", str(out), str(out / "trajectory.txt"))
+        cfg.write_text("[env]\nname = linear_test\n[cost]\nq = 5\n[eval]\nrollouts = 500\n")
+        policy_file = str(out / "policy.txt")
+        assert run("sweep", "--config", str(cfg), "--out", str(out), policy_file) == EXIT_OK
+        fits = {
+            line.split(",")[0]: float(line.split(",")[1])
+            for line in (out / "fit.csv").read_text().splitlines()[1:]
+        }
+        assert fits["mean_cost_gap"] > 1.0
 
 
 class TestDeterminism:
@@ -210,6 +249,14 @@ class TestExitCodes:
         assert run("feedback", "--out", str(tmp_path / "o"), str(bad)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_x" in err
+
+    def test_substeps_below_one_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "rk4.cfg"
+        cfg.write_text("[env]\nsubsteps = 0\n")
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "substeps=0" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_module_entry_point_exists(self):
         import dilqr.cli as cli_mod

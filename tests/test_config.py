@@ -175,6 +175,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"<config>:2: bad value"):
             parse_config("[run]\nseed = pony\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("optimizer", "band"), ("estimator", "sigma"), ("env", "damping"), ("cost", "q"),
+         ("eval", "epsilons")],
+    )
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"<config>:2: bad value for {section}\.{key}"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("seed = 1\n")

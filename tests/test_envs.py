@@ -11,6 +11,7 @@ from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
     ENV_BUILDERS,
+    PENDULUM_PARAMS,
     NoiseModel,
     make_cartpole_env,
     make_env,
@@ -364,6 +365,13 @@ class TestBuilders:
         assert np.array_equal(env.control_bounds, [[-limit, limit]])
         assert np.array_equal(env.x0, x0) and np.array_equal(env.x_goal, x_goal)
 
+    @pytest.mark.parametrize("substeps", [0, -1])
+    @pytest.mark.parametrize("make", [make_pendulum_env, make_cartpole_env],
+                             ids=["pendulum", "cartpole"])
+    def test_substeps_below_one_rejected(self, make, substeps):
+        with pytest.raises(ContractViolation, match=f"substeps={substeps}"):
+            make(substeps=substeps)
+
     def test_dimensions(self):
         assert (make_env("linear_test").n_x, make_env("linear_test").n_u) == (2, 1)
         assert (make_env("pendulum").n_x, make_env("pendulum").n_u) == (2, 1)
@@ -380,7 +388,7 @@ class TestBuilders:
         torque=st.floats(-5.0, 5.0),
     )
     def test_pendulum_deriv_velocity_slot_is_consistent(self, theta, omega, torque):
-        d = pendulum_deriv((theta, omega), (torque,))
+        d = pendulum_deriv((theta, omega), (torque,), **PENDULUM_PARAMS)
         assert d[0] == omega
 
     @settings(max_examples=20, deadline=None)

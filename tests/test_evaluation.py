@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dilqr.costs import NominalTrajectory, QuadraticCostModel
+from dilqr.costs import NominalTrajectory, QuadraticCostModel, total_cost
 from dilqr.envs import (
     NoiseModel,
     make_cartpole_env,
     make_linear_env,
     make_pendulum_env,
+    rollout,
     rollout_open_loop,
 )
 from dilqr.errors import ContractViolation
@@ -140,8 +143,9 @@ class TestMonteCarloEval:
 
         nominal = NominalTrajectory(nominal_states, np.zeros((10, 1)), 0.0)
         policy = DecoupledPolicy(nominal, np.zeros((10, 1, 2)))
-        with pytest.raises(ContractViolation, match="diverged"):
-            monte_carlo_eval(env, policy, NoiseModel(epsilon=0.1, seed=0), 8, cost)
+        for epsilon in (0.1, 0.0):
+            with pytest.raises(ContractViolation, match="diverged"):
+                monte_carlo_eval(env, policy, NoiseModel(epsilon=epsilon, seed=0), 8, cost)
 
     def test_policy_for_another_environment_rejected(self):
         cartpole = make_cartpole_env()
@@ -174,6 +178,47 @@ class TestMonteCarloEval:
                                  NoiseModel(epsilon=0.0), 5, cost)
         assert type(stats.cost_mean) is float
         assert stats.cost_mean == policy.nominal.cost
+
+    def test_zero_epsilon_charges_the_given_cost(self):
+        env, _, policy = small_problem()
+        other = QuadraticCostModel(
+            Q=5 * np.eye(2), R=np.array([[2.0]]), Q_terminal=np.eye(2), x_goal=np.ones(2)
+        )
+        stats = monte_carlo_eval(env, policy, NoiseModel(epsilon=0.0), 20, other)
+        states, controls, _ = rollout(
+            env, policy.nominal.states, policy.nominal.controls, policy.gains
+        )
+        assert stats.cost_mean == total_cost(states, controls, other)
+        assert stats.cost_mean != policy.nominal.cost
+        assert stats.terminal_mse_mean == float(np.sum((states[-1] - other.x_goal) ** 2))
+
+    def test_zero_epsilon_runs_the_given_environment(self):
+        # a nominal made under the default damping, evaluated under another
+        trained_on, damped = make_pendulum_env(), make_pendulum_env(damping=2.0)
+        cost = QuadraticCostModel(
+            Q=np.diag([0.5, 0.1]), R=0.1, Q_terminal=np.diag([60.0, 6.0]),
+            x_goal=trained_on.x_goal,
+        )
+        nominal = rollout_open_loop(trained_on, trained_on.x0, np.full((30, 1), 3.0), cost)
+        policy = DecoupledPolicy(nominal, np.tile([[-2.0, -0.5]], (30, 1, 1)))
+        stats = monte_carlo_eval(damped, policy, NoiseModel(epsilon=0.0), 20, cost)
+        states, controls, _ = rollout(damped, nominal.states, nominal.controls, policy.gains)
+        assert stats.cost_mean == total_cost(states, controls, cost)
+        assert stats.cost_mean != nominal.cost
+
+    def test_zero_epsilon_steps_one_row(self):
+        env, cost, policy = small_problem()
+        calls = []
+
+        def counting(x, u):
+            calls.append(x.shape)
+            return env.step_fn(x, u)
+
+        stats = monte_carlo_eval(
+            replace(env, step_fn=counting), policy, NoiseModel(epsilon=0.0), 10_000, cost
+        )
+        assert (stats.n_rollouts, stats.divergences, stats.cost_var) == (10_000, 0, 0.0)
+        assert calls == [(1, env.n_x)] * policy.nominal.horizon
 
 
 class TestEpsilonSweep:
