@@ -14,10 +14,10 @@ class SingularSystem(RuntimeError):
 
 
 class NotPositiveDefinite(RuntimeError):
-    """Q_uu lost positive definiteness during the backward pass."""
+    """Q_uu was not positive definite, or Q_uu or the gains were not finite."""
 
     def __init__(self, t):
-        super().__init__(f"Q_uu not positive definite at t={t}")
+        super().__init__(f"Q_uu not positive definite or not finite at t={t}")
         self.t = t
 
 

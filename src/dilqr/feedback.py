@@ -50,7 +50,8 @@ def riccati_gains(
 
     The cost Hessians are Q_t and R_t with no cross term, so that pass is the
     recursion K_t = -(R_t + B'P B)^{-1} B'P A from P_N = Q_N. Raises
-    NotPositiveDefinite(t) where R_t + B'P B is not positive definite.
+    NotPositiveDefinite(t) where R_t + B'P B is not positive definite or not
+    finite.
     """
     return backward_pass(nominal, weights, models, 0.0).K
 

@@ -2,8 +2,10 @@
 and the outer loop with band acceptance.
 
 The backward pass adds mu*I to the value Hessian inside Q_ux and Q_uu only
-(state-regularization variant); positive definiteness of Q_uu is checked by
-Cholesky and a failure aborts the pass so the caller can escalate mu.
+(state-regularization variant). Each timestep takes one numpy Cholesky
+factorization Q_uu = L L' and two solves, on L and then on L', for k_t and
+K_t together. A Q_uu that is not positive definite, or a non-finite Q_uu or
+(k_t, K_t), aborts the pass so the caller can escalate mu.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .costs import (
     NominalTrajectory,
@@ -109,7 +110,11 @@ def backward_pass(
     models: Sequence[LinearizedModel],
     mu: float,
 ) -> IterationGains:
-    """Riccati-like recursion producing (k_t, K_t); raises on indefinite Q_uu."""
+    """Riccati-like recursion producing (k_t, K_t).
+
+    Raises NotPositiveDefinite(t) where Q_uu is not positive definite or not
+    finite, or where k_t or K_t is not finite.
+    """
     N = traj.horizon
     if len(models) != N:
         raise ContractViolation(f"expected {N} linearized models, got {len(models)}")
@@ -131,10 +136,12 @@ def backward_pass(
         Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
         Q_uu = 0.5 * (Q_uu + Q_uu.T)
         try:
-            chol = scipy.linalg.cho_factor(Q_uu, lower=True)
-        except scipy.linalg.LinAlgError:
+            L = np.linalg.cholesky(Q_uu)
+            kK = -np.linalg.solve(L.T, np.linalg.solve(L, np.column_stack([Q_u, Q_ux])))
+        except np.linalg.LinAlgError:
             raise NotPositiveDefinite(t) from None
-        kK = -scipy.linalg.cho_solve(chol, np.column_stack([Q_u, Q_ux]))
+        if not (np.isfinite(Q_uu).all() and np.isfinite(kK).all()):
+            raise NotPositiveDefinite(t)
         k[t], K[t] = kK[:, 0], kK[:, 1:]
         J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
         J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]

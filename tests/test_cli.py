@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dilqr
 from dilqr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from dilqr.config import parse_config
 from dilqr.costs import total_cost
@@ -224,16 +230,20 @@ class TestExitCodes:
         self, tmp_path, linear_cfg, monkeypatch, capsys
     ):
         import dilqr.ilqr as ilqr_mod
-        import scipy.linalg
 
         out = tmp_path / "run"
         run("train", "--config", linear_cfg, "--out", str(out))
         capsys.readouterr()
 
-        def boom(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("not positive definite")
+        real_cholesky = np.linalg.cholesky
 
-        monkeypatch.setattr(ilqr_mod.scipy.linalg, "cho_factor", boom)
+        def boom(a):
+            # fail the backward pass's factorization, not the cost-weight checks
+            if sys._getframe(1).f_code is ilqr_mod.backward_pass.__code__:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real_cholesky(a)
+
+        monkeypatch.setattr(ilqr_mod.np.linalg, "cholesky", boom)
         code = run(
             "feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt")
         )
@@ -241,6 +251,23 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in captured.err
         assert "t=14" in captured.err  # horizon 15: the recursion fails at its first step, N-1
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_overflowing_backward_pass_is_numerical_failure(
+        self, tmp_path, linear_cfg, monkeypatch, capsys
+    ):
+        # identified models that overflow J_xx make Q_uu non-finite at every mu,
+        # so training escalates mu to mu_max and stops
+        import dilqr.ilqr as ilqr_mod
+        from dilqr.sysid import LinearizedModel
+
+        overflow = LinearizedModel(A=1e200 * np.eye(2), B=np.ones((2, 1)), eval_count=0)
+        monkeypatch.setattr(ilqr_mod, "identify_ltv", lambda *args: [overflow] * 15)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("train", "--config", linear_cfg, "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: mu reached" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
     def test_malformed_trajectory_file_is_usage_error(self, tmp_path, capsys):
@@ -263,3 +290,14 @@ class TestExitCodes:
 
         parser = cli_mod.build_parser()
         assert parser.prog == "dilqr"
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(dilqr.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        probe = "import sys, dilqr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

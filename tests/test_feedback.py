@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 import dilqr.ilqr as ilqr_mod
 from dilqr.config import default_config
@@ -75,11 +74,12 @@ class TestRiccatiGains:
 
     def test_synthesis_failure_carries_timestep(self, monkeypatch):
         def boom(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("not positive definite")
+            raise np.linalg.LinAlgError("not positive definite")
 
-        monkeypatch.setattr(ilqr_mod.scipy.linalg, "cho_factor", boom)
+        weights = unit_weights()  # validated by Cholesky too, so built before the patch
+        monkeypatch.setattr(ilqr_mod.np.linalg, "cholesky", boom)
         with pytest.raises(NotPositiveDefinite) as exc_info:
-            riccati_gains(zero_nominal(3), scalar_models(3), unit_weights())
+            riccati_gains(zero_nominal(3), scalar_models(3), weights)
         assert exc_info.value.t == 2  # recursion runs backward from the end
 
 

@@ -35,7 +35,7 @@ def _always_fail(*args, **kwargs):
 
 
 def two_solve_backward_pass(traj, cost, models, mu):
-    """The backward pass with k_t and K_t from two separate Cholesky solves."""
+    """scipy reference: the backward pass with k_t and K_t from two separate cho_solve calls."""
     N, n_x = traj.horizon, traj.states.shape[1]
     k = np.empty((N, traj.controls.shape[1]))
     K = np.empty((N, *k.shape[1:], n_x))
@@ -64,6 +64,30 @@ def assert_single_solve_is_bit_identical(traj, cost, models, mu):
     k, K = two_solve_backward_pass(traj, cost, models, mu)
     assert np.array_equal(gains.k, k)
     assert np.array_equal(gains.K, K)
+
+
+# With n_u >= 2, numpy's solves on L and L' round differently from scipy's
+# cho_solve. On the cases below the largest gap measured 3.1e-13 of the
+# largest entry (|dk| <= 1.3e-13, |dK| <= 6.9e-13).
+MULTI_CONTROL_REL_TOL = 1e5 * np.finfo(float).eps
+
+
+def assert_single_solve_matches_to_rounding(traj, cost, models, mu):
+    gains = backward_pass(traj, cost, models, mu)
+    for ours, ref in zip((gains.k, gains.K), two_solve_backward_pass(traj, cost, models, mu)):
+        assert np.max(np.abs(ours - ref)) <= MULTI_CONTROL_REL_TOL * np.max(np.abs(ref))
+
+
+def random_problem(rng, n_u_low, n_u_high):
+    n_x, n_u, N = int(rng.integers(2, 9)), int(rng.integers(n_u_low, n_u_high)), 4
+    Q, R = np.diag(rng.uniform(0.1, 3.0, n_x)), np.diag(rng.uniform(0.1, 3.0, n_u))
+    cost = QuadraticCostModel(Q, R, 10 * Q, rng.normal(size=n_x))
+    traj = NominalTrajectory(rng.normal(size=(N + 1, n_x)), rng.normal(size=(N, n_u)), 0.0)
+    models = [
+        LinearizedModel(A=rng.normal(size=(n_x, n_x)), B=rng.normal(size=(n_x, n_u)), eval_count=0)
+        for _ in range(N)
+    ]
+    return traj, cost, models
 
 
 class TestBackwardPass:
@@ -108,25 +132,40 @@ class TestBackwardPass:
         traj = rollout_open_loop(env, env.x0, rng.normal(size=(12, 2)), cost)
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
         for mu in (0.0, 1e-6, 1e-2):
-            assert_single_solve_is_bit_identical(traj, cost, models, mu)
+            assert_single_solve_matches_to_rounding(traj, cost, models, mu)
 
     def test_single_solve_matches_two_solves_on_pendulum(self, trained_pendulum):
         run = trained_pendulum
         models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
         assert_single_solve_is_bit_identical(run.traj, run.cost, models, OptimizerConfig().mu)
 
+    def test_single_solve_matches_two_solves_on_cartpole(self, trained_cartpole):
+        run = trained_cartpole
+        models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
+        for mu in (0.0, OptimizerConfig().mu):
+            assert_single_solve_is_bit_identical(run.traj, run.cost, models, mu)
+
+    def test_single_solve_matches_two_solves_on_random_single_control_systems(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            traj, cost, models = random_problem(rng, 1, 2)
+            assert_single_solve_is_bit_identical(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
+
     def test_single_solve_matches_two_solves_on_random_systems(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            n_x, n_u, N = int(rng.integers(2, 9)), int(rng.integers(2, 6)), 4
-            Q, R = np.diag(rng.uniform(0.1, 3.0, n_x)), np.diag(rng.uniform(0.1, 3.0, n_u))
-            cost = QuadraticCostModel(Q, R, 10 * Q, rng.normal(size=n_x))
-            traj = NominalTrajectory(rng.normal(size=(N + 1, n_x)), rng.normal(size=(N, n_u)), 0.0)
-            models = [
-                LinearizedModel(A=rng.normal(size=(n_x, n_x)), B=rng.normal(size=(n_x, n_u)), eval_count=0)
-                for _ in range(N)
-            ]
-            assert_single_solve_is_bit_identical(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
+            traj, cost, models = random_problem(rng, 2, 6)
+            assert_single_solve_matches_to_rounding(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
+
+    def test_overflowing_recursion_raises_instead_of_returning_nan(self):
+        # A = 1e200 makes J_xx overflow to inf after one step, so Q_uu at t = 0
+        # is not finite and k_0 would be nan
+        _, cost, _, _ = scalar_setup()
+        traj = NominalTrajectory(np.ones((3, 1)), np.zeros((2, 1)), 0.0)
+        models = [LinearizedModel(A=np.array([[1e200]]), B=np.array([[1.0]]), eval_count=0)] * 2
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite) as exc_info:
+            backward_pass(traj, cost, models, mu=0.0)
+        assert exc_info.value.t == 0
 
 
 class TestForwardPass:
