@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
 from .envs import ENV_BUILDERS, make_env
 from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted, SingularSystem
 from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
@@ -49,7 +49,7 @@ def _write_csv(path, header, rows) -> None:
 def _prepare(args) -> tuple[RunConfig, Path]:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
-        cfg.set("run", "seed", args.seed)
+        cfg.set("run", "seed", parse_seed(args.seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfg.dump())
@@ -140,12 +140,12 @@ def cmd_sweep(args) -> int:
     for response in (COST_VAR, MEAN_COST_GAP):
         try:
             fit = variance_scaling_fit(clean, response, nominal_cost=nominal_cost)
-            fit_rows.append((response, fit.slope, fit.intercept, fit.r_squared, len(fit.epsilons)))
-        except ContractViolation:
-            pass  # too few usable points for this response
+        except ContractViolation as exc:
+            print(f"sweep: {response} not fitted: {exc}")
+            continue
+        fit_rows.append((response, fit.slope, fit.intercept, fit.r_squared, len(fit.epsilons)))
+        print(f"sweep: {response} slope={fit.slope:.3f} r2={fit.r_squared:.4f}")
     _write_csv(out / "fit.csv", ["response", "slope", "intercept", "r_squared", "n_points"], fit_rows)
-    for row in fit_rows:
-        print(f"sweep: {row[0]} slope={row[1]:.3f} r2={row[3]:.4f}")
     return EXIT_OK
 
 

@@ -50,6 +50,15 @@ def _parse_floats(s: str) -> tuple:
     return tuple(_parse_float(v) for v in s.replace(",", " ").split())
 
 
+def parse_seed(s) -> int:
+    """A run seed. Seeds are folded into 63 bits downstream, so any other
+    value would silently alias a seed inside the range."""
+    v = int(s)
+    if not 0 <= v < 2**63:
+        raise ConfigError(f"seed {v} is outside [0, 2**63)")
+    return v
+
+
 def _fields_section(cls, omit: str) -> dict:
     """(parser, default) per field of a config dataclass; the parser follows the default's type."""
     section = {}
@@ -91,7 +100,7 @@ SCHEMA = {
         "epsilons": (_parse_floats, DEFAULT_EPSILON_GRID),
     },
     "run": {
-        "seed": (int, 0),
+        "seed": (parse_seed, 0),
         "record_timing": (_parse_bool, False),
     },
 }

@@ -110,10 +110,6 @@ class NominalTrajectory:
     def horizon(self) -> int:
         return self.controls.shape[0]
 
-    @property
-    def terminal_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _check_dims(x: np.ndarray, u: np.ndarray, cost: QuadraticCostModel) -> None:
     if x.shape[-1] != cost.n_x:

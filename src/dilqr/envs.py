@@ -1,9 +1,7 @@
 """Black-box discrete-time dynamics environments.
 
 Every environment is exposed to the optimizer strictly through ``step``;
-no module outside the test suite ever reads an analytic Jacobian. The
-linear test system stores its defining matrices only as ground truth for
-estimator tests.
+no module outside the test suite ever reads an analytic Jacobian.
 
 Execution goes through one kernel, ``rollout``: it applies the law
 u_t = clamp(ubar_t + K_t (x_t - xbar_t)) and sends every row of a batch
@@ -44,9 +42,6 @@ class Environment:
     x0: np.ndarray
     x_goal: np.ndarray
     step_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # ground truth for exactly linear systems; test metadata only
-    true_A: Optional[np.ndarray] = None
-    true_B: Optional[np.ndarray] = None
 
     def __post_init__(self):
         bounds = np.asarray(self.control_bounds, dtype=float).reshape(self.n_u, 2)
@@ -248,8 +243,6 @@ def make_linear_env(
         x0=np.eye(n_x)[0],
         x_goal=np.zeros(n_x),
         step_fn=step_fn,
-        true_A=A,
-        true_B=B,
     )
 
 

@@ -125,27 +125,30 @@ def backward_pass(
 
     J_x = terminal_partials(traj.states[N], cost)
     J_xx = cost.Q_terminal
-    for t in range(N - 1, -1, -1):
-        A, B = models[t].A, models[t].B
-        c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
-        J_xx_reg = J_xx + mu * np.eye(n_x)
-        Q_x = c_x + A.T @ J_x
-        Q_u = c_u + B.T @ J_x
-        Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
-        Q_ux = B.T @ J_xx_reg @ A
-        Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
-        Q_uu = 0.5 * (Q_uu + Q_uu.T)
-        try:
-            L = np.linalg.cholesky(Q_uu)
-            kK = -np.linalg.solve(L.T, np.linalg.solve(L, np.column_stack([Q_u, Q_ux])))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(t) from None
-        if not (np.isfinite(Q_uu).all() and np.isfinite(kK).all()):
-            raise NotPositiveDefinite(t)
-        k[t], K[t] = kK[:, 0], kK[:, 1:]
-        J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
-        J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
-        J_xx = 0.5 * (J_xx + J_xx.T)
+    # overflow only ever yields inf or nan, which the finiteness check below turns
+    # into NotPositiveDefinite(t), so numpy's warnings would just be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(N - 1, -1, -1):
+            A, B = models[t].A, models[t].B
+            c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
+            J_xx_reg = J_xx + mu * np.eye(n_x)
+            Q_x = c_x + A.T @ J_x
+            Q_u = c_u + B.T @ J_x
+            Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
+            Q_ux = B.T @ J_xx_reg @ A
+            Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
+            Q_uu = 0.5 * (Q_uu + Q_uu.T)
+            try:
+                L = np.linalg.cholesky(Q_uu)
+                kK = -np.linalg.solve(L.T, np.linalg.solve(L, np.column_stack([Q_u, Q_ux])))
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(t) from None
+            if not (np.isfinite(Q_uu).all() and np.isfinite(kK).all()):
+                raise NotPositiveDefinite(t)
+            k[t], K[t] = kK[:, 0], kK[:, 1:]
+            J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
+            J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
+            J_xx = 0.5 * (J_xx + J_xx.T)
     return IterationGains(k=k, K=K)
 
 

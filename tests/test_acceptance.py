@@ -13,7 +13,7 @@ import pytest
 
 from dilqr.cli import main as cli_main
 from dilqr.config import default_config
-from dilqr.envs import make_pendulum_env
+from dilqr.envs import LINEAR_TEST_A, LINEAR_TEST_B, make_pendulum_env
 from dilqr.evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
 from dilqr.envs import NoiseModel
 from dilqr.ilqr import OptimizerConfig, optimize
@@ -35,7 +35,7 @@ def report(name, ok, detail):
 def test_linear_training_matches_exact_lqr(trained_linear):
     r = trained_linear
     opt = lqr_optimal_cost(
-        r.env.true_A, r.env.true_B, r.cost.Q, r.cost.R, r.cost.Q_terminal,
+        LINEAR_TEST_A, LINEAR_TEST_B, r.cost.Q, r.cost.R, r.cost.Q_terminal,
         r.env.x0, r.env.horizon,
     )
     rel = abs(r.traj.cost - opt) / abs(opt)
@@ -100,7 +100,7 @@ def test_step_call_counts_are_exact():
 
 def test_pendulum_swingup_converges(trained_pendulum):
     r = trained_pendulum
-    theta_err = abs(r.traj.terminal_state[0] - np.pi)
+    theta_err = abs(r.traj.states[-1][0] - np.pi)
     ok = theta_err <= 0.1 and len(r.trace) <= 500 and r.train_seconds <= 60.0
     report(
         "pendulum swing-up", ok,
@@ -110,7 +110,7 @@ def test_pendulum_swingup_converges(trained_pendulum):
 
 def test_cartpole_swingup_converges(trained_cartpole):
     r = trained_cartpole
-    theta_err = abs(r.traj.terminal_state[2] - np.pi)
+    theta_err = abs(r.traj.states[-1][2] - np.pi)
     ok = theta_err <= 0.1 and len(r.trace) <= 500 and r.train_seconds <= 120.0
     report(
         "cart-pole swing-up", ok,

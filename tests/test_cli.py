@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,25 @@ class TestPipeline:
         }
         assert fits["mean_cost_gap"] > 1.0
 
+    def test_sweep_says_which_fits_it_skipped(self, tmp_path, capsys):
+        # three epsilons are one short of a fit: fit.csv keeps only its header
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(
+            "[env]\nname = linear_test\n[eval]\nrollouts = 200\nepsilons = 0.01, 0.02, 0.03\n"
+        )
+        out = tmp_path / "run"
+        run("train", "--config", str(cfg), "--out", str(out))
+        run("feedback", "--config", str(cfg), "--out", str(out), str(out / "trajectory.txt"))
+        capsys.readouterr()
+        code = run("sweep", "--config", str(cfg), "--out", str(out), str(out / "policy.txt"))
+        assert code == EXIT_OK
+        reason = "scaling fit needs >= 4 positive (epsilon, response) pairs, have 3"
+        assert capsys.readouterr().out.splitlines() == [
+            f"sweep: cost_var not fitted: {reason}",
+            f"sweep: mean_cost_gap not fitted: {reason}",
+        ]
+        assert (out / "fit.csv").read_text() == "response,slope,intercept,r_squared,n_points\n"
+
 
 class TestDeterminism:
     def test_reruns_are_bit_identical(self, tmp_path, linear_cfg):
@@ -185,6 +205,19 @@ class TestDeterminism:
         t1 = (out1 / "trajectory.txt").read_bytes()
         assert t1 == (out2 / "trajectory.txt").read_bytes()
         assert t1 != (out3 / "trajectory.txt").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", "9223372036854775808"])
+    def test_seed_outside_63_bits_is_usage_error(self, tmp_path, linear_cfg, capsys, seed):
+        # the library folds seeds into 63 bits, so these would alias 2**63 - 1 and 0
+        code = run("train", "--config", linear_cfg, "--out", str(tmp_path / "o"), "--seed", seed)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: seed {seed} is outside [0, 2**63)\n"
+
+    def test_largest_seed_still_trains(self, tmp_path, linear_cfg):
+        out = tmp_path / "o"
+        code = run("train", "--config", linear_cfg, "--out", str(out), "--seed", str(2**63 - 1))
+        assert code == EXIT_OK
+        assert (out / "trajectory.txt").exists()
 
 
 class TestExitCodes:
@@ -263,12 +296,14 @@ class TestExitCodes:
 
         overflow = LinearizedModel(A=1e200 * np.eye(2), B=np.ones((2, 1)), eval_count=0)
         monkeypatch.setattr(ilqr_mod, "identify_ltv", lambda *args: [overflow] * 15)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would escape as an error
             code = run("train", "--config", linear_cfg, "--out", str(tmp_path / "o"))
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL
-        assert "numerical failure: mu reached" in captured.err
-        assert "Traceback" not in captured.err + captured.out
+        assert captured.err == (
+            "numerical failure: mu reached 1e+10 with the backward pass still failing\n"
+        )
 
     def test_malformed_trajectory_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "traj.txt"

@@ -185,6 +185,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=rf"<config>:2: bad value for {section}\.{key}"):
             parse_config(f"[{section}]\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("value", ["-1", "9223372036854775808", "-9223372036854775808"])
+    def test_seed_outside_63_bits_rejected(self, value):
+        with pytest.raises(ConfigError, match=rf"<config>:2: bad value for run\.seed: seed {value} "):
+            parse_config(f"[run]\nseed = {value}\n")
+
     def test_key_outside_section_rejected(self):
         with pytest.raises(ConfigError, match="outside"):
             parse_config("seed = 1\n")

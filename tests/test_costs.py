@@ -161,10 +161,10 @@ class TestPartials:
 
 
 class TestNominalTrajectory:
-    def test_horizon_and_terminal_state(self):
+    def test_horizon_and_last_state(self):
         traj = NominalTrajectory(np.zeros((4, 2)), np.zeros((3, 1)), 0.0)
         assert traj.horizon == 3
-        assert np.allclose(traj.terminal_state, np.zeros(2))
+        assert np.allclose(traj.states[-1], np.zeros(2))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):

@@ -5,6 +5,8 @@ import pytest
 
 from dilqr.costs import NominalTrajectory, QuadraticCostModel, total_cost
 from dilqr.envs import (
+    LINEAR_TEST_A,
+    LINEAR_TEST_B,
     NoiseModel,
     make_cartpole_env,
     make_linear_env,
@@ -48,7 +50,7 @@ def cost_of_noise_vector(env, cost, policy, eps, w_flat):
         u = nominal.controls[t] + policy.gains[t] @ (x - nominal.states[t])
         u = env.clamp(u)
         total += 0.5 * x @ cost.Q_at(t) @ x + 0.5 * u @ cost.R_at(t) @ u
-        x = env.true_A @ x + env.true_B @ u + eps * w[t]
+        x = LINEAR_TEST_A @ x + LINEAR_TEST_B @ u + eps * w[t]
     return total + 0.5 * x @ cost.Q_terminal @ x
 
 
@@ -119,7 +121,7 @@ class TestMonteCarloEval:
         stats = monte_carlo_eval(env, policy, NoiseModel(epsilon=0.0, seed=9), 50, cost)
         assert stats.cost_mean == policy.nominal.cost
         assert stats.cost_var == 0.0
-        mse = float(np.sum((policy.nominal.terminal_state - cost.x_goal) ** 2))
+        mse = float(np.sum((policy.nominal.states[-1] - cost.x_goal) ** 2))
         assert stats.terminal_mse_mean == mse
 
     def test_deterministic_given_seed(self):

@@ -4,7 +4,7 @@ import pytest
 import dilqr.ilqr as ilqr_mod
 from dilqr.config import default_config
 from dilqr.costs import NominalTrajectory, QuadraticCostModel
-from dilqr.envs import make_linear_env, rollout_open_loop
+from dilqr.envs import LINEAR_TEST_A, LINEAR_TEST_B, make_linear_env, rollout_open_loop
 from dilqr.errors import ContractViolation, NotPositiveDefinite
 from dilqr.feedback import DecoupledPolicy, build_policy, riccati_gains
 from dilqr.sysid import EstimatorConfig, LinearizedModel, identify_ltv
@@ -36,17 +36,16 @@ class TestRiccatiGains:
         assert K[0, 0, 0] == pytest.approx(-0.6, abs=1e-14)
 
     def test_matches_independent_recursion_on_linear_system(self):
-        env = make_linear_env()
         w = QuadraticCostModel(
             Q=np.diag([2.0, 0.5]), R=np.array([[0.3]]),
             Q_terminal=np.diag([10.0, 1.0]), x_goal=np.zeros(2),
         )
         N = 12
         models = [
-            LinearizedModel(A=env.true_A, B=env.true_B, eval_count=0) for _ in range(N)
+            LinearizedModel(A=LINEAR_TEST_A, B=LINEAR_TEST_B, eval_count=0) for _ in range(N)
         ]
         K = riccati_gains(zero_nominal(N, 2), models, w)
-        ref = riccati_reference_gains(env.true_A, env.true_B, w.Q, w.R, w.Q_terminal, N)
+        ref = riccati_reference_gains(LINEAR_TEST_A, LINEAR_TEST_B, w.Q, w.R, w.Q_terminal, N)
         for t in range(N):
             assert np.allclose(K[t], ref[t], atol=1e-12)
 
@@ -55,9 +54,8 @@ class TestRiccatiGains:
             Q=np.diag([2.0, 0.5]), R=np.array([[0.3]]),
             Q_terminal=np.diag([10.0, 1.0]), x_goal=np.zeros(2),
         )
-        env = make_linear_env()
         models = [
-            LinearizedModel(A=env.true_A, B=env.true_B, eval_count=0) for _ in range(8)
+            LinearizedModel(A=LINEAR_TEST_A, B=LINEAR_TEST_B, eval_count=0) for _ in range(8)
         ]
         nominal = zero_nominal(8, 2)
         scaled = QuadraticCostModel(7.3 * w.Q, 7.3 * w.R, 7.3 * w.Q_terminal, w.x_goal)
@@ -89,7 +87,7 @@ class TestBuildPolicy:
         w = unit_weights(2, 1)
         nominal = rollout_open_loop(env, env.x0, np.zeros((10, 1)), w)
         policy = build_policy(env, nominal, EstimatorConfig(seed=0), w)
-        ref = riccati_reference_gains(env.true_A, env.true_B, w.Q, w.R, w.Q_terminal, 10)
+        ref = riccati_reference_gains(LINEAR_TEST_A, LINEAR_TEST_B, w.Q, w.R, w.Q_terminal, 10)
         assert policy.gains.shape == (10, 1, 2)
         for t in range(10):
             assert np.allclose(policy.gains[t], ref[t], atol=1e-8)
@@ -156,7 +154,7 @@ def test_gains_contract_initial_state_perturbations():
         x = env.x0 + dx0
         for t in range(25):
             u = nominal.controls[t] + gains[t] @ (x - nominal.states[t])
-            x = env.true_A @ x + env.true_B @ env.clamp(u)
+            x = LINEAR_TEST_A @ x + LINEAR_TEST_B @ env.clamp(u)
         return np.linalg.norm(x - nominal.states[-1])
 
     assert run(policy.gains) < 0.25 * run(np.zeros_like(policy.gains))

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,9 @@ import scipy.linalg
 import dilqr.ilqr as ilqr_mod
 from dilqr.costs import NominalTrajectory, QuadraticCostModel, cost_partials, terminal_partials
 from dilqr.config import default_config
-from dilqr.envs import make_linear_env, make_pendulum_env, rollout_open_loop
+from dilqr.envs import (
+    LINEAR_TEST_A, LINEAR_TEST_B, make_linear_env, make_pendulum_env, rollout_open_loop,
+)
 from dilqr.errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
 from dilqr.ilqr import (
     IterationGains,
@@ -163,7 +166,8 @@ class TestBackwardPass:
         _, cost, _, _ = scalar_setup()
         traj = NominalTrajectory(np.ones((3, 1)), np.zeros((2, 1)), 0.0)
         models = [LinearizedModel(A=np.array([[1e200]]), B=np.array([[1.0]]), eval_count=0)] * 2
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite) as exc_info:
+        with warnings.catch_warnings(), pytest.raises(NotPositiveDefinite) as exc_info:
+            warnings.simplefilter("error")  # the pass itself must not warn on overflow
             backward_pass(traj, cost, models, mu=0.0)
         assert exc_info.value.t == 0
 
@@ -240,7 +244,7 @@ class TestOptimize:
         cfg = OptimizerConfig(estimator=EstimatorConfig(seed=0))
         traj, trace = optimize(env, cost, env.x0, np.zeros((20, 1)), cfg)
         opt = lqr_optimal_cost(
-            env.true_A, env.true_B, np.eye(2), np.eye(1), np.eye(2), env.x0, 20
+            LINEAR_TEST_A, LINEAR_TEST_B, np.eye(2), np.eye(1), np.eye(2), env.x0, 20
         )
         assert traj.cost == pytest.approx(opt, abs=1e-8)
         # exact models on a linear-quadratic problem: one full Newton step

@@ -1,5 +1,5 @@
 """Smoke runs of the scripts under scripts/: each builds its pipeline through
-the config factories, so a factory change that breaks a script shows here."""
+the config factories or the CLI, so a change that breaks a script shows here."""
 
 import os
 import subprocess
@@ -11,6 +11,7 @@ import pytest
 from dilqr.envs import ENV_BUILDERS
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
 def run_script(name, *args, cwd):
@@ -37,9 +38,6 @@ def test_jacobian_accuracy_prints_every_environment(tmp_path):
         ("feedback_vs_open_loop.py",
          ("--env", "linear_test", "--rollouts", "50", "--epsilons", "0.02", "0.05"),
          "closed var"),
-        ("noise_scaling_study.py",
-         ("--envs", "linear_test", "--rollouts", "50"),
-         "Var(J) slope"),
     ],
 )
 def test_study_scripts_run_on_the_linear_system(tmp_path, name, args, expect):
@@ -47,10 +45,25 @@ def test_study_scripts_run_on_the_linear_system(tmp_path, name, args, expect):
     assert "linear_test" in out and expect in out
 
 
-def test_noise_scaling_study_reports_the_stop_reason(tmp_path):
-    out = run_script("noise_scaling_study.py", "--envs", "linear_test", "--rollouts", "50",
-                     cwd=tmp_path)
-    assert "iterations (converged)" in out
+def test_train_swingup_reports_the_stop_reason_and_slopes(tmp_path):
+    out = run_script("train_swingup.py", "--env", "linear_test", "--rollouts", "50",
+                     "--out", str(tmp_path), cwd=tmp_path)
+    assert "train: linear_test" in out and "iterations (converged)" in out
+    assert "sweep: cost_var slope=" in out and "sweep: mean_cost_gap slope=" in out
+    fit = (tmp_path / "linear_test" / "fit.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in fit[1:]] == ["cost_var", "mean_cost_gap"]
+
+
+def test_train_swingup_writes_one_directory_per_environment(tmp_path):
+    out = run_script("train_swingup.py", "--env", "linear_test", "pendulum", "--rollouts", "20",
+                     "--channel", "control", "--out", str(tmp_path), cwd=tmp_path)
+    for name in ("linear_test", "pendulum"):
+        assert f"train: {name} " in out
+        run_dir = tmp_path / name
+        for file in ("trajectory.txt", "policy.txt", "sweep.csv", "fit.csv"):
+            assert (run_dir / file).exists(), run_dir / file
+        assert "channel = control" in (run_dir / "config.txt").read_text()
+        assert (run_dir / "sweep.csv").read_text().splitlines()[1].split(",")[1] == "control"
 
 
 @pytest.mark.parametrize("name", ["train_swingup.py", "feedback_vs_open_loop.py"])
@@ -59,4 +72,10 @@ def test_script_help_lists_every_environment(tmp_path, name):
     assert "--rollouts" in out
     for env_name in ENV_BUILDERS:
         assert env_name in out
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_every_script_has_help_and_writes_nothing(tmp_path, name):
+    assert run_script(name, "--help", cwd=tmp_path).startswith("usage:")
     assert not any(tmp_path.iterdir())
