@@ -38,6 +38,9 @@ def test_jacobian_accuracy_prints_every_environment(tmp_path):
         ("feedback_vs_open_loop.py",
          ("--env", "linear_test", "--rollouts", "50", "--epsilons", "0.02", "0.05"),
          "closed var"),
+        ("train_swingup.py",
+         ("--env", "linear_test", "--rollouts", "50"),
+         "slope="),
     ],
 )
 def test_study_scripts_run_on_the_linear_system(tmp_path, name, args, expect):
