@@ -196,12 +196,20 @@ def cmd_jacobian_bench(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1; its default 2 means a numerical failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dilqr",
         description="Sample-based ILQR with decoupled LQR feedback and noise-scaling evaluation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
         p.add_argument("--config", help="path to a key = value config file")

@@ -40,9 +40,11 @@ class IterationGains:
         return self.k.shape[0]
 
 
-# Iterations without a new best cost before optimize stops. On the default
-# pendulum problem (seeds 0-7) the largest gap between best-cost improvements
-# is 20 iterations; change this only after re-measuring those gaps.
+# Iterations without a new best cost before optimize stops. The default
+# pendulum problem (seeds 0-7) improves its best cost on every iteration and
+# converges, so no default run stalls; with conv_tol = 1e-12 the largest gap
+# between improvements is 4 before it stalls. Change this only after
+# re-measuring those gaps.
 STALL_WINDOW = 30
 
 

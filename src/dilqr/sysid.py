@@ -4,7 +4,10 @@ Two estimators share the LinearizedModel output type:
 
 * a least-squares central-difference estimator: n_s random symmetric
   perturbations of state and control, paired rollouts, one least-squares
-  solve recovering [f_x f_u] simultaneously (2*n_s black-box rows);
+  solve recovering [f_x f_u] simultaneously (2*n_s black-box rows). It
+  regresses on the control the black box applied: where ``step`` clamped
+  either sign of a pair, du is the applied half-difference
+  (clamp(u + du) - clamp(u - du)) / 2;
 * a per-coordinate central-difference baseline (2*(n_x+n_u) rows).
 
 Each estimate sends all of its perturbed points to the black box as one
@@ -98,7 +101,15 @@ def _sample(
     """
     shape = (cfg.resolve_n_s(env), env.n_x + env.n_u)
     D = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
-    return D, 0.5 * _central_differences(env, x_bar, u_bar, D)
+    Y = 0.5 * _central_differences(env, x_bar, u_bar, D)
+    # regress on the control the black box applied. Only entries where either
+    # sign was clamped change: 0.5 * ((u + d) - (u - d)) is not d bit for bit,
+    # and fits that never touch a bound must not move
+    dU, U = D[..., env.n_x :], u_bar[:, None]
+    hi, lo = env.clamp(U + dU), env.clamp(U - dU)
+    clamped = (hi != U + dU) | (lo != U - dU)
+    D[..., env.n_x :] = np.where(clamped, 0.5 * (hi - lo), dU)
+    return D, Y
 
 
 def _fit(env: Environment, D: np.ndarray, Y: np.ndarray, cfg: EstimatorConfig) -> LinearizedModel:
@@ -129,7 +140,12 @@ def estimate_llscd(
 
         [f_x f_u] [dx_i; du_i] = (f(x+dx_i, u+du_i) - f(x-dx_i, u-du_i)) / 2
 
-    in the least-squares sense. Bias is O(sigma^2) on smooth dynamics.
+    in the least-squares sense. Where either sign of a pair is clamped to the
+    control bounds, du_i in that system is the applied half-difference
+    (clamp(u+du_i) - clamp(u-du_i)) / 2, so a nominal on a bound gets the
+    one-sided slope inside it; a nominal beyond a bound, where both signs
+    clamp, leaves the control column zero and raises SingularSystem. Bias
+    is O(sigma^2) on smooth dynamics.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)

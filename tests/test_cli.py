@@ -320,6 +320,14 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and "substeps=0" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    @pytest.mark.parametrize("argv", [["train", "--seed", "abc"], ["trian"]])
+    def test_argument_errors_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(*argv)
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dilqr") and "error:" in err
+
     def test_module_entry_point_exists(self):
         import dilqr.cli as cli_mod
 

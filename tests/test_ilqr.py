@@ -351,6 +351,23 @@ def _default_run(name, **overrides):
     return optimize(env, cost, env.x0, np.zeros((env.horizon, env.n_u)), opt)
 
 
+# The default pendulum run improves its best cost on every iteration and
+# converges; with this tolerance it never converges, makes its last
+# improvement at iteration 53 and stops "stalled" at 83.
+STALLING_CONV_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def stalled_pendulum():
+    return _default_run("pendulum", conv_tol=STALLING_CONV_TOL)
+
+
+def _default_cost(env):
+    cfg = default_config()
+    cfg.set("env", "name", env.name)
+    return cfg.make_cost(env)
+
+
 def _rows(trace):
     # every field but the wall clock, as round-trip text so NaN alphas compare equal
     return [repr((r.iteration, r.cost, r.best_cost, r.mu, r.alpha, r.backward_success,
@@ -404,30 +421,31 @@ class TestTermination:
         with pytest.raises(RegularizationExhausted):
             optimize(env, cost, np.array([1.0]), np.zeros((1, 1)), cfg)
 
-    def test_pendulum_stalls_one_window_after_its_last_improvement(self, trained_pendulum):
-        r = trained_pendulum
-        assert r.trace.stop_reason == "stalled"
-        best = rollout_open_loop(r.env, r.env.x0, np.zeros((r.env.horizon, r.env.n_u)), r.cost).cost
+    def test_pendulum_stalls_one_window_after_its_last_improvement(self, stalled_pendulum):
+        traj, trace = stalled_pendulum
+        assert trace.stop_reason == "stalled"
+        env = make_pendulum_env()
+        best = rollout_open_loop(env, env.x0, np.zeros((env.horizon, env.n_u)), _default_cost(env)).cost
         last_improvement = 0
-        for rec in r.trace.records:
+        for rec in trace.records:
             assert rec.best_cost == min(best, rec.cost)
             if rec.best_cost < best:
                 best, last_improvement = rec.best_cost, rec.iteration
-        assert r.traj.cost == best
-        assert len(r.trace) == last_improvement + ilqr_mod.STALL_WINDOW
+        assert traj.cost == best
+        assert len(trace) == last_improvement + ilqr_mod.STALL_WINDOW
 
-    def test_stall_stop_is_bit_identical_to_a_capped_run(self, trained_pendulum, monkeypatch):
+    def test_stall_stop_is_bit_identical_to_a_capped_run(self, stalled_pendulum, monkeypatch):
         # the rule only ends the run: up to the stop, every iteration is
         # computed as without it
-        r = trained_pendulum
-        stop = len(r.trace)
+        stalled_traj, stalled_trace = stalled_pendulum
+        stop = len(stalled_trace)
         monkeypatch.setattr(ilqr_mod, "STALL_WINDOW", stop + 1)
-        traj, trace = _default_run("pendulum", max_iters=stop)
+        traj, trace = _default_run("pendulum", max_iters=stop, conv_tol=STALLING_CONV_TOL)
         assert trace.stop_reason == "max_iters"
-        assert _rows(trace) == _rows(r.trace)
-        assert np.array_equal(traj.states, r.traj.states)
-        assert np.array_equal(traj.controls, r.traj.controls)
-        assert traj.cost == r.traj.cost
+        assert _rows(trace) == _rows(stalled_trace)
+        assert np.array_equal(traj.states, stalled_traj.states)
+        assert np.array_equal(traj.controls, stalled_traj.controls)
+        assert traj.cost == stalled_traj.cost
 
 
 class TestOptimizerConfig:

@@ -195,10 +195,10 @@ def counting_env(env):
 
 
 def random_trajectory(env, seed=3):
-    """Scattered states and controls (some beyond the bounds, so some rows clamp)."""
+    """Scattered states and applied controls, many exactly on a bound (so some rows clamp)."""
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((env.horizon + 1, env.n_x))
-    controls = 2 * env.u_scale * rng.standard_normal((env.horizon, env.n_u))
+    controls = env.clamp(2 * env.u_scale * rng.standard_normal((env.horizon, env.n_u)))
     return dilqr.NominalTrajectory(states, controls, 0.0)
 
 
@@ -211,6 +211,7 @@ class TestBatchedIdentification:
     def test_trajectory_equals_per_point_estimates_exactly(self, name, approx_identity):
         env = dilqr.make_env(name)
         traj = random_trajectory(env)
+        assert np.isin(traj.controls, env.control_bounds).any()
         cfg = EstimatorConfig(seed=5, approx_identity=approx_identity)
         models = identify_ltv(env, traj, cfg)
         assert len(models) == traj.horizon
@@ -280,6 +281,54 @@ class TestBatchedIdentification:
         monkeypatch.setattr(sysid, "LSTSQ_RCOND", 0.5 * (inv[0] + inv[1]))
         with pytest.raises(SingularSystem, match=rf"identification failed at t={worst}: "):
             identify_ltv(env, traj, cfg)
+
+
+class TestClampedPerturbations:
+    X = np.array([0.8, -0.5])
+
+    def test_estimate_on_the_bound_is_the_slope_inside_it(self):
+        # half of each pair is clamped at u = 10; regressing on the commanded
+        # du returned about half of B here
+        env = make_pendulum_env()
+        _, B_inside = pendulum_step_jacobians(self.X, np.array([9.99]), dt=env.dt)
+
+        def err(sigma, seed):
+            m = estimate_llscd(env, self.X, np.array([10.0]), EstimatorConfig(sigma=sigma, seed=seed))
+            return np.max(np.abs(m.B - B_inside)) / np.max(np.abs(B_inside))
+
+        assert err(1e-3, 1) <= 1e-4
+        sigmas = [4e-2, 2e-2, 1e-2]
+        errs = [np.mean([err(sigma, s) for s in range(8)]) for sigma in sigmas]
+        assert 1.7 <= np.polyfit(np.log(sigmas), np.log(errs), 1)[0] <= 2.3
+
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_only_clamped_entries_of_the_perturbations_change(self, name):
+        env = dilqr.make_env(name)
+        traj = random_trajectory(env)
+        cfg = EstimatorConfig(seed=5)
+        seeds = [cfg.child(t).seed for t in range(traj.horizon)]
+        D, _ = sysid._sample(env, traj.states[:-1], traj.controls, seeds, cfg)
+        shape = D.shape[1:]
+        drawn = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
+        dU, U = drawn[..., env.n_x :], traj.controls[:, None]
+        lo, hi = env.control_bounds[:, 0], env.control_bounds[:, 1]
+        inside = (U - np.abs(dU) >= lo) & (U + np.abs(dU) <= hi)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(D[..., : env.n_x], drawn[..., : env.n_x])
+        assert np.array_equal(D[..., env.n_x :][inside], dU[inside])
+        applied = 0.5 * (env.clamp(U + dU) - env.clamp(U - dU))
+        assert np.array_equal(D[..., env.n_x :][~inside], applied[~inside])
+
+    def test_nominal_beyond_the_bound_is_singular(self):
+        # both signs clamp, so the applied du is zero and B is unidentifiable
+        env = make_pendulum_env()
+        with pytest.raises(SingularSystem):
+            estimate_llscd(env, self.X, np.array([15.0]), EstimatorConfig(seed=0))
+        controls = np.zeros((4, 1))
+        controls[2] = 15.0
+        traj = dilqr.NominalTrajectory(np.zeros((5, 2)), controls, 0.0)
+        with pytest.raises(SingularSystem, match=r"identification failed at t=2: "):
+            identify_ltv(env, traj, EstimatorConfig(seed=0))
 
 
 class TestSingularSystemError:
