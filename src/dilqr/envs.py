@@ -10,8 +10,10 @@ ILQR line search (one trajectory) and the Monte-Carlo evaluator (all M
 noisy rollouts at once) are calls to it. Stochastic execution adds
 eps * w_t to x_{t+1} on the state channel, or eps * u_scale * w_t to the
 control before clamping on the control channel, with w_t i.i.d. standard
-Gaussian per dimension. Noise streams are keyed by (seed, rollout_id), so
-a rollout reproduces whatever batch it runs in.
+Gaussian per dimension. Noise streams are keyed by block: rollout i takes
+row i mod NOISE_BLOCK of block i // NOISE_BLOCK, drawn from one generator
+keyed by (seed, block). Sequential draws are prefix-stable, so a rollout's
+noise does not depend on how many rollouts run or how they are batched.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .errors import ContractViolation
 
 STATE_CHANNEL = "state"
 CONTROL_CHANNEL = "control"
+
+# rollouts per noise generator; part of the stream definition, so changing it
+# changes every noisy result
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,10 @@ class Environment:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Scaled additive white Gaussian noise, reproducible from a seed."""
+    """Scaled additive white Gaussian noise, reproducible from a seed.
+
+    Rollout i draws row i mod NOISE_BLOCK of noise block i // NOISE_BLOCK.
+    """
 
     epsilon: float
     channel: str = STATE_CHANNEL
@@ -76,10 +85,15 @@ class NoiseModel:
         if self.channel not in (STATE_CHANNEL, CONTROL_CHANNEL):
             raise ContractViolation(f"unknown noise channel {self.channel!r}")
 
+    def block(self, b: int, rows: int, horizon: int, dim: int) -> np.ndarray:
+        """The (rows, horizon, dim) draws of rollouts b * NOISE_BLOCK + [0, rows)."""
+        rng = np.random.default_rng([int(self.seed) & (2**63 - 1), int(b)])
+        return rng.standard_normal((rows, horizon, dim))
+
     def draws(self, rollout_id: int, horizon: int, dim: int) -> np.ndarray:
-        """The (horizon, dim) standard-normal block for one rollout."""
-        rng = np.random.default_rng([int(self.seed) & (2**63 - 1), int(rollout_id)])
-        return rng.standard_normal((horizon, dim))
+        """The (horizon, dim) standard-normal draws of one rollout."""
+        b, row = divmod(int(rollout_id), NOISE_BLOCK)
+        return self.block(b, row + 1, horizon, dim)[row]
 
 
 def child_seed(seed: int, *key: int) -> int:

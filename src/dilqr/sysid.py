@@ -8,7 +8,8 @@ Two estimators share the LinearizedModel output type:
   regresses on the control the black box applied: where ``step`` clamped
   either sign of a pair, du is the applied half-difference
   (clamp(u + du) - clamp(u - du)) / 2;
-* a per-coordinate central-difference baseline (2*(n_x+n_u) rows).
+* a per-coordinate central-difference baseline (2*(n_x+n_u) rows), whose
+  control columns divide by the applied difference by the same rule.
 
 Each estimate sends all of its perturbed points to the black box as one
 batched ``step`` call, and ``identify_ltv`` sends the 2*n_s rows of every
@@ -102,14 +103,20 @@ def _sample(
     shape = (cfg.resolve_n_s(env), env.n_x + env.n_u)
     D = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
     Y = 0.5 * _central_differences(env, x_bar, u_bar, D)
-    # regress on the control the black box applied. Only entries where either
-    # sign was clamped change: 0.5 * ((u + d) - (u - d)) is not d bit for bit,
-    # and fits that never touch a bound must not move
-    dU, U = D[..., env.n_x :], u_bar[:, None]
-    hi, lo = env.clamp(U + dU), env.clamp(U - dU)
-    clamped = (hi != U + dU) | (lo != U - dU)
-    D[..., env.n_x :] = np.where(clamped, 0.5 * (hi - lo), dU)
+    # regress on the control the black box applied
+    D[..., env.n_x :] = _applied_half_step(env, u_bar[:, None], D[..., env.n_x :])
     return D, Y
+
+
+def _applied_half_step(env: Environment, u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """du, except where step clamps u + du or u - du: there (clamp(u+du) - clamp(u-du)) / 2.
+
+    Only clamped entries change: 0.5 * ((u + du) - (u - du)) is not du bit for
+    bit, and estimates that never touch a bound must not move.
+    """
+    hi, lo = env.clamp(u + du), env.clamp(u - du)
+    clamped = (hi != u + du) | (lo != u - du)
+    return np.where(clamped, 0.5 * (hi - lo), du)
 
 
 def _fit(env: Environment, D: np.ndarray, Y: np.ndarray, cfg: EstimatorConfig) -> LinearizedModel:
@@ -156,13 +163,26 @@ def estimate_llscd(
 def estimate_fd(
     env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, h: float
 ) -> LinearizedModel:
-    """Per-coordinate central-difference baseline; 2*(n_x + n_u) black-box rows."""
+    """Per-coordinate central-difference baseline; 2*(n_x + n_u) black-box rows.
+
+    A control column whose step is clamped on either side is divided by the
+    applied difference clamp(u+h) - clamp(u-h), so a nominal on a bound gets
+    the one-sided slope inside it; one clamped on both sides raises
+    SingularSystem.
+    """
     if h <= 0:
         raise ContractViolation("finite-difference step h must be positive")
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
     E = h * np.eye(env.n_x + env.n_u)
-    AB = (_central_differences(env, x_bar[None], u_bar[None], E[None])[0] / (2 * h)).T
+    du = _applied_half_step(env, u_bar, np.full(env.n_u, h))
+    if np.any(du == 0):
+        raise SingularSystem(
+            f"control step clamped on both sides at u={u_bar}", condition_number=np.inf
+        )
+    half_steps = np.concatenate([np.full(env.n_x, h), du])
+    diffs = _central_differences(env, x_bar[None], u_bar[None], E[None])[0]
+    AB = (diffs / (2 * half_steps)[:, None]).T
     return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * len(E))
 
 

@@ -11,6 +11,7 @@ from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
     ENV_BUILDERS,
+    NOISE_BLOCK,
     PENDULUM_PARAMS,
     NoiseModel,
     make_cartpole_env,
@@ -178,6 +179,21 @@ class TestNoiseModel:
     def test_distinct_rollouts_get_distinct_streams(self):
         n = NoiseModel(epsilon=0.1, channel="state", seed=3)
         assert not np.array_equal(n.draws(0, 30, 2), n.draws(1, 30, 2))
+
+    def test_rollouts_a_block_apart_get_distinct_draws(self):
+        n = NoiseModel(epsilon=0.1, channel="state", seed=3)
+        assert NOISE_BLOCK == 1024
+        assert not np.array_equal(n.draws(0, 30, 2), n.draws(NOISE_BLOCK, 30, 2))
+
+    def test_rollout_draws_are_rows_of_a_block_keyed_by_seed_and_block(self):
+        n = NoiseModel(epsilon=0.1, channel="state", seed=3)
+        expected = np.random.default_rng([3, 1]).standard_normal((7, 30, 2))[6]
+        assert np.array_equal(n.draws(NOISE_BLOCK + 6, 30, 2), expected)
+        full = n.block(2, NOISE_BLOCK, 30, 2)
+        for i in (0, 5, NOISE_BLOCK - 1):
+            assert np.array_equal(n.draws(2 * NOISE_BLOCK + i, 30, 2), full[i])
+        # sequential draws are prefix-stable: fewer rows are a prefix of more
+        assert np.array_equal(n.block(2, 5, 30, 2), full[:5])
 
     def test_epsilon_range_validated(self):
         with pytest.raises(ContractViolation):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dilqr.costs import NominalTrajectory, QuadraticCostModel, total_cost
+from dilqr import evaluation
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
+    NOISE_BLOCK,
     NoiseModel,
     make_cartpole_env,
     make_linear_env,
@@ -113,6 +115,37 @@ class TestExactMomentOracle:
         expected = cost_of_noise_vector(env, cost, policy, eps, w.ravel())
         assert stats.cost_mean == pytest.approx(expected, rel=1e-12)
         assert stats.cost_var == 0.0  # single rollout
+
+
+class TestNoiseStreams:
+    """The evaluator's draws w (N, M, dim), captured where it calls the kernel."""
+
+    def _w(self, monkeypatch, noise, M):
+        env, cost, policy = small_problem()
+        seen = []
+
+        def spy(*args):
+            seen.append(args[-1])
+            return rollout(*args)
+
+        monkeypatch.setattr(evaluation, "rollout", spy)
+        monte_carlo_eval(env, policy, noise, M, cost)
+        (w,) = seen
+        assert w.shape == (policy.nominal.horizon, M, env.n_x)
+        return w
+
+    def test_a_rollouts_draws_do_not_depend_on_M(self, monkeypatch):
+        noise = NoiseModel(epsilon=0.05, channel="state", seed=6)
+        w = self._w(monkeypatch, noise, 2500)
+        for M in (1, 500, NOISE_BLOCK, NOISE_BLOCK + 1):
+            assert np.array_equal(self._w(monkeypatch, noise, M), w[:, :M])
+
+    def test_each_column_is_the_rollouts_draws(self, monkeypatch):
+        noise = NoiseModel(epsilon=0.05, channel="state", seed=6)
+        w = self._w(monkeypatch, noise, 2500)
+        for i in (0, NOISE_BLOCK - 1, NOISE_BLOCK, 2 * NOISE_BLOCK + 1):
+            assert np.array_equal(w[:, i], noise.draws(i, w.shape[0], w.shape[2]))
+        assert not np.array_equal(w[:, 0], w[:, NOISE_BLOCK])
 
 
 class TestMonteCarloEval:

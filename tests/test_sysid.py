@@ -224,16 +224,21 @@ class TestBatchedIdentification:
     def test_fd_equals_per_coordinate_differences_exactly(self, name):
         env = dilqr.make_env(name)
         traj = random_trajectory(env)
-        x, u, h = traj.states[2], traj.controls[2], 1e-4
-        m = estimate_fd(env, x, u, h)
-        for j in range(env.n_x):
-            e = np.zeros(env.n_x)
-            e[j] = h
-            assert np.array_equal(m.A[:, j], (step(env, x + e, u) - step(env, x - e, u)) / (2 * h))
-        for j in range(env.n_u):
-            e = np.zeros(env.n_u)
-            e[j] = h
-            assert np.array_equal(m.B[:, j], (step(env, x, u + e) - step(env, x, u - e)) / (2 * h))
+        x, on_bound, h = traj.states[2], traj.controls[2], 1e-4
+        assert np.isin(on_bound, env.control_bounds).all()
+        # inside the bounds a control column divides by 2h, on a bound by the
+        # step the black box applied
+        for u, applied in ((0.5 * on_bound, False), (on_bound, True)):
+            m = estimate_fd(env, x, u, h)
+            for j in range(env.n_x):
+                e = np.zeros(env.n_x)
+                e[j] = h
+                assert np.array_equal(m.A[:, j], (step(env, x + e, u) - step(env, x - e, u)) / (2 * h))
+            for j in range(env.n_u):
+                e = np.zeros(env.n_u)
+                e[j] = h
+                du = (env.clamp(u + e) - env.clamp(u - e))[j] if applied else 2 * h
+                assert np.array_equal(m.B[:, j], (step(env, x, u + e) - step(env, x, u - e)) / du)
 
     def test_each_estimate_is_one_step_call(self):
         env, calls = counting_env(dilqr.make_cartpole_env())
@@ -329,6 +334,46 @@ class TestClampedPerturbations:
         traj = dilqr.NominalTrajectory(np.zeros((5, 2)), controls, 0.0)
         with pytest.raises(SingularSystem, match=r"identification failed at t=2: "):
             identify_ltv(env, traj, EstimatorConfig(seed=0))
+
+
+class TestClampedFiniteDifferences:
+    X = np.array([0.8, -0.5])
+
+    def test_fd_on_the_bound_is_the_slope_inside_it(self):
+        # u + h is clamped at u = 10; dividing by the commanded 2h returned
+        # about half of B here
+        env = make_pendulum_env()
+        for u in (10.0, -10.0):
+            _, B_ref = pendulum_step_jacobians(self.X, np.array([u]), dt=env.dt)
+
+            def err(h):
+                m = estimate_fd(env, self.X, np.array([u]), h)
+                return np.max(np.abs(m.B - B_ref)) / np.max(np.abs(B_ref))
+
+            assert err(1e-4) <= 1e-6
+            hs = [4e-2, 2e-2, 1e-2]
+            assert 0.8 <= np.polyfit(np.log(hs), np.log([err(h) for h in hs]), 1)[0] <= 1.2
+
+    def test_fd_clamped_on_both_sides_is_singular(self):
+        env = make_pendulum_env()
+        with pytest.raises(SingularSystem, match="clamped on both sides"):
+            estimate_fd(env, self.X, np.array([15.0]), 1e-4)
+        with pytest.raises(SingularSystem):
+            estimate_fd(env, self.X, np.array([-10.0 - 2e-4]), 1e-4)
+
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_fd_inside_the_bounds_divides_by_the_commanded_step(self, name):
+        env = dilqr.make_env(name)
+        rng = np.random.default_rng(4)
+        h = 1e-4
+        E = h * np.eye(env.n_x + env.n_u)
+        for _ in range(5):
+            x = rng.standard_normal(env.n_x)
+            u = 0.9 * env.u_scale * rng.uniform(-1.0, 1.0, env.n_u)
+            m = estimate_fd(env, x, u, h)
+            diffs = sysid._central_differences(env, x[None], u[None], E[None])[0]
+            AB = (diffs / (2 * h)).T
+            assert np.array_equal(m.A, AB[:, : env.n_x]) and np.array_equal(m.B, AB[:, env.n_x :])
 
 
 class TestSingularSystemError:
