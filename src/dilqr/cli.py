@@ -56,11 +56,15 @@ def _prepare(args) -> tuple[RunConfig, Path]:
     return cfg, out
 
 
-def _config_env(cfg: RunConfig, file_env: str, made: str):
-    """The config's environment, which must be the one the input file was made on."""
+def _config_env(cfg: RunConfig, file_env: str, file_horizon: int, made: str):
+    """The config's environment, whose name and horizon must be the input file's."""
     env = cfg.make_env()
     if env.name != file_env:
         raise ConfigError(f"{made} on {file_env!r} but config selects {env.name!r}")
+    if env.horizon != file_horizon:
+        raise ConfigError(
+            f"{made} with horizon {file_horizon} but config selects horizon {env.horizon}"
+        )
     return env
 
 
@@ -94,7 +98,7 @@ def cmd_train(args) -> int:
 def cmd_feedback(args) -> int:
     cfg, out = _prepare(args)
     traj, env_name = load_trajectory(args.trajectory)
-    env = _config_env(cfg, env_name, "trajectory was recorded")
+    env = _config_env(cfg, env_name, traj.horizon, "trajectory was recorded")
     policy = build_policy(env, traj, cfg.make_estimator(), cfg.make_cost(env))
     save_policy(out / "policy.txt", policy, env.name)
     print(f"feedback: wrote {out / 'policy.txt'} ({traj.horizon} gains)")
@@ -115,7 +119,7 @@ def _stats_row(s):
 def cmd_eval(args) -> int:
     cfg, out = _prepare(args)
     policy, env_name = load_policy(args.policy)
-    env = _config_env(cfg, env_name, "policy was built")
+    env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
     stats = monte_carlo_eval(env, policy, cfg.make_noise(), cfg.get("eval", "rollouts"), cost)
     _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
@@ -126,7 +130,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, out = _prepare(args)
     policy, env_name = load_policy(args.policy)
-    env = _config_env(cfg, env_name, "policy was built")
+    env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
     sweep = epsilon_sweep(
         env, policy, cfg.get("noise", "channel"),

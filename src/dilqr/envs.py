@@ -10,10 +10,9 @@ ILQR line search (one trajectory) and the Monte-Carlo evaluator (all M
 noisy rollouts at once) are calls to it. Stochastic execution adds
 eps * w_t to x_{t+1} on the state channel, or eps * u_scale * w_t to the
 control before clamping on the control channel, with w_t i.i.d. standard
-Gaussian per dimension. Noise streams are keyed by block: rollout i takes
-row i mod NOISE_BLOCK of block i // NOISE_BLOCK, drawn from one generator
-keyed by (seed, block). Sequential draws are prefix-stable, so a rollout's
-noise does not depend on how many rollouts run or how they are batched.
+Gaussian per dimension. Each seed has one noise stream: rollout i takes
+row i of the draws of one generator keyed by the seed. Sequential draws are
+prefix-stable, so a rollout's noise does not depend on how many rollouts run.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ from .errors import ContractViolation
 
 STATE_CHANNEL = "state"
 CONTROL_CHANNEL = "control"
-
-# rollouts per noise generator; part of the stream definition, so changing it
-# changes every noisy result
-NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class Environment:
 class NoiseModel:
     """Scaled additive white Gaussian noise, reproducible from a seed.
 
-    Rollout i draws row i mod NOISE_BLOCK of noise block i // NOISE_BLOCK.
+    Rollout i draws row i of the seed's one stream.
     """
 
     epsilon: float
@@ -85,15 +80,16 @@ class NoiseModel:
         if self.channel not in (STATE_CHANNEL, CONTROL_CHANNEL):
             raise ContractViolation(f"unknown noise channel {self.channel!r}")
 
-    def block(self, b: int, rows: int, horizon: int, dim: int) -> np.ndarray:
-        """The (rows, horizon, dim) draws of rollouts b * NOISE_BLOCK + [0, rows)."""
-        rng = np.random.default_rng([int(self.seed) & (2**63 - 1), int(b)])
-        return rng.standard_normal((rows, horizon, dim))
+    def draws(self, rollouts: int, horizon: int, dim: int) -> np.ndarray:
+        """The time-major (horizon, rollouts, dim) draws of rollouts [0, rollouts).
 
-    def draws(self, rollout_id: int, horizon: int, dim: int) -> np.ndarray:
-        """The (horizon, dim) standard-normal draws of one rollout."""
-        b, row = divmod(int(rollout_id), NOISE_BLOCK)
-        return self.block(b, row + 1, horizon, dim)[row]
+        A transposed view: rollout i's draws are row i of one generator's
+        (rollouts, horizon, dim) standard normals.
+        """
+        if rollouts < 1:
+            raise ContractViolation("rollouts must be >= 1")
+        rng = np.random.default_rng([int(self.seed) & (2**63 - 1), 0])
+        return rng.standard_normal((rollouts, horizon, dim)).transpose(1, 0, 2)
 
 
 def child_seed(seed: int, *key: int) -> int:

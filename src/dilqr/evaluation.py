@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import QuadraticCostModel, total_cost
-from .envs import NOISE_BLOCK, STATE_CHANNEL, Environment, NoiseModel, child_seed, rollout
+from .envs import STATE_CHANNEL, Environment, NoiseModel, child_seed, rollout
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -54,9 +54,8 @@ def monte_carlo_eval(
 ) -> RolloutStats:
     """M independent closed-loop rollouts, run as one batch; unbiased sample moments.
 
-    Rollout i gets the noise of noise.draws(i, ...): the draws are filled one
-    noise block at a time, drawing only the rows needed from the last block,
-    so rollout i's noise does not depend on M. Divergent rollouts (non-finite
+    Rollout i gets row i of noise.draws, whose prefix-stable stream makes
+    rollout i's noise independent of M. Divergent rollouts (non-finite
     states) are excluded from the moments and counted. Deterministic given
     (noise.seed, M).
     """
@@ -70,12 +69,8 @@ def monte_carlo_eval(
         raise ContractViolation(f"policy and cost dimensions {dims} do not fit {env.name}")
     # at epsilon = 0 every rollout is the same noiseless rollout
     rows = 1 if noise.epsilon == 0.0 else M
-    N = nominal.horizon
     dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
-    w = np.empty((N, rows, dim))
-    for lo in range(0, rows, NOISE_BLOCK):
-        hi = min(lo + NOISE_BLOCK, rows)
-        w[:, lo:hi] = noise.block(lo // NOISE_BLOCK, hi - lo, N, dim).transpose(1, 0, 2)
+    w = noise.draws(rows, nominal.horizon, dim)
     states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
     with np.errstate(all="ignore"):
         costs = total_cost(states, controls, cost)

@@ -238,15 +238,22 @@ class TestExitCodes:
         run("train", "--config", linear_cfg, "--out", str(out))
         run("feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt"))
         capsys.readouterr()
-        # default config selects the pendulum, not the trained linear system
+        short = tmp_path / "short.cfg"
+        short.write_text(LINEAR_CFG.replace("horizon = 15", "horizon = 5"))
         for command, made, path in (
             ("feedback", "trajectory was recorded", "trajectory.txt"),
             ("eval", "policy was built", "policy.txt"),
             ("sweep", "policy was built", "policy.txt"),
         ):
+            # default config selects the pendulum, not the trained linear system
             assert run(command, "--out", str(tmp_path / "o"), str(out / path)) == EXIT_USAGE
             err = capsys.readouterr().err
             assert f"{made} on 'linear_test' but config selects 'pendulum'" in err
+            # the trained linear system, but not its 15 steps
+            argv = ("--config", str(short), "--out", str(tmp_path / "o"), str(out / path))
+            assert run(command, *argv) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{made} with horizon 15 but config selects horizon 5" in err
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import dilqr.cli as cli_mod

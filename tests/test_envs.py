@@ -11,7 +11,6 @@ from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
     ENV_BUILDERS,
-    NOISE_BLOCK,
     PENDULUM_PARAMS,
     NoiseModel,
     make_cartpole_env,
@@ -30,14 +29,6 @@ from oracles import stacked_cartpole_step, stacked_pendulum_step
 
 def unit_cost(n_x, n_u):
     return QuadraticCostModel(np.eye(n_x), np.eye(n_u), np.eye(n_x), np.zeros(n_x))
-
-
-def time_major_draws(noise, M, horizon, dim):
-    """The (horizon, M, dim) draws of rollouts 0..M-1, as the batched kernel takes them."""
-    w = np.empty((horizon, M, dim))
-    for i in range(M):
-        w[:, i] = noise.draws(i, horizon, dim)
-    return w
 
 
 class TestStep:
@@ -153,10 +144,12 @@ class TestNoiseModel:
         env = make_linear_env()
         noise = NoiseModel(epsilon=0.0, channel="state", seed=5)
         x, u = np.array([1.0, 2.0]), np.array([0.3])
-        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=noise.draws(0, 1, env.n_x))
+        w = noise.draws(1, 1, env.n_x)[:, 0]
+        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=w)
         assert np.array_equal(states[1], step(env, x, u))
         noise_c = NoiseModel(epsilon=0.0, channel="control", seed=5)
-        states, _, _ = rollout(env, x[None], u[None], noise=noise_c, w=noise_c.draws(0, 1, env.n_u))
+        w = noise_c.draws(1, 1, env.n_u)[:, 0]
+        states, _, _ = rollout(env, x[None], u[None], noise=noise_c, w=w)
         assert np.allclose(states[1], step(env, x, u))
 
     def test_state_noise_std_matches_epsilon(self):
@@ -165,35 +158,38 @@ class TestNoiseModel:
         noise = NoiseModel(epsilon=eps, channel="state", seed=11)
         x, u = np.array([1.0, 0.0]), np.array([0.0])
         base = step(env, x, u)
-        w = time_major_draws(noise, 10_000, 1, env.n_x)
+        w = noise.draws(10_000, 1, env.n_x)
         states, _, _ = rollout(env, x[None], u[None], noise=noise, w=w)
         residuals = states[1] - base
         stds = residuals.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - eps) / eps < 0.05)
 
     def test_identical_seeds_give_bit_identical_draws(self):
-        a = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(7, 30, 2)
-        b = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(7, 30, 2)
+        a = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(8, 30, 2)
+        b = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(8, 30, 2)
         assert np.array_equal(a, b)
 
     def test_distinct_rollouts_get_distinct_streams(self):
-        n = NoiseModel(epsilon=0.1, channel="state", seed=3)
-        assert not np.array_equal(n.draws(0, 30, 2), n.draws(1, 30, 2))
+        w = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(1025, 30, 2)
+        for i, j in ((0, 1), (0, 1024)):
+            assert not np.array_equal(w[:, i], w[:, j])
 
-    def test_rollouts_a_block_apart_get_distinct_draws(self):
+    def test_rollout_draws_are_rows_of_one_stream_keyed_by_seed(self):
+        M = 2500
         n = NoiseModel(epsilon=0.1, channel="state", seed=3)
-        assert NOISE_BLOCK == 1024
-        assert not np.array_equal(n.draws(0, 30, 2), n.draws(NOISE_BLOCK, 30, 2))
+        w = n.draws(M, 30, 2)
+        assert w.shape == (30, M, 2)
+        assert w.base is not None  # a transposed view: no second copy of the draws
+        expected = np.random.default_rng([3, 0]).standard_normal((M, 30, 2))
+        for i in (0, 5, 1023, 1024, 1030, M - 1):
+            assert np.array_equal(w[:, i], expected[i])
+        # sequential draws are prefix-stable: fewer rollouts are a prefix of more
+        assert np.array_equal(n.draws(5, 30, 2), w[:, :5])
 
-    def test_rollout_draws_are_rows_of_a_block_keyed_by_seed_and_block(self):
+    def test_no_rollouts_is_a_contract_violation(self):
         n = NoiseModel(epsilon=0.1, channel="state", seed=3)
-        expected = np.random.default_rng([3, 1]).standard_normal((7, 30, 2))[6]
-        assert np.array_equal(n.draws(NOISE_BLOCK + 6, 30, 2), expected)
-        full = n.block(2, NOISE_BLOCK, 30, 2)
-        for i in (0, 5, NOISE_BLOCK - 1):
-            assert np.array_equal(n.draws(2 * NOISE_BLOCK + i, 30, 2), full[i])
-        # sequential draws are prefix-stable: fewer rows are a prefix of more
-        assert np.array_equal(n.block(2, 5, 30, 2), full[:5])
+        with pytest.raises(ContractViolation, match="rollouts"):
+            n.draws(0, 30, 2)
 
     def test_epsilon_range_validated(self):
         with pytest.raises(ContractViolation):
@@ -229,7 +225,7 @@ class TestRollouts:
         controls = 0.1 * np.ones((8, 1))
         nominal = rollout_open_loop(env, env.x0, controls, cost)
         noise = NoiseModel(epsilon=0.05, channel="state", seed=2)
-        w = noise.draws(4, 8, 2)
+        w = noise.draws(5, 8, 2)[:, 4]
         states, applied, _ = rollout(
             env, nominal.states, nominal.controls, np.zeros((8, 1, 2)), noise, w
         )
@@ -247,7 +243,7 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, np.zeros((20, 1)), cost)
         gains = np.tile(np.array([[-1.0, -1.5]]), (20, 1, 1))
         noise = NoiseModel(epsilon=0.02, channel="state", seed=9)
-        w = noise.draws(0, 20, 2)
+        w = noise.draws(1, 20, 2)[:, 0]
         states_fb, _, _ = rollout(env, nominal.states, nominal.controls, gains, noise, w)
         states_ol, _, _ = rollout(
             env, nominal.states, nominal.controls, np.zeros_like(gains), noise, w
@@ -261,8 +257,9 @@ class TestRollouts:
         cost = unit_cost(2, 1)
         nominal = rollout_open_loop(env, env.x0, np.zeros((5, 1)), cost)
         noise = NoiseModel(epsilon=0.1, channel="state", seed=1)
-        a = rollout(env, nominal.states, nominal.controls, np.zeros((5, 1, 2)), noise, noise.draws(2, 5, 2))
-        b = rollout(env, nominal.states, nominal.controls, np.zeros((5, 1, 2)), noise, noise.draws(2, 5, 2))
+        K = np.zeros((5, 1, 2))
+        a = rollout(env, nominal.states, nominal.controls, K, noise, noise.draws(3, 5, 2)[:, 2])
+        b = rollout(env, nominal.states, nominal.controls, K, noise, noise.draws(3, 5, 2)[:, 2])
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert total_cost(a[0], a[1], cost) == total_cost(b[0], b[1], cost)
 
@@ -301,7 +298,7 @@ class TestRollouts:
         K = rng.standard_normal((N, env.n_u, env.n_x))
         noise = NoiseModel(epsilon=0.3, channel=channel, seed=7)
         dim = env.n_x if channel == "state" else env.n_u
-        w = time_major_draws(noise, M, N, dim)
+        w = noise.draws(M, N, dim)
         states, controls, alive = rollout(env, nominal.states, nominal.controls, K, noise, w)
         assert states.shape == (N + 1, M, env.n_x) and controls.shape == (N, M, env.n_u)
         for i in range(M):

@@ -8,7 +8,6 @@ from dilqr import evaluation
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
-    NOISE_BLOCK,
     NoiseModel,
     make_cartpole_env,
     make_linear_env,
@@ -111,7 +110,7 @@ class TestExactMomentOracle:
         eps = 0.03
         noise = NoiseModel(epsilon=eps, channel="state", seed=4)
         stats = monte_carlo_eval(env, policy, noise, 1, cost)
-        w = noise.draws(0, policy.nominal.horizon, env.n_x)
+        w = noise.draws(1, policy.nominal.horizon, env.n_x)[:, 0]
         expected = cost_of_noise_vector(env, cost, policy, eps, w.ravel())
         assert stats.cost_mean == pytest.approx(expected, rel=1e-12)
         assert stats.cost_var == 0.0  # single rollout
@@ -137,15 +136,18 @@ class TestNoiseStreams:
     def test_a_rollouts_draws_do_not_depend_on_M(self, monkeypatch):
         noise = NoiseModel(epsilon=0.05, channel="state", seed=6)
         w = self._w(monkeypatch, noise, 2500)
-        for M in (1, 500, NOISE_BLOCK, NOISE_BLOCK + 1):
+        for M in (1, 500, 1024, 1025):
             assert np.array_equal(self._w(monkeypatch, noise, M), w[:, :M])
 
     def test_each_column_is_the_rollouts_draws(self, monkeypatch):
         noise = NoiseModel(epsilon=0.05, channel="state", seed=6)
         w = self._w(monkeypatch, noise, 2500)
-        for i in (0, NOISE_BLOCK - 1, NOISE_BLOCK, 2 * NOISE_BLOCK + 1):
-            assert np.array_equal(w[:, i], noise.draws(i, w.shape[0], w.shape[2]))
-        assert not np.array_equal(w[:, 0], w[:, NOISE_BLOCK])
+        N, M, dim = w.shape
+        # the stream's definition, not noise.draws, which built w
+        stream = np.random.default_rng([6, 0]).standard_normal((M, N, dim))
+        for i in (0, 1023, 1024, 2049, M - 1):
+            assert np.array_equal(w[:, i], stream[i])
+        assert not np.array_equal(w[:, 0], w[:, 1024])
 
 
 class TestMonteCarloEval:
