@@ -20,7 +20,13 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
 from .envs import ENV_BUILDERS, make_env
-from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted, SingularSystem
+from .errors import (
+    ContractViolation,
+    NonFiniteModel,
+    NotPositiveDefinite,
+    RegularizationExhausted,
+    SingularSystem,
+)
 from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
 from .feedback import build_policy
 from .ilqr import optimize
@@ -46,14 +52,19 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _prepare(args) -> tuple[RunConfig, Path]:
+def _load(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg.set("run", "seed", parse_seed(args.seed))
+    return cfg
+
+
+def _out_dir(args, cfg: RunConfig) -> Path:
+    """Create --out and write config.txt; called once the inputs have passed their checks."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfg.dump())
-    return cfg, out
+    return out
 
 
 def _config_env(cfg: RunConfig, file_env: str, file_horizon: int, made: str):
@@ -69,11 +80,13 @@ def _config_env(cfg: RunConfig, file_env: str, file_horizon: int, made: str):
 
 
 def cmd_train(args) -> int:
-    cfg, out = _prepare(args)
+    cfg = _load(args)
     env = cfg.make_env()
     cost = cfg.make_cost(env)
+    opt = cfg.make_optimizer()
+    out = _out_dir(args, cfg)
     u_init = np.zeros((env.horizon, env.n_u))
-    traj, trace = optimize(env, cost, env.x0, u_init, cfg.make_optimizer())
+    traj, trace = optimize(env, cost, env.x0, u_init, opt)
     save_trajectory(out / "trajectory.txt", traj, env.name)
     record_timing = cfg.get("run", "record_timing")
     last = len(trace) - 1
@@ -96,10 +109,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_feedback(args) -> int:
-    cfg, out = _prepare(args)
+    cfg = _load(args)
     traj, env_name = load_trajectory(args.trajectory)
     env = _config_env(cfg, env_name, traj.horizon, "trajectory was recorded")
-    policy = build_policy(env, traj, cfg.make_estimator(), cfg.make_cost(env))
+    est, cost = cfg.make_estimator(), cfg.make_cost(env)
+    out = _out_dir(args, cfg)
+    policy = build_policy(env, traj, est, cost)
     save_policy(out / "policy.txt", policy, env.name)
     print(f"feedback: wrote {out / 'policy.txt'} ({traj.horizon} gains)")
     return EXIT_OK
@@ -117,21 +132,23 @@ def _stats_row(s):
 
 
 def cmd_eval(args) -> int:
-    cfg, out = _prepare(args)
+    cfg = _load(args)
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
-    cost = cfg.make_cost(env)
-    stats = monte_carlo_eval(env, policy, cfg.make_noise(), cfg.get("eval", "rollouts"), cost)
+    cost, noise = cfg.make_cost(env), cfg.make_noise()
+    out = _out_dir(args, cfg)
+    stats = monte_carlo_eval(env, policy, noise, cfg.get("eval", "rollouts"), cost)
     _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
     print(f"eval: eps={stats.epsilon} cost_mean={stats.cost_mean!r} cost_var={stats.cost_var!r}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg, out = _prepare(args)
+    cfg = _load(args)
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
+    out = _out_dir(args, cfg)
     sweep = epsilon_sweep(
         env, policy, cfg.get("noise", "channel"),
         sorted(cfg.get("eval", "epsilons")), cfg.get("eval", "rollouts"),
@@ -164,8 +181,9 @@ def _reference_jacobian(env, x, u):
 
 
 def cmd_jacobian_bench(args) -> int:
-    cfg, out = _prepare(args)
+    cfg = _load(args)
     est = cfg.make_estimator()
+    out = _out_dir(args, cfg)
     record_timing = cfg.get("run", "record_timing")
     rows = []
     for name in ENV_BUILDERS:
@@ -253,7 +271,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RegularizationExhausted, NotPositiveDefinite, SingularSystem) as exc:
+    except (RegularizationExhausted, NotPositiveDefinite, SingularSystem, NonFiniteModel) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -2,11 +2,10 @@
 
 Costs are 1/2-scaled quadratics about a goal state:
 
-    J = sum_t 1/2 (x_t - x_g)' Q_t (x_t - x_g) + 1/2 u_t' R_t u_t
+    J = sum_t 1/2 (x_t - x_g)' Q (x_t - x_g) + 1/2 u_t' R u_t
         + 1/2 (x_N - x_g)' Q_N (x_N - x_g)
 
-Weights may be time-constant (a single matrix) or time-varying (a stack
-indexed by t).
+The weights Q, R and Q_N are constant matrices.
 """
 
 from __future__ import annotations
@@ -26,32 +25,27 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def _check_symmetric_psd(M: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    if M.ndim == 2:
-        stack = M[None]
-    else:
-        stack = M
-    for Mi in stack:
-        if not np.allclose(Mi, Mi.T, atol=tol):
-            raise ContractViolation(f"{name} must be symmetric")
-        if np.min(np.linalg.eigvalsh(Mi)) < -tol:
-            raise ContractViolation(f"{name} must be positive semidefinite")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ContractViolation(f"{name} must be a square matrix, got shape {M.shape}")
+    if not np.allclose(M, M.T, atol=tol):
+        raise ContractViolation(f"{name} must be symmetric")
+    if np.min(np.linalg.eigvalsh(M)) < -tol:
+        raise ContractViolation(f"{name} must be positive semidefinite")
 
 
 def _check_symmetric_pd(M: np.ndarray, name: str) -> None:
     _check_symmetric_psd(M, name)
-    stack = M[None] if M.ndim == 2 else M
-    for Mi in stack:
-        try:
-            np.linalg.cholesky(Mi)
-        except np.linalg.LinAlgError:
-            raise ContractViolation(f"{name} must be strictly positive definite") from None
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise ContractViolation(f"{name} must be strictly positive definite") from None
 
 
 @dataclass(frozen=True)
 class QuadraticCostModel:
     """Quadratic running + terminal cost about a goal state.
 
-    Q and R may be (n, n) time-constant matrices or (N, n, n) stacks.
+    Q, R and Q_terminal are square matrices (a scalar is read as 1 x 1).
     R must be strictly positive definite so the backward pass can always
     regularize Q_uu into positive definiteness.
     """
@@ -79,12 +73,6 @@ class QuadraticCostModel:
     @property
     def n_u(self) -> int:
         return self.R.shape[-1]
-
-    def Q_at(self, t: int) -> np.ndarray:
-        return self.Q if self.Q.ndim == 2 else self.Q[t]
-
-    def R_at(self, t: int) -> np.ndarray:
-        return self.R if self.R.ndim == 2 else self.R[t]
 
 
 @dataclass(frozen=True)
@@ -123,10 +111,10 @@ def _quad(v: np.ndarray, M: np.ndarray) -> float | np.ndarray:
     return (v[..., None, :] @ M @ v[..., :, None])[..., 0, 0]
 
 
-def stage_cost(x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel) -> float | np.ndarray:
+def stage_cost(x: np.ndarray, u: np.ndarray, cost: QuadraticCostModel) -> float | np.ndarray:
     """Stage cost at one point, or per row over leading batch axes."""
     dx = np.asarray(x, dtype=float) - cost.x_goal
-    return 0.5 * _quad(dx, cost.Q_at(t)) + 0.5 * _quad(np.asarray(u, dtype=float), cost.R_at(t))
+    return 0.5 * _quad(dx, cost.Q) + 0.5 * _quad(np.asarray(u, dtype=float), cost.R)
 
 
 def terminal_cost(x: np.ndarray, cost: QuadraticCostModel) -> float | np.ndarray:
@@ -150,7 +138,7 @@ def total_cost(
     _check_dims(states, controls, cost)
     J = 0.0
     for t in range(controls.shape[0]):
-        J += stage_cost(states[t], controls[t], t, cost)
+        J += stage_cost(states[t], controls[t], cost)
     J += terminal_cost(states[-1], cost)
     if states.ndim == 2 and not np.isfinite(J):
         raise ContractViolation("total cost is not finite")
@@ -158,17 +146,18 @@ def total_cost(
 
 
 def cost_partials(
-    x: np.ndarray, u: np.ndarray, t: int, cost: QuadraticCostModel
+    x: np.ndarray, u: np.ndarray, cost: QuadraticCostModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (c_x, c_u) of the stage cost at (x, u, t).
+    """Gradients (c_x, c_u) of the stage cost at one point, or per row over leading batch axes.
 
-    The Hessians are the weights themselves, cost.Q_at(t) and cost.R_at(t),
-    and the cross term is zero.
+    The Hessians are the weights themselves, cost.Q and cost.R, and the cross
+    term is zero. Each row of a batch equals the 1-D Q @ (x - x_goal) and
+    R @ u bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     _check_dims(x, u, cost)
-    return cost.Q_at(t) @ (x - cost.x_goal), cost.R_at(t) @ u
+    return (cost.Q @ (x - cost.x_goal)[..., None])[..., 0], (cost.R @ u[..., None])[..., 0]
 
 
 def terminal_partials(x: np.ndarray, cost: QuadraticCostModel) -> np.ndarray:

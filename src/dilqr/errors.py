@@ -13,6 +13,10 @@ class SingularSystem(RuntimeError):
         self.condition_number = condition_number
 
 
+class NonFiniteModel(RuntimeError):
+    """An identified Jacobian had non-finite entries: the black box overflowed."""
+
+
 class NotPositiveDefinite(RuntimeError):
     """Q_uu was not positive definite, or Q_uu or the gains were not finite."""
 

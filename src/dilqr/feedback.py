@@ -9,7 +9,6 @@ synthesized for every applied control, t = 0..N-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +43,15 @@ class DecoupledPolicy:
 
 
 def riccati_gains(
-    nominal: NominalTrajectory, models: Sequence[LinearizedModel], weights: QuadraticCostModel
+    nominal: NominalTrajectory, models: LinearizedModel, weights: QuadraticCostModel
 ) -> np.ndarray:
     """Riccati feedback gains K_t, computed as the ILQR backward pass at mu = 0.
 
-    The cost Hessians are Q_t and R_t with no cross term, so that pass is the
-    recursion K_t = -(R_t + B'P B)^{-1} B'P A from P_N = Q_N. Raises
-    NotPositiveDefinite(t) where R_t + B'P B is not positive definite or not
-    finite.
+    models is stacked over the horizon (A_t = models.A[t], B_t = models.B[t]).
+    The cost Hessians are Q and R with no cross term, so that pass is the
+    recursion K_t = -(R + B_t'P B_t)^{-1} B_t'P A_t from P_N = Q_N. Raises
+    NotPositiveDefinite(t) where R + B_t'P B_t is not positive definite or
+    not finite.
     """
     return backward_pass(nominal, weights, models, 0.0).K
 
@@ -62,7 +62,7 @@ def build_policy(
     est: EstimatorConfig,
     weights: QuadraticCostModel,
 ) -> DecoupledPolicy:
-    """Identify the perturbation system along nominal and synthesize gains."""
+    """Identify the perturbation system along nominal as one stacked model and synthesize gains."""
     models = identify_ltv(env, nominal, est)
     gains = riccati_gains(nominal, models, weights)
     return DecoupledPolicy(nominal=nominal, gains=gains)

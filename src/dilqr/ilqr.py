@@ -109,36 +109,42 @@ class ConvergenceTrace:
 def backward_pass(
     traj: NominalTrajectory,
     cost: QuadraticCostModel,
-    models: Sequence[LinearizedModel],
+    models: LinearizedModel,
     mu: float,
 ) -> IterationGains:
-    """Riccati-like recursion producing (k_t, K_t).
+    """Riccati-like recursion producing (k_t, K_t) from the stacked models.A[t], models.B[t].
 
-    Raises NotPositiveDefinite(t) where Q_uu is not positive definite or not
+    The stage gradients come from one cost_partials call over the whole
+    trajectory; only the recursion itself runs per t. Raises
+    NotPositiveDefinite(t) where Q_uu is not positive definite or not
     finite, or where k_t or K_t is not finite.
     """
     N = traj.horizon
-    if len(models) != N:
-        raise ContractViolation(f"expected {N} linearized models, got {len(models)}")
+    if models.A.ndim != 3 or len(models.A) != N:
+        raise ContractViolation(
+            f"expected linearized models stacked over {N} timesteps, got A {models.A.shape}"
+        )
     n_x = traj.states.shape[1]
     n_u = traj.controls.shape[1]
     k = np.empty((N, n_u))
     K = np.empty((N, n_u, n_x))
 
+    C_x, C_u = cost_partials(traj.states[:-1], traj.controls, cost)
+    Q, R = cost.Q, cost.R
+    mu_I = mu * np.eye(n_x)
     J_x = terminal_partials(traj.states[N], cost)
     J_xx = cost.Q_terminal
     # overflow only ever yields inf or nan, which the finiteness check below turns
     # into NotPositiveDefinite(t), so numpy's warnings would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(N - 1, -1, -1):
-            A, B = models[t].A, models[t].B
-            c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
-            J_xx_reg = J_xx + mu * np.eye(n_x)
-            Q_x = c_x + A.T @ J_x
-            Q_u = c_u + B.T @ J_x
-            Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
+            A, B = models.A[t], models.B[t]
+            J_xx_reg = J_xx + mu_I
+            Q_x = C_x[t] + A.T @ J_x
+            Q_u = C_u[t] + B.T @ J_x
+            Q_xx = Q + A.T @ J_xx @ A
             Q_ux = B.T @ J_xx_reg @ A
-            Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
+            Q_uu = R + B.T @ J_xx_reg @ B
             Q_uu = 0.5 * (Q_uu + Q_uu.T)
             try:
                 L = np.linalg.cholesky(Q_uu)
@@ -220,7 +226,7 @@ def optimize(
 
     for it in range(1, cfg.max_iters + 1):
         models = identify_ltv(env, current, cfg.estimator.child(it))
-        eval_count += sum(m.eval_count for m in models)
+        eval_count += models.eval_count
         try:
             gains = backward_pass(current, cost, models, mu)
         except NotPositiveDefinite:

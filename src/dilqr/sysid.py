@@ -2,19 +2,22 @@
 
 Two estimators share the LinearizedModel output type:
 
-* a least-squares central-difference estimator: n_s random symmetric
-  perturbations of state and control, paired rollouts, one least-squares
-  solve recovering [f_x f_u] simultaneously (2*n_s black-box rows). It
-  regresses on the control the black box applied: where ``step`` clamped
-  either sign of a pair, du is the applied half-difference
+* a least-squares central-difference estimator (LLS-CD): n_s random
+  symmetric perturbations of state and control, paired rollouts, one
+  least-squares solve recovering [f_x f_u] simultaneously (2*n_s black-box
+  rows). It regresses on the control the black box applied: where ``step``
+  clamped either sign of a pair, du is the applied half-difference
   (clamp(u + du) - clamp(u - du)) / 2;
 * a per-coordinate central-difference baseline (2*(n_x+n_u) rows), whose
   control columns divide by the applied difference by the same rule.
 
-Each estimate sends all of its perturbed points to the black box as one
-batched ``step`` call, and ``identify_ltv`` sends the 2*n_s rows of every
-timestep of a trajectory as a single call; ``eval_count`` still counts
-rows, one per transition.
+Identifying a trajectory is one step call, one SVD, one stacked model:
+``identify_ltv`` draws the perturbations of every timestep from one
+generator, sends all 2*n_s*N perturbed rows to the black box as a single
+batched ``step`` call, solves the N least-squares problems with one
+batched SVD, and returns a single LinearizedModel whose A and B carry a
+leading time axis. ``estimate_llscd`` is the one-point case. ``eval_count``
+counts rows, one per transition.
 """
 
 from __future__ import annotations
@@ -25,22 +28,28 @@ import numpy as np
 
 from .costs import NominalTrajectory
 from .envs import Environment, child_seed, step
-from .errors import ContractViolation, SingularSystem
+from .errors import ContractViolation, NonFiniteModel, SingularSystem
 
 LSTSQ_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """Jacobian pair (A, B) of the dynamics at one nominal point."""
+    """Jacobian pair (A, B) of the dynamics at one nominal point, or stacked
+    along a trajectory: A (N, n_x, n_x) and B (N, n_x, n_u), indexed by t.
+
+    Non-finite entries raise NonFiniteModel, naming the first such t of a stack.
+    """
 
     A: np.ndarray
     B: np.ndarray
     eval_count: int
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
-            raise ContractViolation("linearized model contains non-finite entries")
+        finite = np.isfinite(self.A).all(axis=(-2, -1)) & np.isfinite(self.B).all(axis=(-2, -1))
+        if not finite.all():
+            at = f"identification failed at t={np.argmin(finite)}: " if finite.ndim else ""
+            raise NonFiniteModel(at + "linearized model contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ def _central_differences(
     """f(z_t + d) - f(z_t - d) for every perturbation row d of D[t], in one step call.
 
     x_bar (T, n_x) and u_bar (T, n_u) are the nominal points z_t; D has shape
-    (T, m, n_x + n_u). Returns (T, m, n_x).
+    (T, m, n_x + n_u). Returns (T, m, n_x); overflow gives inf or nan silently.
     """
     if x_bar.shape[-1] != env.n_x or u_bar.shape[-1] != env.n_u:
         raise ContractViolation(
@@ -87,21 +96,23 @@ def _central_differences(
     dX, dU = D[..., : env.n_x], D[..., env.n_x :]
     X = np.concatenate([x_bar[:, None] + dX, x_bar[:, None] - dX], axis=1)
     U = np.concatenate([u_bar[:, None] + dU, u_bar[:, None] - dU], axis=1)
-    F = step(env, X.reshape(-1, env.n_x), U.reshape(-1, env.n_u))
-    F = F.reshape(D.shape[0], 2, D.shape[1], env.n_x)
-    return F[:, 0] - F[:, 1]
+    with np.errstate(all="ignore"):
+        F = step(env, X.reshape(-1, env.n_x), U.reshape(-1, env.n_u))
+        F = F.reshape(D.shape[0], 2, D.shape[1], env.n_x)
+        return F[:, 0] - F[:, 1]
 
 
 def _sample(
-    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, seeds: list[int], cfg: EstimatorConfig
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Perturbations D (T, n_s, n_x + n_u) and half-differences Y (T, n_s, n_x).
 
-    Point t draws its n_s perturbation pairs from seeds[t]; all T * 2 * n_s
-    rollouts go to the black box in one step call.
+    D is one (T, n_s, n_x + n_u) draw of default_rng(cfg.seed); sequential
+    draws are prefix-stable, so point t's pairs do not depend on T. All
+    T * 2 * n_s rollouts go to the black box in one step call.
     """
-    shape = (cfg.resolve_n_s(env), env.n_x + env.n_u)
-    D = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
+    shape = (len(x_bar), cfg.resolve_n_s(env), env.n_x + env.n_u)
+    D = cfg.sigma * np.random.default_rng(cfg.seed).standard_normal(shape)
     Y = 0.5 * _central_differences(env, x_bar, u_bar, D)
     # regress on the control the black box applied
     D[..., env.n_x :] = _applied_half_step(env, u_bar[:, None], D[..., env.n_x :])
@@ -119,22 +130,34 @@ def _applied_half_step(env: Environment, u: np.ndarray, du: np.ndarray) -> np.nd
     return np.where(clamped, 0.5 * (hi - lo), du)
 
 
-def _fit(env: Environment, D: np.ndarray, Y: np.ndarray, cfg: EstimatorConfig) -> LinearizedModel:
-    """Least-squares [f_x f_u] from one point's perturbations D and half-differences Y."""
-    n_s = D.shape[0]
-    if cfg.approx_identity:
-        # sample-covariance identity approximation: D'D ~ sigma^2 (n_s - 1) I
-        AB = (Y.T @ D) / (cfg.sigma**2 * (n_s - 1))
-    else:
-        X, _, _, sv = np.linalg.lstsq(D, Y, rcond=LSTSQ_RCOND)
-        # test sv directly, not lstsq's rank: gelsd reads rcond >= 1 as machine epsilon
-        if sv[-1] <= LSTSQ_RCOND * sv[0]:
-            raise SingularSystem(
-                f"perturbation matrix rank-deficient (cond {sv[0] / max(sv[-1], 1e-300):.3e})",
-                condition_number=sv[0] / max(sv[-1], 1e-300),
-            )
-        AB = X.T
-    return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * n_s)
+def _identify(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
+) -> LinearizedModel:
+    """LLS-CD estimates at the T points (x_bar, u_bar), as one model stacked over T.
+
+    Every point's system D_t X_t = Y_t is solved by one batched SVD,
+    X_t = V_t diag(1/s_t) U_t' Y_t, and AB_t = X_t'.
+    """
+    D, Y = _sample(env, x_bar, u_bar, cfg)
+    T, n_s, _ = D.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite Y: LinearizedModel reports t
+        if cfg.approx_identity:
+            # sample-covariance identity approximation: D'D ~ sigma^2 (n_s - 1) I
+            AB = (Y.transpose(0, 2, 1) @ D) / (cfg.sigma**2 * (n_s - 1))
+        else:
+            U, s, Vh = np.linalg.svd(D, full_matrices=False)
+            singular = s[:, -1] <= LSTSQ_RCOND * s[:, 0]
+            if singular.any():
+                t = int(np.argmax(singular))
+                cond = s[t, 0] / max(s[t, -1], 1e-300)
+                raise SingularSystem(
+                    f"identification failed at t={t}: perturbation matrix rank-deficient "
+                    f"(cond {cond:.3e})",
+                    condition_number=cond,
+                )
+            X = Vh.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ Y) / s[..., None])
+            AB = X.transpose(0, 2, 1)
+    return LinearizedModel(A=AB[..., : env.n_x], B=AB[..., env.n_x :], eval_count=2 * n_s * T)
 
 
 def estimate_llscd(
@@ -152,12 +175,13 @@ def estimate_llscd(
     (clamp(u+du_i) - clamp(u-du_i)) / 2, so a nominal on a bound gets the
     one-sided slope inside it; a nominal beyond a bound, where both signs
     clamp, leaves the control column zero and raises SingularSystem. Bias
-    is O(sigma^2) on smooth dynamics.
+    is O(sigma^2) on smooth dynamics. This is identify_ltv at one point:
+    under the same cfg it equals row 0 of a trajectory starting at (x, u).
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    D, Y = _sample(env, x_bar[None], u_bar[None], [cfg.seed], cfg)
-    return _fit(env, D[0], Y[0], cfg)
+    m = _identify(env, x_bar[None], u_bar[None], cfg)
+    return LinearizedModel(A=m.A[0], B=m.B[0], eval_count=m.eval_count)
 
 
 def estimate_fd(
@@ -188,18 +212,12 @@ def estimate_fd(
 
 def identify_ltv(
     env: Environment, traj: NominalTrajectory, cfg: EstimatorConfig
-) -> list[LinearizedModel]:
-    """One LinearizedModel per timestep along a nominal trajectory.
+) -> LinearizedModel:
+    """The LLS-CD estimate at every timestep of a nominal trajectory, as one stacked model.
 
-    Timestep t gets exactly the estimate_llscd result under cfg.child(t);
-    the whole trajectory costs one step call.
+    A is (N, n_x, n_x), B (N, n_x, n_u) and eval_count = 2 * n_s * N, from one
+    step call and one batched SVD. Row 0 equals estimate_llscd(env, x_0, u_0,
+    cfg). A rank-deficient perturbation matrix raises SingularSystem, and a
+    non-finite estimate NonFiniteModel, each naming the first failing t.
     """
-    seeds = [child_seed(cfg.seed, t) for t in range(traj.horizon)]
-    D, Y = _sample(env, traj.states[:-1], traj.controls, seeds, cfg)
-    models = []
-    for t in range(traj.horizon):
-        try:
-            models.append(_fit(env, D[t], Y[t], cfg))
-        except SingularSystem as exc:
-            raise SingularSystem(f"identification failed at t={t}: {exc}") from exc
-    return models
+    return _identify(env, traj.states[:-1], traj.controls, cfg)

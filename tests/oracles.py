@@ -3,8 +3,9 @@
 These are computed independently of the code under test: analytic
 Jacobians pushed through the integrator by the chain rule, the exact
 finite-horizon discrete Riccati recursion on known (A, B), the
-time-varying Riccati recursion in Joseph form, and the RK4 integrator in
-its earlier stacked form.
+time-varying Riccati recursion in Joseph form, the ILQR backward pass in
+its earlier per-step form, and the RK4 integrator in its earlier stacked
+form.
 """
 
 import numpy as np
@@ -138,6 +139,37 @@ def riccati_reference_gains(A, B, Q, R, Q_N, N):
     return list(reversed(gains))
 
 
+def per_step_backward_pass(traj, cost, models, mu):
+    """The ILQR backward pass with everything evaluated inside its t-loop.
+
+    Per step: the 1-D stage gradients Q (x_t - x_g) and R u_t, and mu * I.
+    One numpy Cholesky factorization and two solves give k_t and K_t
+    together. Returns (k, K); it does no finiteness checks.
+    """
+    N, n_x = traj.horizon, traj.states.shape[1]
+    k = np.empty((N, traj.controls.shape[1]))
+    K = np.empty((N, *k.shape[1:], n_x))
+    J_x = cost.Q_terminal @ (traj.states[N] - cost.x_goal)
+    J_xx = cost.Q_terminal
+    for t in range(N - 1, -1, -1):
+        A, B = models.A[t], models.B[t]
+        c_x, c_u = cost.Q @ (traj.states[t] - cost.x_goal), cost.R @ traj.controls[t]
+        J_xx_reg = J_xx + mu * np.eye(n_x)
+        Q_x = c_x + A.T @ J_x
+        Q_u = c_u + B.T @ J_x
+        Q_xx = cost.Q + A.T @ J_xx @ A
+        Q_ux = B.T @ J_xx_reg @ A
+        Q_uu = cost.R + B.T @ J_xx_reg @ B
+        Q_uu = 0.5 * (Q_uu + Q_uu.T)
+        L = np.linalg.cholesky(Q_uu)
+        kK = -np.linalg.solve(L.T, np.linalg.solve(L, np.column_stack([Q_u, Q_ux])))
+        k[t], K[t] = kK[:, 0], kK[:, 1:]
+        J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
+        J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
+        J_xx = 0.5 * (J_xx + J_xx.T)
+    return k, K
+
+
 def joseph_riccati_gains(models, weights):
     """Time-varying Riccati recursion in Joseph form, the former feedback synthesis.
 
@@ -145,20 +177,20 @@ def joseph_riccati_gains(models, weights):
     P_t = Q_t + K'R K + (A + BK)' P (A + BK), symmetrized each step.
     A non-PD R_t + B'P B raises scipy.linalg.LinAlgError.
     """
-    N = len(models)
+    N = len(models.A)
     n_x = weights.n_x
     n_u = weights.n_u
     K = np.empty((N, n_u, n_x))
     P = weights.Q_terminal.copy()
+    Rt = weights.R
     for t in range(N - 1, -1, -1):
-        A, B = models[t].A, models[t].B
-        Rt = weights.R_at(t)
+        A, B = models.A[t], models.B[t]
         H = Rt + B.T @ P @ B
         H = 0.5 * (H + H.T)
         chol = scipy.linalg.cho_factor(H, lower=True)
         K[t] = -scipy.linalg.cho_solve(chol, B.T @ P @ A)
         Acl = A + B @ K[t]
-        P = weights.Q_at(t) + K[t].T @ Rt @ K[t] + Acl.T @ P @ Acl
+        P = weights.Q + K[t].T @ Rt @ K[t] + Acl.T @ P @ Acl
         P = 0.5 * (P + P.T)
     return K
 

@@ -37,6 +37,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def _subprocess_env():
+    """The environment, with this checkout's dilqr first on PYTHONPATH."""
+    src = Path(dilqr.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 class TestPipeline:
     def test_train_feedback_eval_sweep_end_to_end(self, tmp_path, linear_cfg, capsys):
         out = tmp_path / "run"
@@ -301,8 +309,10 @@ class TestExitCodes:
         import dilqr.ilqr as ilqr_mod
         from dilqr.sysid import LinearizedModel
 
-        overflow = LinearizedModel(A=1e200 * np.eye(2), B=np.ones((2, 1)), eval_count=0)
-        monkeypatch.setattr(ilqr_mod, "identify_ltv", lambda *args: [overflow] * 15)
+        overflow = LinearizedModel(
+            A=np.broadcast_to(1e200 * np.eye(2), (15, 2, 2)), B=np.ones((15, 2, 1)), eval_count=0
+        )
+        monkeypatch.setattr(ilqr_mod, "identify_ltv", lambda *args: overflow)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would escape as an error
             code = run("train", "--config", linear_cfg, "--out", str(tmp_path / "o"))
@@ -311,6 +321,36 @@ class TestExitCodes:
         assert captured.err == (
             "numerical failure: mu reached 1e+10 with the backward pass still failing\n"
         )
+
+    def test_overflowing_identification_is_numerical_failure(self, tmp_path):
+        # sigma = 1e10 sends cart-pole perturbations to non-finite states; the
+        # run fails at identification in one line, with no numpy warnings
+        cfg = tmp_path / "huge_sigma.cfg"
+        cfg.write_text("[env]\nname = cartpole\n\n[estimator]\nsigma = 1e10\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dilqr.cli", "train", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stderr == (
+            "numerical failure: identification failed at t=0: "
+            "linearized model contains non-finite entries\n"
+        )
+
+    def test_rejected_input_file_leaves_no_config_echo(self, tmp_path, linear_cfg, capsys):
+        out = tmp_path / "run"
+        run("train", "--config", linear_cfg, "--out", str(out))
+        run("feedback", "--config", linear_cfg, "--out", str(out), str(out / "trajectory.txt"))
+        short = tmp_path / "short.cfg"
+        short.write_text(LINEAR_CFG.replace("horizon = 15", "horizon = 5"))
+        for command, path in (
+            ("feedback", "trajectory.txt"), ("eval", "policy.txt"), ("sweep", "policy.txt"),
+        ):
+            rejected = tmp_path / command
+            argv = ("--config", str(short), "--out", str(rejected), str(out / path))
+            assert run(command, *argv) == EXIT_USAGE
+            assert not (rejected / "config.txt").exists()
+        capsys.readouterr()
 
     def test_malformed_trajectory_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "traj.txt"
@@ -342,12 +382,10 @@ class TestExitCodes:
         assert parser.prog == "dilqr"
 
     def test_import_does_not_load_scipy(self):
-        src = Path(dilqr.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         probe = "import sys, dilqr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+            timeout=120,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"

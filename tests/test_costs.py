@@ -47,11 +47,13 @@ class TestQuadraticCostModel:
         with pytest.raises(ContractViolation, match="dimensions"):
             QuadraticCostModel(Q=np.eye(2), R=1.0, Q_terminal=np.eye(2), x_goal=[0, 0, 0])
 
-    def test_time_varying_stack_indexed_by_t(self):
+    def test_time_varying_stack_rejected(self):
+        # weights are constant matrices; a (N, n, n) stack is not a weight
         Q = np.stack([np.eye(2), 3 * np.eye(2)])
-        c = QuadraticCostModel(Q=Q, R=1.0, Q_terminal=np.eye(2), x_goal=[0, 0])
-        assert np.allclose(c.Q_at(0), np.eye(2))
-        assert np.allclose(c.Q_at(1), 3 * np.eye(2))
+        with pytest.raises(ContractViolation, match="Q must be a square matrix"):
+            QuadraticCostModel(Q=Q, R=1.0, Q_terminal=np.eye(2), x_goal=[0, 0])
+        with pytest.raises(ContractViolation, match="R must be a square matrix"):
+            QuadraticCostModel(Q=np.eye(2), R=np.ones((3, 1, 1)), Q_terminal=np.eye(2), x_goal=[0, 0])
 
     def test_scaled_multiplies_all_weights(self):
         base = simple_cost()
@@ -82,14 +84,14 @@ class TestTotalCost:
         states = rng.standard_normal((6, 2))
         controls = rng.standard_normal((5, 1))
         decomposed = sum(
-            stage_cost(states[t], controls[t], t, c) for t in range(5)
+            stage_cost(states[t], controls[t], c) for t in range(5)
         ) + terminal_cost(states[-1], c)
         assert total_cost(states, controls, c) == pytest.approx(decomposed, rel=1e-14)
 
     def test_batch_rows_equal_single_trajectories_exactly(self):
         rng = np.random.default_rng(5)
         c = QuadraticCostModel(
-            Q=np.stack([np.diag(rng.uniform(0.1, 2.0, 3)) for _ in range(6)]),
+            Q=np.diag(rng.uniform(0.1, 2.0, 3)),
             R=np.array([[0.7]]), Q_terminal=np.diag([3.0, 1.0, 2.0]), x_goal=[0.5, -1.0, 2.0],
         )
         states = rng.standard_normal((7, 9, 3))  # time-major, 9 trajectories
@@ -100,8 +102,8 @@ class TestTotalCost:
             assert batch[i] == total_cost(states[:, i], controls[:, i], c)
             # and a single point keeps the plain 1-D quadratic form bit for bit
             dx, u = states[0, i] - c.x_goal, controls[0, i]
-            plain = 0.5 * (dx @ c.Q_at(0) @ dx) + 0.5 * (u @ c.R_at(0) @ u)
-            assert stage_cost(states[0], controls[0], 0, c)[i] == plain
+            plain = 0.5 * (dx @ c.Q @ dx) + 0.5 * (u @ c.R @ u)
+            assert stage_cost(states[0], controls[0], c)[i] == plain
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation, match="one more"):
@@ -139,14 +141,14 @@ class TestPartials:
         )
         x = np.array([0.3, 0.7])
         u = np.array([-0.2])
-        c_x, c_u = cost_partials(x, u, 0, c)
+        c_x, c_u = cost_partials(x, u, c)
         h = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            num = (stage_cost(x + e, u, 0, c) - stage_cost(x - e, u, 0, c)) / (2 * h)
+            num = (stage_cost(x + e, u, c) - stage_cost(x - e, u, c)) / (2 * h)
             assert c_x[i] == pytest.approx(num, abs=1e-8)
-        num_u = (stage_cost(x, u + h, 0, c) - stage_cost(x, u - h, 0, c)) / (2 * h)
+        num_u = (stage_cost(x, u + h, c) - stage_cost(x, u - h, c)) / (2 * h)
         assert c_u[0] == pytest.approx(num_u, abs=1e-8)
 
     def test_terminal_partials_at_goal_vanish(self):
@@ -156,8 +158,22 @@ class TestPartials:
 
     def test_partials_type_is_complete(self):
         # the partials are the two gradients; the Hessians are the weights
-        c_x, c_u = cost_partials(np.zeros(2), np.zeros(1), 0, simple_cost())
+        c_x, c_u = cost_partials(np.zeros(2), np.zeros(1), simple_cost())
         assert c_x.shape == (2,) and c_u.shape == (1,)
+
+    def test_batch_rows_equal_single_points_exactly(self):
+        # the backward pass takes every stage gradient from one batched call
+        rng = np.random.default_rng(9)
+        for n_x, n_u in ((1, 1), (2, 1), (4, 1), (3, 2), (8, 5)):
+            A = rng.normal(size=(n_x, n_x))
+            Rh = rng.normal(size=(n_u, n_u))
+            c = QuadraticCostModel(A @ A.T, Rh @ Rh.T + np.eye(n_u), np.eye(n_x), rng.normal(size=n_x))
+            x, u = 10 * rng.normal(size=(30, n_x)), 10 * rng.normal(size=(30, n_u))
+            C_x, C_u = cost_partials(x, u, c)
+            assert C_x.shape == (30, n_x) and C_u.shape == (30, n_u)
+            for t in range(30):
+                assert np.array_equal(C_x[t], c.Q @ (x[t] - c.x_goal))
+                assert np.array_equal(C_u[t], c.R @ u[t])
 
 
 class TestNominalTrajectory:

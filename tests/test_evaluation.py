@@ -50,7 +50,7 @@ def cost_of_noise_vector(env, cost, policy, eps, w_flat):
     for t in range(N):
         u = nominal.controls[t] + policy.gains[t] @ (x - nominal.states[t])
         u = env.clamp(u)
-        total += 0.5 * x @ cost.Q_at(t) @ x + 0.5 * u @ cost.R_at(t) @ u
+        total += 0.5 * x @ cost.Q @ x + 0.5 * u @ cost.R @ u
         x = LINEAR_TEST_A @ x + LINEAR_TEST_B @ u + eps * w[t]
     return total + 0.5 * x @ cost.Q_terminal @ x
 

@@ -13,8 +13,15 @@ from oracles import joseph_riccati_gains, riccati_reference_gains
 
 
 def scalar_models(n):
-    m = LinearizedModel(A=np.array([[1.0]]), B=np.array([[1.0]]), eval_count=0)
-    return [m] * n
+    return LinearizedModel(A=np.ones((n, 1, 1)), B=np.ones((n, 1, 1)), eval_count=0)
+
+
+def linear_test_models(n):
+    return LinearizedModel(
+        A=np.broadcast_to(LINEAR_TEST_A, (n, 2, 2)),
+        B=np.broadcast_to(LINEAR_TEST_B, (n, 2, 1)),
+        eval_count=0,
+    )
 
 
 def zero_nominal(n, n_x=1, n_u=1):
@@ -41,10 +48,7 @@ class TestRiccatiGains:
             Q_terminal=np.diag([10.0, 1.0]), x_goal=np.zeros(2),
         )
         N = 12
-        models = [
-            LinearizedModel(A=LINEAR_TEST_A, B=LINEAR_TEST_B, eval_count=0) for _ in range(N)
-        ]
-        K = riccati_gains(zero_nominal(N, 2), models, w)
+        K = riccati_gains(zero_nominal(N, 2), linear_test_models(N), w)
         ref = riccati_reference_gains(LINEAR_TEST_A, LINEAR_TEST_B, w.Q, w.R, w.Q_terminal, N)
         for t in range(N):
             assert np.allclose(K[t], ref[t], atol=1e-12)
@@ -54,9 +58,7 @@ class TestRiccatiGains:
             Q=np.diag([2.0, 0.5]), R=np.array([[0.3]]),
             Q_terminal=np.diag([10.0, 1.0]), x_goal=np.zeros(2),
         )
-        models = [
-            LinearizedModel(A=LINEAR_TEST_A, B=LINEAR_TEST_B, eval_count=0) for _ in range(8)
-        ]
+        models = linear_test_models(8)
         nominal = zero_nominal(8, 2)
         scaled = QuadraticCostModel(7.3 * w.Q, 7.3 * w.R, 7.3 * w.Q_terminal, w.x_goal)
         assert np.allclose(

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import dilqr.ilqr as ilqr_mod
-from dilqr.costs import NominalTrajectory, QuadraticCostModel, cost_partials, terminal_partials
+from dilqr.costs import NominalTrajectory, QuadraticCostModel, terminal_partials
 from dilqr.config import default_config
 from dilqr.envs import (
     LINEAR_TEST_A, LINEAR_TEST_B, make_linear_env, make_pendulum_env, rollout_open_loop,
@@ -21,7 +21,7 @@ from dilqr.ilqr import (
 )
 from dilqr.sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
-from oracles import lqr_optimal_cost
+from oracles import lqr_optimal_cost, per_step_backward_pass
 
 
 def scalar_setup():
@@ -29,7 +29,7 @@ def scalar_setup():
     env = make_linear_env(A=[[1.0]], B=[[1.0]], horizon=1)
     cost = QuadraticCostModel(Q=1.0, R=1.0, Q_terminal=1.0, x_goal=[0.0])
     traj = rollout_open_loop(env, np.array([1.0]), np.zeros((1, 1)), cost)
-    models = [LinearizedModel(A=np.array([[1.0]]), B=np.array([[1.0]]), eval_count=0)]
+    models = LinearizedModel(A=np.ones((1, 1, 1)), B=np.ones((1, 1, 1)), eval_count=0)
     return env, cost, traj, models
 
 
@@ -44,14 +44,14 @@ def two_solve_backward_pass(traj, cost, models, mu):
     K = np.empty((N, *k.shape[1:], n_x))
     J_x, J_xx = terminal_partials(traj.states[N], cost), cost.Q_terminal
     for t in range(N - 1, -1, -1):
-        A, B = models[t].A, models[t].B
-        c_x, c_u = cost_partials(traj.states[t], traj.controls[t], t, cost)
+        A, B = models.A[t], models.B[t]
+        c_x, c_u = cost.Q @ (traj.states[t] - cost.x_goal), cost.R @ traj.controls[t]
         J_xx_reg = J_xx + mu * np.eye(n_x)
         Q_x = c_x + A.T @ J_x
         Q_u = c_u + B.T @ J_x
-        Q_xx = cost.Q_at(t) + A.T @ J_xx @ A
+        Q_xx = cost.Q + A.T @ J_xx @ A
         Q_ux = B.T @ J_xx_reg @ A
-        Q_uu = cost.R_at(t) + B.T @ J_xx_reg @ B
+        Q_uu = cost.R + B.T @ J_xx_reg @ B
         Q_uu = 0.5 * (Q_uu + Q_uu.T)
         chol = scipy.linalg.cho_factor(Q_uu, lower=True)
         k[t] = -scipy.linalg.cho_solve(chol, Q_u)
@@ -86,10 +86,9 @@ def random_problem(rng, n_u_low, n_u_high):
     Q, R = np.diag(rng.uniform(0.1, 3.0, n_x)), np.diag(rng.uniform(0.1, 3.0, n_u))
     cost = QuadraticCostModel(Q, R, 10 * Q, rng.normal(size=n_x))
     traj = NominalTrajectory(rng.normal(size=(N + 1, n_x)), rng.normal(size=(N, n_u)), 0.0)
-    models = [
-        LinearizedModel(A=rng.normal(size=(n_x, n_x)), B=rng.normal(size=(n_x, n_u)), eval_count=0)
-        for _ in range(N)
-    ]
+    models = LinearizedModel(
+        A=rng.normal(size=(N, n_x, n_x)), B=rng.normal(size=(N, n_x, n_u)), eval_count=0
+    )
     return traj, cost, models
 
 
@@ -115,7 +114,7 @@ class TestBackwardPass:
     def test_indefinite_q_uu_raises_with_timestep(self):
         _, cost, traj, _ = scalar_setup()
         # a large negative-feedthrough model makes B' J_xx B overwhelm R
-        bad = [LinearizedModel(A=np.array([[1.0]]), B=np.array([[50.0]]), eval_count=0)]
+        bad = LinearizedModel(A=np.ones((1, 1, 1)), B=np.full((1, 1, 1), 50.0), eval_count=0)
         nasty = QuadraticCostModel(Q=1.0, R=1.0, Q_terminal=1.0, x_goal=[0.0])
         with pytest.raises(NotPositiveDefinite) as exc_info:
             backward_pass(traj, nasty, bad, mu=-1.1)  # indefinite via negative mu
@@ -123,8 +122,12 @@ class TestBackwardPass:
 
     def test_model_count_mismatch_rejected(self):
         _, cost, traj, models = scalar_setup()
+        two = LinearizedModel(A=np.ones((2, 1, 1)), B=np.ones((2, 1, 1)), eval_count=0)
         with pytest.raises(ContractViolation, match="models"):
-            backward_pass(traj, cost, models * 2, mu=0.0)
+            backward_pass(traj, cost, two, mu=0.0)
+        one_point = LinearizedModel(A=np.ones((1, 1)), B=np.ones((1, 1)), eval_count=0)
+        with pytest.raises(ContractViolation, match="models"):
+            backward_pass(traj, cost, one_point, mu=0.0)
 
     def test_single_solve_matches_two_solves_on_two_controls(self):
         rng = np.random.default_rng(3)
@@ -165,11 +168,41 @@ class TestBackwardPass:
         # is not finite and k_0 would be nan
         _, cost, _, _ = scalar_setup()
         traj = NominalTrajectory(np.ones((3, 1)), np.zeros((2, 1)), 0.0)
-        models = [LinearizedModel(A=np.array([[1e200]]), B=np.array([[1.0]]), eval_count=0)] * 2
+        models = LinearizedModel(A=np.full((2, 1, 1), 1e200), B=np.ones((2, 1, 1)), eval_count=0)
         with warnings.catch_warnings(), pytest.raises(NotPositiveDefinite) as exc_info:
             warnings.simplefilter("error")  # the pass itself must not warn on overflow
             backward_pass(traj, cost, models, mu=0.0)
         assert exc_info.value.t == 0
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 1.0])
+    def test_hoisted_pass_is_bit_identical_to_the_per_step_loop(self, mu):
+        # the per-t reference is the pass as it was before its stage gradients,
+        # weights and mu*I were hoisted out of the loop
+        rng = np.random.default_rng(17)
+        compared = 0
+        for low, high in ((1, 2), (2, 6)):
+            for _ in range(50):
+                traj, cost, models = random_problem(rng, low, high)
+                try:
+                    k, K = per_step_backward_pass(traj, cost, models, mu)
+                except np.linalg.LinAlgError:  # Q_uu indefinite: both passes must fail
+                    with pytest.raises(NotPositiveDefinite):
+                        backward_pass(traj, cost, models, mu)
+                    continue
+                gains = backward_pass(traj, cost, models, mu)
+                assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
+                compared += 1
+        assert compared >= 50  # of 100; random models at mu = 1 often make Q_uu indefinite
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 1.0])
+    def test_hoisted_pass_is_bit_identical_on_identified_models(
+        self, mu, trained_linear, trained_pendulum, trained_cartpole
+    ):
+        for run in (trained_linear, trained_pendulum, trained_cartpole):
+            models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
+            gains = backward_pass(run.traj, run.cost, models, mu)
+            k, K = per_step_backward_pass(run.traj, run.cost, models, mu)
+            assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
 
 
 class TestForwardPass:

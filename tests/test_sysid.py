@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dilqr.envs import (
     rollout_open_loop,
     step,
 )
-from dilqr.errors import ContractViolation, SingularSystem
+from dilqr.errors import ContractViolation, NonFiniteModel, SingularSystem
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd, identify_ltv
 
 from oracles import pendulum_step_jacobians
@@ -153,10 +154,9 @@ class TestTrajectoryIdentification:
         env = make_linear_env()
         traj = rollout_open_loop(env, env.x0, 0.1 * np.ones((6, 1)), self._cost(2, 1))
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
-        assert len(models) == 6
-        for m in models:
-            assert np.max(np.abs(m.A - LINEAR_TEST_A)) < 1e-10
-            assert np.max(np.abs(m.B - LINEAR_TEST_B)) < 1e-10
+        assert models.A.shape == (6, 2, 2) and models.B.shape == (6, 2, 1)
+        assert np.max(np.abs(models.A - LINEAR_TEST_A)) < 1e-10
+        assert np.max(np.abs(models.B - LINEAR_TEST_B)) < 1e-10
 
     def test_constant_trajectory_gives_matching_models(self):
         # all states at rest, zero controls: the local system is time-invariant
@@ -165,22 +165,23 @@ class TestTrajectoryIdentification:
         controls = np.zeros((4, 1))
         traj = dilqr.NominalTrajectory(states, controls, 0.0)
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
-        # per-step seeds differ, so agreement is limited by the O(sigma^2) bias
-        for m in models[1:]:
-            assert np.max(np.abs(m.A - models[0].A)) < 1e-5
-            assert np.max(np.abs(m.B - models[0].B)) < 1e-5
+        assert models.A.shape == (4, 2, 2) and models.B.shape == (4, 2, 1)
+        # per-step draws differ, so agreement is limited by the O(sigma^2) bias
+        assert np.max(np.abs(models.A[1:] - models.A[0])) < 1e-5
+        assert np.max(np.abs(models.B[1:] - models.B[0])) < 1e-5
 
     def test_single_step_horizon(self):
         env = make_linear_env()
         traj = rollout_open_loop(env, env.x0, np.zeros((1, 1)), self._cost(2, 1))
-        assert len(identify_ltv(env, traj, EstimatorConfig(seed=0))) == 1
+        models = identify_ltv(env, traj, EstimatorConfig(seed=0))
+        assert models.A.shape == (1, 2, 2) and models.B.shape == (1, 2, 1)
 
     def test_total_eval_count_scales_with_horizon(self):
         env = make_pendulum_env()
         traj = rollout_open_loop(env, env.x0, np.zeros((5, 1)), self._cost(2, 1))
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
         n_s = EstimatorConfig(seed=0).resolve_n_s(env)
-        assert sum(m.eval_count for m in models) == 2 * n_s * 5
+        assert models.eval_count == 2 * n_s * 5
 
 
 def counting_env(env):
@@ -209,16 +210,30 @@ class TestBatchedIdentification:
     @pytest.mark.parametrize("approx_identity", [False, True])
     @pytest.mark.parametrize("name", ENV_NAMES)
     def test_trajectory_equals_per_point_estimates_exactly(self, name, approx_identity):
+        # draws are prefix-stable, so the one-point estimate is row 0 of the
+        # trajectory, bit for bit, on and off the control bounds
+        env = dilqr.make_env(name)
+        cfg = EstimatorConfig(seed=5, approx_identity=approx_identity)
+        full = random_trajectory(env)
+        assert np.isin(full.controls[2], env.control_bounds).all()
+        for start in (0, 2):  # from t = 2 on, row 0's nominal control lies on a bound
+            traj = dilqr.NominalTrajectory(full.states[start:], full.controls[start:], 0.0)
+            models = identify_ltv(env, traj, cfg)
+            ref = estimate_llscd(env, traj.states[0], traj.controls[0], cfg)
+            assert np.array_equal(models.A[0], ref.A) and np.array_equal(models.B[0], ref.B)
+            assert models.eval_count == traj.horizon * ref.eval_count
+
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_batched_svd_fit_matches_per_timestep_lstsq(self, name):
         env = dilqr.make_env(name)
         traj = random_trajectory(env)
-        assert np.isin(traj.controls, env.control_bounds).any()
-        cfg = EstimatorConfig(seed=5, approx_identity=approx_identity)
+        cfg = EstimatorConfig(seed=5)
         models = identify_ltv(env, traj, cfg)
-        assert len(models) == traj.horizon
-        for t, m in enumerate(models):
-            ref = estimate_llscd(env, traj.states[t], traj.controls[t], cfg.child(t))
-            assert np.array_equal(m.A, ref.A) and np.array_equal(m.B, ref.B)
-            assert m.eval_count == ref.eval_count
+        D, Y = sysid._sample(env, traj.states[:-1], traj.controls, cfg)
+        AB = np.concatenate([models.A, models.B], axis=-1)
+        for t in range(traj.horizon):
+            ref = np.linalg.lstsq(D[t], Y[t], rcond=None)[0].T
+            assert np.max(np.abs(AB[t] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("name", ENV_NAMES)
     def test_fd_equals_per_coordinate_differences_exactly(self, name):
@@ -246,7 +261,7 @@ class TestBatchedIdentification:
         n_s = EstimatorConfig().resolve_n_s(env)
         models = identify_ltv(env, traj, EstimatorConfig(seed=0))
         assert calls == [(traj.horizon * 2 * n_s, env.n_x)]
-        assert sum(m.eval_count for m in models) == calls[0][0]
+        assert models.eval_count == calls[0][0]
         calls.clear()
         estimate_llscd(env, env.x0, np.zeros(1), EstimatorConfig(seed=0))
         assert calls == [(2 * n_s, env.n_x)]
@@ -273,19 +288,35 @@ class TestBatchedIdentification:
         env = make_pendulum_env()
         traj = random_trajectory(env)
         cfg = EstimatorConfig(seed=0)
-        # with rcond = 1 every point fails and reports its condition number
+        D, _ = sysid._sample(env, traj.states[:-1], traj.controls, cfg)
+        s = np.linalg.svd(D, compute_uv=False)
+        conds = s[:, 0] / s[:, -1]
+        # with rcond = 1 every point fails; the first is reported with its condition number
         monkeypatch.setattr(sysid, "LSTSQ_RCOND", 1.0)
-        conds = []
-        for t in range(traj.horizon):
-            with pytest.raises(SingularSystem) as info:
-                estimate_llscd(env, traj.states[t], traj.controls[t], cfg.child(t))
-            conds.append(info.value.condition_number)
+        with pytest.raises(SingularSystem, match=r"identification failed at t=0: ") as info:
+            identify_ltv(env, traj, cfg)
+        assert info.value.condition_number == pytest.approx(conds[0], rel=1e-12)
         # a threshold between the two worst-conditioned points fails only the worst
         worst = int(np.argmax(conds))
-        inv = np.sort(1.0 / np.array(conds))
+        inv = np.sort(1.0 / conds)
         monkeypatch.setattr(sysid, "LSTSQ_RCOND", 0.5 * (inv[0] + inv[1]))
-        with pytest.raises(SingularSystem, match=rf"identification failed at t={worst}: "):
+        with pytest.raises(SingularSystem, match=rf"identification failed at t={worst}: ") as info:
             identify_ltv(env, traj, cfg)
+        assert info.value.condition_number == pytest.approx(conds[worst], rel=1e-12)
+
+    def test_overflowing_black_box_is_a_numerical_failure_naming_t(self):
+        # huge perturbations send some rows of the cart-pole map to inf or nan;
+        # that is a numerical failure at the first such t, and it must not warn
+        env = dilqr.make_cartpole_env()
+        traj = dilqr.NominalTrajectory(np.zeros((31, 4)), np.zeros((30, 1)), 0.0)
+        cfg = EstimatorConfig(sigma=1e3, seed=0)
+        Y = sysid._sample(env, traj.states[:-1], traj.controls, cfg)[1]
+        first = int(np.argmax(~np.isfinite(Y).all(axis=(1, 2))))
+        assert first > 0 and not np.isfinite(Y[first]).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteModel, match=rf"identification failed at t={first}: "):
+                identify_ltv(env, traj, cfg)
 
 
 class TestClampedPerturbations:
@@ -311,10 +342,8 @@ class TestClampedPerturbations:
         env = dilqr.make_env(name)
         traj = random_trajectory(env)
         cfg = EstimatorConfig(seed=5)
-        seeds = [cfg.child(t).seed for t in range(traj.horizon)]
-        D, _ = sysid._sample(env, traj.states[:-1], traj.controls, seeds, cfg)
-        shape = D.shape[1:]
-        drawn = np.stack([cfg.sigma * np.random.default_rng(s).standard_normal(shape) for s in seeds])
+        D, _ = sysid._sample(env, traj.states[:-1], traj.controls, cfg)
+        drawn = cfg.sigma * np.random.default_rng(cfg.seed).standard_normal(D.shape)
         dU, U = drawn[..., env.n_x :], traj.controls[:, None]
         lo, hi = env.control_bounds[:, 0], env.control_bounds[:, 1]
         inside = (U - np.abs(dU) >= lo) & (U + np.abs(dU) <= hi)
