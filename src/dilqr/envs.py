@@ -3,23 +3,27 @@
 Every environment is exposed to the optimizer strictly through ``step``;
 no module outside the test suite ever reads an analytic Jacobian.
 
-Execution goes through one kernel, ``rollout``: it applies the law
-u_t = clamp(ubar_t + K_t (x_t - xbar_t)) and sends every row of a batch
-through ``step`` once per timestep. The open-loop rollout (no K), the
-ILQR line search (one trajectory) and the Monte-Carlo evaluator (all M
-noisy rollouts at once) are calls to it. Stochastic execution adds
-eps * w_t to x_{t+1} on the state channel, or eps * u_scale * w_t to the
-control before clamping on the control channel, with w_t i.i.d. standard
-Gaussian per dimension. Each seed has one noise stream: rollout i takes
-row i of the draws of one generator keyed by the seed. Sequential draws are
-prefix-stable, so a rollout's noise does not depend on how many rollouts run.
+Execution goes through one time loop: it applies the law
+u_t = clamp(ubar_t + K_t (x_t - xbar_t)), sends every row of a batch
+through ``step`` once per timestep and yields (x_t, u_t) as it goes.
+``rollout`` collects that into the state and control history, which the
+open-loop rollout (no K) and the ILQR line search (one trajectory) read.
+The Monte-Carlo evaluator steps all M noisy rollouts through the loop at
+once and adds up each one's cost as it steps, storing no history.
+
+Stochastic execution adds eps * w_t to x_{t+1} on the state channel, or
+eps * u_scale * w_t to the control before clamping on the control
+channel, with w_t i.i.d. standard Gaussian per dimension. Each seed has
+one noise stream: rollout i takes row i of the draws of one generator
+keyed by the seed. Sequential draws are prefix-stable, so a rollout's
+noise does not depend on how many rollouts run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -111,27 +115,19 @@ def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return env.step_fn(x, env.clamp(u))
 
 
-def rollout(
+def _closed_loop(
     env: Environment,
     x_bar: np.ndarray,
     u_bar: np.ndarray,
-    K: Optional[np.ndarray] = None,
-    noise: Optional[NoiseModel] = None,
-    w: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
+    K: Optional[np.ndarray],
+    noise: Optional[NoiseModel],
+    w: Optional[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
-    x_bar (N+1, n_x) is the reference trajectory and x_bar[0] the start
-    state; without K only that row is read. u_bar is (N, n_u) and K
-    (N, n_u, n_x). A NoiseModel comes with its standard-normal draws w
-    (N, ..., dim), whose middle axes are the batch: on the state channel
-    eps * w_t is added to x_{t+1}, on the control channel eps * u_scale * w_t
-    is added to u_t before clamping. Without noise the batch shape is ().
-
-    Returns time-major states (N+1, ..., n_x), the applied controls
-    (N, ..., n_u) and the alive mask (...). A row whose state goes
-    non-finite is marked dead and held at 0 while the batch keeps stepping,
-    so every call makes exactly N step calls.
+    Arguments and conventions are those of ``rollout``. Each step's state
+    and control are yielded and then dropped, so a consumer that keeps
+    nothing holds no history.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
@@ -151,24 +147,59 @@ def rollout(
     if not np.all(np.isfinite(u_bar)):
         raise ContractViolation("non-finite nominal control passed to rollout")
     batch = () if w is None else w.shape[1:-1]
-    states = np.empty((N + 1, *batch, env.n_x))
-    controls = np.empty((N, *batch, env.n_u))
+    x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
-    states[0] = x_bar[0]
-    with np.errstate(all="ignore"):
-        for t in range(N):
+    for t in range(N):
+        with np.errstate(all="ignore"):
             u = u_bar[t]
             if K is not None:
                 # the per-point form: each row equals the unbatched K_t @ dx bit for bit
-                u = u + (K[t] @ (states[t] - x_bar[t])[..., None])[..., 0]
+                u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
             if channel == CONTROL_CHANNEL:
                 u = u + noise.epsilon * env.u_scale * w[t]
-            controls[t] = env.clamp(u)
-            x = step(env, states[t], controls[t])
+            u = env.clamp(np.broadcast_to(u, (*batch, env.n_u)))
+            x_next = step(env, x, u)
             if channel == STATE_CHANNEL:
-                x = x + noise.epsilon * w[t]
-            alive &= np.all(np.isfinite(x), axis=-1)
-            states[t + 1] = np.where(alive[..., None], x, 0.0)
+                x_next = x_next + noise.epsilon * w[t]
+            alive &= np.all(np.isfinite(x_next), axis=-1)
+            x_next = np.where(alive[..., None], x_next, 0.0)
+        yield x, u
+        x = x_next
+    yield x, alive
+
+
+def rollout(
+    env: Environment,
+    x_bar: np.ndarray,
+    u_bar: np.ndarray,
+    K: Optional[np.ndarray] = None,
+    noise: Optional[NoiseModel] = None,
+    w: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
+
+    x_bar (N+1, n_x) is the reference trajectory and x_bar[0] the start
+    state; without K only that row is read. u_bar is (N, n_u) and K
+    (N, n_u, n_x). A NoiseModel comes with its standard-normal draws w
+    (N, ..., dim), whose middle axes are the batch: on the state channel
+    eps * w_t is added to x_{t+1}, on the control channel eps * u_scale * w_t
+    is added to u_t before clamping. Without noise the batch shape is ().
+
+    Returns the whole history: time-major states (N+1, ..., n_x), the
+    applied controls (N, ..., n_u) and the alive mask (...). A row whose
+    state goes non-finite is marked dead and held at 0 while the batch keeps
+    stepping, so every call makes exactly N step calls. The line search and
+    the open-loop rollout read this history; the Monte-Carlo evaluator adds
+    up its costs as the loop steps instead and keeps none.
+    """
+    steps = _closed_loop(env, x_bar, u_bar, K, noise, w)
+    N = np.shape(u_bar)[0]
+    batch = () if w is None else w.shape[1:-1]
+    states = np.empty((N + 1, *batch, env.n_x))
+    controls = np.empty((N, *batch, env.n_u))
+    for t in range(N):
+        states[t], controls[t] = next(steps)
+    states[N], alive = next(steps)
     return states, controls, alive
 
 

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .costs import QuadraticCostModel, total_cost
-from .envs import STATE_CHANNEL, Environment, NoiseModel, child_seed, rollout
+from .costs import QuadraticCostModel, stage_cost, terminal_cost
+from .envs import STATE_CHANNEL, Environment, NoiseModel, _closed_loop, child_seed
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -55,9 +55,11 @@ def monte_carlo_eval(
     """M independent closed-loop rollouts, run as one batch; unbiased sample moments.
 
     Rollout i gets row i of noise.draws, whose prefix-stable stream makes
-    rollout i's noise independent of M. Divergent rollouts (non-finite
-    states) are excluded from the moments and counted. Deterministic given
-    (noise.seed, M).
+    rollout i's noise independent of M. Each rollout's cost is added up
+    while the batch steps, in total_cost's order, so no state or control
+    history is stored: apart from the draws, memory is O(M) per step.
+    Divergent rollouts (non-finite states) are excluded from the moments and
+    counted. Deterministic given (noise.seed, M).
     """
     if M < 1:
         raise ContractViolation("M must be >= 1")
@@ -71,10 +73,15 @@ def monte_carlo_eval(
     rows = 1 if noise.epsilon == 0.0 else M
     dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
     w = noise.draws(rows, nominal.horizon, dim)
-    states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    steps = _closed_loop(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    costs = 0.0
     with np.errstate(all="ignore"):
-        costs = total_cost(states, controls, cost)
-        terminal_sq = np.sum((states[-1] - cost.x_goal) ** 2, axis=-1)
+        for _ in range(nominal.horizon):
+            x, u = next(steps)
+            costs += stage_cost(x, u, cost)
+        x, ok = next(steps)
+        costs += terminal_cost(x, cost)
+        terminal_sq = np.sum((x - cost.x_goal) ** 2, axis=-1)
     n_ok = int(np.sum(ok))
     if n_ok == 0:
         raise ContractViolation("all rollouts diverged; cannot form moments")

@@ -109,10 +109,19 @@ def _sample(
 
     D is one (T, n_s, n_x + n_u) draw of default_rng(cfg.seed); sequential
     draws are prefix-stable, so point t's pairs do not depend on T. All
-    T * 2 * n_s rollouts go to the black box in one step call.
+    T * 2 * n_s rollouts go to the black box in one step call. A sigma so
+    large that a perturbation overflows raises NonFiniteModel naming the
+    first such t.
     """
     shape = (len(x_bar), cfg.resolve_n_s(env), env.n_x + env.n_u)
-    D = cfg.sigma * np.random.default_rng(cfg.seed).standard_normal(shape)
+    with np.errstate(over="ignore"):
+        D = cfg.sigma * np.random.default_rng(cfg.seed).standard_normal(shape)
+    finite = np.isfinite(D).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteModel(
+            f"identification failed at t={np.argmin(finite)}: "
+            f"perturbations of sigma={cfg.sigma:g} are not finite"
+        )
     Y = 0.5 * _central_differences(env, x_bar, u_bar, D)
     # regress on the control the black box applied
     D[..., env.n_x :] = _applied_half_step(env, u_bar[:, None], D[..., env.n_x :])

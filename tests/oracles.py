@@ -4,14 +4,17 @@ These are computed independently of the code under test: analytic
 Jacobians pushed through the integrator by the chain rule, the exact
 finite-horizon discrete Riccati recursion on known (A, B), the
 time-varying Riccati recursion in Joseph form, the ILQR backward pass in
-its earlier per-step form, and the RK4 integrator in its earlier stacked
-form.
+its earlier per-step form, the RK4 integrator in its earlier stacked
+form, and the Monte-Carlo evaluator in its earlier history-based form.
 """
 
 import numpy as np
 import scipy.linalg
 
-from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS
+from dilqr.costs import total_cost
+from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, STATE_CHANNEL, rollout
+from dilqr.errors import ContractViolation
+from dilqr.evaluation import RolloutStats
 
 
 def pendulum_continuous_jacobians(x, u, params=None):
@@ -242,3 +245,35 @@ def stacked_pendulum_step(x, u, dt=0.1, damping=PENDULUM_PARAMS["damping"], subs
 
 def stacked_cartpole_step(x, u, dt=0.15, substeps=4):
     return stacked_rk4_step(lambda xx, uu: stacked_cartpole_deriv(xx, uu, **CARTPOLE_PARAMS), x, u, dt, substeps)
+
+
+def history_monte_carlo_eval(env, policy, noise, M, cost):
+    """The Monte-Carlo evaluator as it was before it streamed its costs.
+
+    The kernel stores every rollout's states (N+1, M, n_x) and controls
+    (N, M, n_u); total_cost then reads that history back, and the terminal
+    squared error comes from its last row. The streaming evaluator must
+    reproduce it field for field.
+    """
+    nominal = policy.nominal
+    rows = 1 if noise.epsilon == 0.0 else M
+    dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
+    w = noise.draws(rows, nominal.horizon, dim)
+    states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    with np.errstate(all="ignore"):
+        costs = total_cost(states, controls, cost)
+        terminal_sq = np.sum((states[-1] - cost.x_goal) ** 2, axis=-1)
+    n_ok = int(np.sum(ok))
+    if n_ok == 0:
+        raise ContractViolation("all rollouts diverged; cannot form moments")
+    cost_var = float(np.var(costs[ok], ddof=1)) if n_ok > 1 else 0.0
+    return RolloutStats(
+        epsilon=noise.epsilon,
+        n_rollouts=M,
+        cost_mean=float(np.mean(costs[ok])),
+        cost_var=cost_var,
+        terminal_mse_mean=float(np.mean(terminal_sq[ok])),
+        channel=noise.channel,
+        seed=noise.seed,
+        divergences=rows - n_ok,
+    )

@@ -337,6 +337,22 @@ class TestExitCodes:
             "linearized model contains non-finite entries\n"
         )
 
+    @pytest.mark.parametrize("env_name", ["pendulum", "cartpole"])
+    def test_overflowing_perturbation_draw_is_numerical_failure(self, tmp_path, env_name):
+        # sigma * N(0, 1) overflows to inf at sigma = 1e308; the draw is checked
+        # before any step call, in one line and with no numpy warnings
+        cfg = tmp_path / "overflowing_sigma.cfg"
+        cfg.write_text(f"[env]\nname = {env_name}\n\n[estimator]\nsigma = 1e308\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "dilqr.cli", "train", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stderr == (
+            "numerical failure: identification failed at t=0: "
+            "perturbations of sigma=1e+308 are not finite\n"
+        )
+
     def test_rejected_input_file_leaves_no_config_echo(self, tmp_path, linear_cfg, capsys):
         out = tmp_path / "run"
         run("train", "--config", linear_cfg, "--out", str(out))

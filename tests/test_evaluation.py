@@ -1,10 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dilqr.costs import NominalTrajectory, QuadraticCostModel, total_cost
-from dilqr import evaluation
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
@@ -27,6 +27,8 @@ from dilqr.evaluation import (
 )
 from dilqr.feedback import DecoupledPolicy, build_policy
 from dilqr.sysid import EstimatorConfig
+
+from oracles import history_monte_carlo_eval
 
 
 def small_problem(horizon=3):
@@ -117,17 +119,18 @@ class TestExactMomentOracle:
 
 
 class TestNoiseStreams:
-    """The evaluator's draws w (N, M, dim), captured where it calls the kernel."""
+    """The evaluator's draws w (N, M, dim), captured where it receives them."""
 
     def _w(self, monkeypatch, noise, M):
         env, cost, policy = small_problem()
         seen = []
+        draws = NoiseModel.draws
 
         def spy(*args):
-            seen.append(args[-1])
-            return rollout(*args)
+            seen.append(draws(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(evaluation, "rollout", spy)
+        monkeypatch.setattr(NoiseModel, "draws", spy)
         monte_carlo_eval(env, policy, noise, M, cost)
         (w,) = seen
         assert w.shape == (policy.nominal.horizon, M, env.n_x)
@@ -148,6 +151,48 @@ class TestNoiseStreams:
         for i in (0, 1023, 1024, 2049, M - 1):
             assert np.array_equal(w[:, i], stream[i])
         assert not np.array_equal(w[:, 0], w[:, 1024])
+
+
+class TestStreamingEvaluator:
+    """monte_carlo_eval adds up each rollout's cost as the batch steps; it must
+    equal the history-based evaluator (rollout, then total_cost) field for field."""
+
+    @pytest.mark.parametrize("M", [1, 1025])
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    @pytest.mark.parametrize("run", ["trained_linear", "trained_pendulum", "trained_cartpole"])
+    def test_matches_history_oracle(self, request, run, channel, M):
+        run = request.getfixturevalue(run)
+        noise = NoiseModel(epsilon=0.05, channel=channel, seed=11)
+        streamed = monte_carlo_eval(run.env, run.policy, noise, M, run.cost)
+        assert streamed == history_monte_carlo_eval(run.env, run.policy, noise, M, run.cost)
+
+    def test_matches_history_oracle_when_some_rollouts_diverge(self):
+        env, cost, policy = small_problem()
+        linear = env.step_fn
+
+        def blows_up(x, u):
+            # rows whose velocity passes 0.4 step to inf and are masked from then on
+            return np.where(np.abs(x[..., 1:]) > 0.4, np.inf, linear(x, u))
+
+        env = replace(env, step_fn=blows_up)
+        noise = NoiseModel(epsilon=0.3, channel="state", seed=2)
+        streamed = monte_carlo_eval(env, policy, noise, 1025, cost)
+        assert 0 < streamed.divergences < 1025
+        assert streamed == history_monte_carlo_eval(env, policy, noise, 1025, cost)
+
+    def test_peak_memory_stays_near_the_noise_draws(self, trained_cartpole):
+        # the draws (M, N, n_x) are the one allocation that grows with M * N;
+        # storing the state history as well would roughly double the peak
+        run, M = trained_cartpole, 4000
+        draws_bytes = M * run.env.horizon * run.env.n_x * 8
+        noise = NoiseModel(epsilon=0.05, channel="state", seed=0)
+        tracemalloc.start()
+        try:
+            monte_carlo_eval(run.env, run.policy, noise, M, run.cost)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * draws_bytes, f"peak {peak} B is {peak / draws_bytes:.2f}x the draws"
 
 
 class TestMonteCarloEval:

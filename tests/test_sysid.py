@@ -319,6 +319,25 @@ class TestBatchedIdentification:
                 identify_ltv(env, traj, cfg)
 
 
+    def test_overflowing_perturbation_draw_is_a_numerical_failure_naming_t(self):
+        # sigma just above what t = 0's largest |N(0, 1)| entry can carry without
+        # overflowing: a later t overflows first, before any step call
+        env = dilqr.make_cartpole_env()
+        traj = dilqr.NominalTrajectory(np.zeros((31, 4)), np.zeros((30, 1)), 0.0)
+        z = np.random.default_rng(0).standard_normal((30, 9, 5))
+        peak = np.abs(z).max(axis=(1, 2))
+        first = int(np.argmax(peak > 1.001 * peak[0]))
+        assert first > 0
+        cfg = EstimatorConfig(sigma=np.finfo(float).max / (1.001 * peak[0]), seed=0)
+        calls = []
+        counting = dataclasses.replace(env, step_fn=lambda x, u: calls.append(x) or env.step_fn(x, u))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteModel, match=rf"identification failed at t={first}: "):
+                identify_ltv(counting, traj, cfg)
+        assert calls == []
+
+
 class TestClampedPerturbations:
     X = np.array([0.8, -0.5])
 
