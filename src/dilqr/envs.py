@@ -157,7 +157,9 @@ def _closed_loop(
                 u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
             if channel == CONTROL_CHANNEL:
                 u = u + noise.epsilon * env.u_scale * w[t]
-            u = env.clamp(np.broadcast_to(u, (*batch, env.n_u)))
+            u = env.clamp(u)
+            if u.shape[:-1] != batch:  # no K and no control noise: every row applies u
+                u = np.broadcast_to(u, (*batch, env.n_u))
             x_next = step(env, x, u)
             if channel == STATE_CHANNEL:
                 x_next = x_next + noise.epsilon * w[t]

@@ -316,7 +316,7 @@ class TestRollouts:
         calls = []
 
         def counting(x, u):
-            calls.append(x.shape)
+            calls.append((x.shape, u.shape))
             return env.step_fn(x, u)
 
         counted = replace(env, step_fn=counting)
@@ -327,7 +327,7 @@ class TestRollouts:
         assert alive.tolist() == [True, False, True]
         assert np.all(states[2:, 1] == 0.0)
         assert np.all(np.isfinite(states))
-        assert calls == [(3, 2)] * 4
+        assert calls == [((3, 2), (3, 1))] * 4  # without K every row still gets its control row
 
     def test_non_finite_nominal_control_rejected(self):
         # clamping would turn an infinite control into the bound; it is refused instead
