@@ -127,7 +127,8 @@ def _closed_loop(
 
     Arguments and conventions are those of ``rollout``. Each step's state
     and control are yielded and then dropped, so a consumer that keeps
-    nothing holds no history.
+    nothing holds no history. Consume it under np.errstate(all="ignore"):
+    a diverging row overflows before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
@@ -150,21 +151,20 @@ def _closed_loop(
     x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
     for t in range(N):
-        with np.errstate(all="ignore"):
-            u = u_bar[t]
-            if K is not None:
-                # the per-point form: each row equals the unbatched K_t @ dx bit for bit
-                u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
-            if channel == CONTROL_CHANNEL:
-                u = u + noise.epsilon * env.u_scale * w[t]
-            u = env.clamp(u)
-            if u.shape[:-1] != batch:  # no K and no control noise: every row applies u
-                u = np.broadcast_to(u, (*batch, env.n_u))
-            x_next = step(env, x, u)
-            if channel == STATE_CHANNEL:
-                x_next = x_next + noise.epsilon * w[t]
-            alive &= np.all(np.isfinite(x_next), axis=-1)
-            x_next = np.where(alive[..., None], x_next, 0.0)
+        u = u_bar[t]
+        if K is not None:
+            # the per-point form: each row equals the unbatched K_t @ dx bit for bit
+            u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
+        if channel == CONTROL_CHANNEL:
+            u = u + noise.epsilon * env.u_scale * w[t]
+        u = env.clamp(u)
+        if u.shape[:-1] != batch:  # no K and no control noise: every row applies u
+            u = np.broadcast_to(u, (*batch, env.n_u))
+        x_next = step(env, x, u)
+        if channel == STATE_CHANNEL:
+            x_next = x_next + noise.epsilon * w[t]
+        alive &= np.all(np.isfinite(x_next), axis=-1)
+        x_next = np.where(alive[..., None], x_next, 0.0)
         yield x, u
         x = x_next
     yield x, alive
@@ -199,9 +199,10 @@ def rollout(
     batch = () if w is None else w.shape[1:-1]
     states = np.empty((N + 1, *batch, env.n_x))
     controls = np.empty((N, *batch, env.n_u))
-    for t in range(N):
-        states[t], controls[t] = next(steps)
-    states[N], alive = next(steps)
+    with np.errstate(all="ignore"):
+        for t in range(N):
+            states[t], controls[t] = next(steps)
+        states[N], alive = next(steps)
     return states, controls, alive
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -171,12 +172,15 @@ class TestStreamingEvaluator:
         linear = env.step_fn
 
         def blows_up(x, u):
-            # rows whose velocity passes 0.4 step to inf and are masked from then on
-            return np.where(np.abs(x[..., 1:]) > 0.4, np.inf, linear(x, u))
+            # rows whose velocity passes 0.4 overflow to inf and are masked from
+            # then on; the overflow would warn outside the kernel's errstate
+            return np.where(np.abs(x[..., 1:]) > 0.4, np.exp(np.full_like(x, 1e3)), linear(x, u))
 
         env = replace(env, step_fn=blows_up)
         noise = NoiseModel(epsilon=0.3, channel="state", seed=2)
-        streamed = monte_carlo_eval(env, policy, noise, 1025, cost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            streamed = monte_carlo_eval(env, policy, noise, 1025, cost)
         assert 0 < streamed.divergences < 1025
         assert streamed == history_monte_carlo_eval(env, policy, noise, 1025, cost)
 
