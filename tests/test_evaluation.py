@@ -192,8 +192,10 @@ class TestStreamingEvaluator:
         noise = NoiseModel(epsilon=0.05, channel="state", seed=0)
         tracemalloc.start()
         try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
             monte_carlo_eval(run.env, run.policy, noise, M, run.cost)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * draws_bytes, f"peak {peak} B is {peak / draws_bytes:.2f}x the draws"
