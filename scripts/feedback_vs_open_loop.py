@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 import dilqr
-from dilqr.config import default_config
+from dilqr.config import default_config, parse_seed
 from dilqr.envs import ENV_BUILDERS, NoiseModel
 from dilqr.evaluation import monte_carlo_eval
 
@@ -25,7 +25,7 @@ def main():
     ap.add_argument("--epsilons", type=float, nargs="+", default=[0.02, 0.05, 0.1])
     ap.add_argument("--rollouts", type=int, default=1_000)
     ap.add_argument("--channel", default="state", choices=["state", "control"])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=parse_seed, default=0)
     args = ap.parse_args()
 
     cfg = default_config()

@@ -3,6 +3,10 @@
 Subcommands: train, feedback, eval, sweep, jacobian-bench. Exit codes:
 0 success, 1 usage/config error, 2 numerical failure.
 
+jacobian-bench compares both Jacobian estimators on the config's
+environment at PROBE_POINTS and with u on its upper bound: black-box rows
+next to the error. A sigma, n_s or seed study is a set of runs.
+
 All file output lands under the --out directory, alongside a verbatim echo
 of the effective configuration. Timing columns are written as 0.0 unless
 run.record_timing is set, so repeated runs produce bit-identical files.
@@ -19,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
-from .envs import ENV_BUILDERS, make_env
+from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
 from .errors import (
     ContractViolation,
     NonFiniteModel,
@@ -170,8 +174,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# Off-nominal (x, u) per environment at which jacobian-bench compares the
+# estimators. The control is clamped into the config's bounds first: beyond a
+# bound both signs of every step clamp, and both estimators raise SingularSystem.
+PROBE_POINTS = {
+    "linear_test": (np.array([0.7, -0.3]), np.array([0.2])),
+    "pendulum": (np.array([0.8, -0.5]), np.array([1.5])),
+    "cartpole": (np.array([0.1, 0.2, 0.8, -0.4]), np.array([2.0])),
+}
+
+
 def _reference_jacobian(env, x, u):
-    """Richardson-extrapolated central differences; bench-table reference."""
+    """Richardson-extrapolated central differences; bench-table reference.
+
+    (4 D(h/2) - D(h)) / 3 cancels a central difference's O(h^2) error. With u
+    on a bound the B column is one-sided, with an O(h) error it does not
+    cancel: against the analytic step Jacobians, cart-pole's on-bound B is off
+    by 5.4e-9 and no probe entry by more than 1.3e-9.
+    """
     h = 1e-5
     m1 = estimate_fd(env, x, u, h)
     m2 = estimate_fd(env, x, u, h / 2)
@@ -180,38 +200,38 @@ def _reference_jacobian(env, x, u):
     return A, B
 
 
+def _bench_points(env) -> dict:
+    """(x, u) per jacobian-bench point: the probe, its u clamped, and u on the upper bound."""
+    x, u = PROBE_POINTS[env.name]
+    return {"probe": (x, env.clamp(u)), "bound": (x, env.control_bounds[:, 1])}
+
+
 def cmd_jacobian_bench(args) -> int:
     cfg = _load(args)
+    env = cfg.make_env()
     est = cfg.make_estimator()
+    n_s = est.resolve_n_s(env)
     out = _out_dir(args, cfg)
     record_timing = cfg.get("run", "record_timing")
     rows = []
-    for name in ENV_BUILDERS:
-        env = make_env(name)
-        x, u = env.x0, np.zeros(env.n_u)
-        refs = _reference_jacobian(env, x, u)
-        for method in ("llscd", "fd"):
+    for point, (x, u) in _bench_points(env).items():
+        A_ref, B_ref = _reference_jacobian(env, x, u)
+        for method, param in (("llscd", n_s), ("fd", est.fd_step)):
             t0 = time.perf_counter()
             if method == "llscd":
-                models = [
-                    estimate_llscd(env, x, u, est.child(t)) for t in range(env.horizon)
-                ]
-                param = est.resolve_n_s(env)
+                m = estimate_llscd(env, x, u, est)
             else:
-                models = [estimate_fd(env, x, u, est.fd_step) for _ in range(env.horizon)]
-                param = est.fd_step
+                m = estimate_fd(env, x, u, est.fd_step)
             wall = time.perf_counter() - t0
-            err = max(
-                max(np.max(np.abs(m.A - refs[0])), np.max(np.abs(m.B - refs[1])))
-                for m in models
-            )
+            err = max(np.max(np.abs(m.A - A_ref)), np.max(np.abs(m.B - B_ref)))
             rows.append(
-                (env.name, method, param, wall if record_timing else 0.0,
-                 models[0].eval_count, float(err))
+                (env.name, point, method, param, wall if record_timing else 0.0,
+                 m.eval_count, float(err))
             )
     _write_csv(
         out / "bench.csv",
-        ["env", "method", "n_s_or_h", "wall_time_s", "eval_count", "max_abs_error_vs_oracle"],
+        ["env", "point", "method", "n_s_or_h", "wall_time_s", "eval_count",
+         "max_abs_error_vs_oracle"],
         rows,
     )
     print(f"jacobian-bench: wrote {out / 'bench.csv'} ({len(rows)} rows)")
@@ -257,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("policy", help="policy file from `feedback`")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("jacobian-bench", help="time both Jacobian estimators per environment")
+    p = sub.add_parser(
+        "jacobian-bench", help="compare both Jacobian estimators on the config's environment"
+    )
     common(p)
     p.set_defaults(func=cmd_jacobian_bench)
     return parser

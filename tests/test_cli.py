@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -8,11 +9,19 @@ import numpy as np
 import pytest
 
 import dilqr
-from dilqr.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from dilqr.cli import (
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    PROBE_POINTS,
+    _reference_jacobian,
+    main,
+)
 from dilqr.config import parse_config
 from dilqr.costs import total_cost
-from dilqr.envs import rollout
+from dilqr.envs import ENV_BUILDERS, make_env, rollout
 from dilqr.serialize import load_policy, load_trajectory
+from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd
 
 
 LINEAR_CFG = """
@@ -35,6 +44,12 @@ def linear_cfg(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def _read_bench(out):
+    with open(out / "bench.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
 
 
 def _subprocess_env():
@@ -84,14 +99,55 @@ class TestPipeline:
         out_text = capsys.readouterr().out
         assert "train:" in out_text and "sweep:" in out_text
 
-    def test_jacobian_bench_writes_comparison_table(self, tmp_path):
+    @pytest.mark.parametrize("name", list(ENV_BUILDERS))
+    def test_jacobian_bench_writes_comparison_table(self, tmp_path, name):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"[env]\nname = {name}\n")
         out = tmp_path / "bench"
-        assert run("jacobian-bench", "--out", str(out)) == EXIT_OK
-        lines = (out / "bench.csv").read_text().splitlines()
-        # 3 environments x 2 methods
-        assert len(lines) == 1 + 6
-        assert any(",llscd," in line for line in lines)
-        assert any(",fd," in line for line in lines)
+        assert run("jacobian-bench", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        header, rows = _read_bench(out)
+        assert header == [
+            "env", "point", "method", "n_s_or_h", "wall_time_s", "eval_count",
+            "max_abs_error_vs_oracle",
+        ]
+        # the config's environment only: 2 points x 2 methods
+        assert [(r["env"], r["point"], r["method"]) for r in rows] == [
+            (name, point, method) for point in ("probe", "bound") for method in ("llscd", "fd")
+        ]
+        env = make_env(name)
+        n_s = env.n_x + env.n_u + 4
+        for r in rows:
+            llscd = r["method"] == "llscd"
+            assert float(r["n_s_or_h"]) == (n_s if llscd else 1e-4)
+            assert int(r["eval_count"]) == (2 * n_s if llscd else 2 * (env.n_x + env.n_u))
+            assert float(r["wall_time_s"]) == 0.0
+            assert 0.0 <= float(r["max_abs_error_vs_oracle"]) < 1e-3
+
+    def test_jacobian_bench_uses_the_configured_environment(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("[env]\nname = cartpole\ndt = 0.05\nforce_limit = 5\n")
+        out = tmp_path / "bench"
+        assert run("jacobian-bench", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        _, rows = _read_bench(out)
+        bound = {r["method"]: r for r in rows if r["point"] == "bound"}
+        env = make_env("cartpole", dt=0.05, force_limit=5.0)
+        x, u = PROBE_POINTS["cartpole"][0], np.array([5.0])
+        A_ref, B_ref = _reference_jacobian(env, x, u)
+        for method, m in (
+            ("llscd", estimate_llscd(env, x, u, EstimatorConfig(seed=0))),
+            ("fd", estimate_fd(env, x, u, 1e-4)),
+        ):
+            err = max(np.max(np.abs(m.A - A_ref)), np.max(np.abs(m.B - B_ref)))
+            assert float(bound[method]["max_abs_error_vs_oracle"]) == err
+            assert int(bound[method]["eval_count"]) == m.eval_count
+
+    def test_jacobian_bench_rejects_an_invalid_environment_override(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("[env]\nname = cartpole\ntorque_limit = 5\n")
+        out = tmp_path / "bench"
+        assert run("jacobian-bench", "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert "torque_limit" in capsys.readouterr().err
+        assert not (out / "config.txt").exists()
 
     def test_trace_explains_the_run(self, tmp_path, linear_cfg, capsys):
         out = tmp_path / "run"

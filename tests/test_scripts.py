@@ -14,22 +14,26 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py"))
 
 
-def run_script(name, *args, cwd):
+def _run(name, *args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args, cwd):
+    result = _run(name, *args, cwd=cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
-def test_jacobian_accuracy_prints_every_environment(tmp_path):
-    out = run_script("jacobian_accuracy.py", "--sigmas", "1e-3", cwd=tmp_path)
-    for name in ("linear_test", "pendulum", "cartpole"):
-        assert f"== {name} " in out
-    assert "central diff (h=1e-4)" in out
+def test_feedback_vs_open_loop_rejects_a_bad_seed_before_training(tmp_path):
+    result = _run("feedback_vs_open_loop.py", "--env", "linear_test", "--seed", "-1", cwd=tmp_path)
+    assert result.returncode != 0
+    assert "--seed" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 import dilqr
 from dilqr import sysid
+from dilqr.cli import _bench_points, _reference_jacobian
 from dilqr.costs import QuadraticCostModel
 from dilqr.envs import (
     LINEAR_TEST_A,
@@ -18,7 +19,7 @@ from dilqr.envs import (
 from dilqr.errors import ContractViolation, NonFiniteModel, SingularSystem
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd, identify_ltv
 
-from oracles import pendulum_step_jacobians
+from oracles import cartpole_step_jacobians, pendulum_step_jacobians
 
 
 class TestLeastSquaresEstimator:
@@ -422,6 +423,27 @@ class TestClampedFiniteDifferences:
             diffs = sysid._central_differences(env, x[None], u[None], E[None])[0]
             AB = (diffs / (2 * h)).T
             assert np.array_equal(m.A, AB[:, : env.n_x]) and np.array_equal(m.B, AB[:, env.n_x :])
+
+
+class TestReferenceJacobian:
+    """cli._reference_jacobian, the bench table's reference, against the analytic step Jacobians."""
+
+    ORACLES = {
+        "linear_test": lambda env, x, u: (LINEAR_TEST_A, LINEAR_TEST_B),
+        "pendulum": lambda env, x, u: pendulum_step_jacobians(x, u, dt=env.dt),
+        "cartpole": lambda env, x, u: cartpole_step_jacobians(x, u, dt=env.dt),
+    }
+
+    @pytest.mark.parametrize("point", ["probe", "bound"])
+    @pytest.mark.parametrize("name", ENV_NAMES)
+    def test_matches_the_analytic_jacobians_at_every_bench_point(self, name, point):
+        env = dilqr.make_env(name)
+        x, u = _bench_points(env)[point]
+        A, B = _reference_jacobian(env, x, u)
+        A_ref, B_ref = self.ORACLES[name](env, x, u)
+        # at most 5.4e-9 (cart-pole's one-sided B on the bound)
+        assert np.max(np.abs(A - A_ref)) < 2e-8
+        assert np.max(np.abs(B - B_ref)) < 2e-8
 
 
 class TestSingularSystemError:
