@@ -136,9 +136,11 @@ def total_cost(
     if states.shape[0] != controls.shape[0] + 1:
         raise ContractViolation("states must have exactly one more entry than controls")
     _check_dims(states, controls, cost)
+    # one batched stage_cost call; its rows equal the per-t calls bit for bit,
+    # and they are added in the same order
     J = 0.0
-    for t in range(controls.shape[0]):
-        J += stage_cost(states[t], controls[t], cost)
+    for c in stage_cost(states[:-1], controls, cost):
+        J += c
     J += terminal_cost(states[-1], cost)
     if states.ndim == 2 and not np.isfinite(J):
         raise ContractViolation("total cost is not finite")

@@ -11,6 +11,13 @@ open-loop rollout (no K) and the ILQR line search (one trajectory) read.
 The Monte-Carlo evaluator steps all M noisy rollouts through the loop at
 once and adds up each one's cost as it steps, storing no history.
 
+The RK4 environments integrate one point (the line search's one
+trajectory) on Python floats and a batch on numpy arrays, through the
+same stage code and physics; a point equals its one-row batch bit for bit.
+Where Python floats raise on overflow and numpy returns inf or nan, the
+point is integrated again as a one-row batch, so a diverging candidate
+gets numpy's result and is rejected like any other.
+
 Stochastic execution adds eps * w_t to x_{t+1} on the state channel, or
 eps * u_scale * w_t to the control before clamping on the control
 channel, with w_t i.i.d. standard Gaussian per dimension. Each seed has
@@ -21,6 +28,7 @@ noise does not depend on how many rollouts run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional
@@ -110,7 +118,7 @@ def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"bad dimensions for {env.name}: state {x.shape}, control {u.shape}"
         )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ContractViolation("non-finite state or control passed to step")
     return env.step_fn(x, env.clamp(u))
 
@@ -145,7 +153,7 @@ def _closed_loop(
     ):
         shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K, w)]
         raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
-    if not np.all(np.isfinite(u_bar)):
+    if not np.isfinite(u_bar).all():
         raise ContractViolation("non-finite nominal control passed to rollout")
     batch = () if w is None else w.shape[1:-1]
     x = np.full((*batch, env.n_x), x_bar[0])
@@ -163,7 +171,7 @@ def _closed_loop(
         x_next = step(env, x, u)
         if channel == STATE_CHANNEL:
             x_next = x_next + noise.epsilon * w[t]
-        alive &= np.all(np.isfinite(x_next), axis=-1)
+        alive &= np.isfinite(x_next).all(axis=-1)
         x_next = np.where(alive[..., None], x_next, 0.0)
         yield x, u
         x = x_next
@@ -226,24 +234,49 @@ def rollout_open_loop(
 def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) -> np.ndarray:
     """Classic fixed-step RK4 over dt, split into substeps for fidelity.
 
-    deriv takes the tuple of state components and the tuple of control
-    components, each an array over the batch axes of x and u, and returns
-    the tuple of state derivatives. x and u are split into components once,
-    every stage is computed per component, and the result is stacked once.
+    deriv takes the list of state components and the list of control
+    components and returns the list of state derivatives. One point
+    (1-D x and u) runs its stages on Python floats, which costs far less
+    than numpy's per-call overhead on 1-element arrays; a batch splits x
+    and u into component arrays over its batch axes and stacks the result
+    once. Both run the same stage code, and float64 arithmetic, sin and cos
+    give the same bits either way, so a point equals its one-row batch bit
+    for bit. Where Python floats raise and numpy returns inf or nan
+    (math.sin(inf), a division by zero), the point is integrated again as a
+    one-row batch, so it gets numpy's result.
     """
     h = dt / substeps
-    x = tuple(x[..., i] for i in range(x.shape[-1]))
-    u = tuple(u[..., i] for i in range(u.shape[-1]))
+    if x.ndim == 1 and u.ndim == 1:
+        try:
+            return np.array(_rk4_stages(deriv, x.tolist(), u.tolist(), h, substeps))
+        except (ArithmeticError, ValueError):
+            return rk4_step(deriv, x[None], u[None], dt, substeps)[0]
+    x = [x[..., i] for i in range(x.shape[-1])]
+    u = [u[..., i] for i in range(u.shape[-1])]
+    return np.stack(_rk4_stages(deriv, x, u, h, substeps), axis=-1)
+
+
+def _rk4_stages(deriv, x: list, u: list, h: float, substeps: int) -> list:
+    """The RK4 stages on state and control components, floats or arrays alike."""
     for _ in range(substeps):
         k1 = deriv(x, u)
-        k2 = deriv(tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1)), u)
-        k3 = deriv(tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2)), u)
-        k4 = deriv(tuple(xi + h * ki for xi, ki in zip(x, k3)), u)
-        x = tuple(
+        k2 = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k1)], u)
+        k3 = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k2)], u)
+        k4 = deriv([xi + h * ki for xi, ki in zip(x, k3)], u)
+        x = [
             xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        )
-    return np.stack(x, axis=-1)
+        ]
+    return x
+
+
+def _sin(a):
+    # exact type: np.float64 subclasses float, and math.sin(np.float64(inf)) raises
+    return math.sin(a) if type(a) is float else np.sin(a)
+
+
+def _cos(a):
+    return math.cos(a) if type(a) is float else np.cos(a)
 
 
 LINEAR_TEST_A = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -315,7 +348,7 @@ def pendulum_deriv(x, u, *, mass, length, gravity, damping):
     """
     theta, omega = x
     (torque,) = u
-    alpha = (torque - damping * omega - mass * gravity * length * np.sin(theta)) / (
+    alpha = (torque - damping * omega - mass * gravity * length * _sin(theta)) / (
         mass * length**2
     )
     return omega, alpha
@@ -336,13 +369,16 @@ def cartpole_deriv(x, u, *, cart_mass, pole_mass, pole_length, gravity):
     """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright.
 
     Component form: x = (pos, dpos, theta, dtheta) and u = (force,); returns
-    their time derivatives in the same order.
+    their time derivatives in the same order. Squares are written as
+    products: numpy squares an array by multiplying, but ``** 2`` on a float
+    or a numpy scalar calls libm's pow, which rounds differently in the last
+    bit on about 1 in 1,250 random inputs.
     """
     _, dpos, theta, dtheta = x
     (force,) = u
-    s, c = np.sin(theta), np.cos(theta)
-    accel = (force + pole_mass * s * (pole_length * dtheta**2 + gravity * c)) / (
-        cart_mass + pole_mass * s**2
+    s, c = _sin(theta), _cos(theta)
+    accel = (force + pole_mass * s * (pole_length * (dtheta * dtheta) + gravity * c)) / (
+        cart_mass + pole_mass * (s * s)
     )
     ang_accel = -(accel * c + gravity * s) / pole_length
     return dpos, accel, dtheta, ang_accel

@@ -146,9 +146,10 @@ def backward_pass(
             Q_ux = B.T @ J_xx_reg @ A
             Q_uu = R + B.T @ J_xx_reg @ B
             Q_uu = 0.5 * (Q_uu + Q_uu.T)
+            Q_u_ux = np.concatenate((Q_u[:, None], Q_ux), axis=1)
             try:
                 L = np.linalg.cholesky(Q_uu)
-                kK = -np.linalg.solve(L.T, np.linalg.solve(L, np.column_stack([Q_u, Q_ux])))
+                kK = -np.linalg.solve(L.T, np.linalg.solve(L, Q_u_ux))
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(t) from None
             if not (np.isfinite(Q_uu).all() and np.isfinite(kK).all()):

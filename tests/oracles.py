@@ -5,13 +5,14 @@ Jacobians pushed through the integrator by the chain rule, the exact
 finite-horizon discrete Riccati recursion on known (A, B), the
 time-varying Riccati recursion in Joseph form, the ILQR backward pass in
 its earlier per-step form, the RK4 integrator in its earlier stacked
-form, and the Monte-Carlo evaluator in its earlier history-based form.
+form, the Monte-Carlo evaluator in its earlier history-based form, and
+the trajectory cost in its earlier per-step form.
 """
 
 import numpy as np
 import scipy.linalg
 
-from dilqr.costs import total_cost
+from dilqr.costs import stage_cost, terminal_cost, total_cost
 from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, STATE_CHANNEL, rollout
 from dilqr.errors import ContractViolation
 from dilqr.evaluation import RolloutStats
@@ -245,6 +246,18 @@ def stacked_pendulum_step(x, u, dt=0.1, damping=PENDULUM_PARAMS["damping"], subs
 
 def stacked_cartpole_step(x, u, dt=0.15, substeps=4):
     return stacked_rk4_step(lambda xx, uu: stacked_cartpole_deriv(xx, uu, **CARTPOLE_PARAMS), x, u, dt, substeps)
+
+
+def per_step_total_cost(states, controls, cost):
+    """The trajectory cost with one stage_cost call per t, added left to right.
+
+    states (N+1, ..., n_x) and controls (N, ..., n_u) are time-major, as in
+    total_cost, which must reproduce this bit for bit.
+    """
+    J = 0.0
+    for t in range(controls.shape[0]):
+        J += stage_cost(states[t], controls[t], cost)
+    return J + terminal_cost(states[-1], cost)
 
 
 def history_monte_carlo_eval(env, policy, noise, M, cost):

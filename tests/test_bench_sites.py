@@ -10,12 +10,25 @@ record every span. It only reads perfbench/.
 import importlib
 from pathlib import Path
 
+import pytest
+
+from dilqr import ilqr
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _perfbench(monkeypatch, name):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module(name)
+
+
+def _traced_pass(layers, tracer, wl):
+    """One pass of wl with every site wrapped; every wrapper is removed even if install fails."""
+    try:
+        layers.install(tracer, wl)
+        wl.run_pass()
+    finally:
+        tracer.remove()
 
 
 def test_every_traced_site_resolves(monkeypatch):
@@ -36,12 +49,23 @@ def test_every_traced_span_fires(monkeypatch, tmp_path):
         checks = workloads.Checks()
         wl.setup(checks)
         tracer = tracer_mod.Tracer()
-        layers.install(tracer, wl)
-        try:
-            wl.run_pass()
-        finally:
-            tracer.remove()
+        _traced_pass(layers, tracer, wl)
         assert not checks.failures, f"{name}: {checks.failures}"
         recorded |= {span[0] for span in tracer.spans}
     missing = {span for _, _, span, _ in layers._call_sites()} - recorded
     assert not missing, f"traced spans no workload reaches: {sorted(missing)}"
+
+
+def test_a_failed_install_leaves_no_site_wrapped(monkeypatch):
+    layers = _perfbench(monkeypatch, "layers")
+    workloads = _perfbench(monkeypatch, "workloads")
+    tracer_mod = _perfbench(monkeypatch, "tracer")
+    before = layers.originals()
+    call_sites = layers._call_sites
+    missing = (ilqr, "no_such_site", "ilqr.no_such_site", None)
+    monkeypatch.setattr(layers, "_call_sites", lambda: [*call_sites(), missing])
+    with pytest.raises(AttributeError, match="no_such_site"):
+        _traced_pass(layers, tracer_mod.Tracer(), workloads.PendulumTrain(0, tiny=True))
+    monkeypatch.setattr(layers, "_call_sites", call_sites)
+    after = layers.originals()
+    assert all(after[key] is original for key, original in before.items())

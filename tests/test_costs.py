@@ -12,7 +12,10 @@ from dilqr.costs import (
     terminal_partials,
     total_cost,
 )
+from dilqr.config import default_config
+from dilqr.envs import NoiseModel, make_env, rollout
 from dilqr.errors import ContractViolation
+from oracles import per_step_total_cost
 
 
 def simple_cost(n_x=2, n_u=1):
@@ -104,6 +107,24 @@ class TestTotalCost:
             dx, u = states[0, i] - c.x_goal, controls[0, i]
             plain = 0.5 * (dx @ c.Q @ dx) + 0.5 * (u @ c.R @ u)
             assert stage_cost(states[0], controls[0], c)[i] == plain
+
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_matches_the_per_step_loop_bit_for_bit(self, name):
+        cfg = default_config()
+        cfg.set("env", "name", name)
+        env = cfg.make_env()
+        cost = cfg.make_cost(env)
+        noise = NoiseModel(epsilon=0.2, seed=3)
+        w = noise.draws(9, env.horizon, env.n_x)
+        for seed in range(10):  # a summation order other than left to right shows on some
+            rng = np.random.default_rng(seed)
+            u_bar = env.u_scale * rng.uniform(-1.0, 1.0, (env.horizon, env.n_u))
+            single = rollout(env, env.x0[None], u_bar)
+            batch = rollout(env, env.x0[None], u_bar, None, noise, w)
+            for states, controls, _ in (single, batch):
+                J = total_cost(states, controls, cost)
+                assert np.array_equal(J, per_step_total_cost(states, controls, cost))
+                assert np.shape(J) == states.shape[1:-1]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation, match="one more"):

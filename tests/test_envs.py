@@ -1,8 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dilqr
@@ -10,9 +11,11 @@ from dilqr.costs import QuadraticCostModel, total_cost
 from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
+    CARTPOLE_PARAMS,
     ENV_BUILDERS,
     PENDULUM_PARAMS,
     NoiseModel,
+    cartpole_deriv,
     make_cartpole_env,
     make_env,
     make_linear_env,
@@ -80,6 +83,50 @@ class TestStep:
         batch = step(env, X, U)
         for i in range(64):
             assert np.array_equal(batch[i], step(env, X[i], U[i]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["pendulum", "cartpole"]),
+        x=st.lists(
+            st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300)), min_size=4, max_size=4
+        ),
+        u=st.floats(-1e3, 1e3),
+    )
+    # cart-pole points whose step changes if a square is libm's pow rather than a product
+    @example("cartpole", [1.0127919237457959, -0.7824082484800332, -1.0544501469845304,
+                          -0.2658701914395942], 23.690530982817897)
+    @example("cartpole", [-12.741842866631497, 30.086821986403645, 7.166867701799929,
+                          64.16520269555285], 32.989160841725024)
+    def test_one_point_equals_the_one_row_batch_on_wide_states(self, name, x, u):
+        # one point runs on Python floats, a batch on arrays; controls beyond
+        # the bounds are clamped first, and overflowing points fall back
+        env = make_env(name)
+        x, u = np.array(x[: env.n_x]), np.array([u])
+        with np.errstate(all="ignore"):
+            one = step(env, x, u)
+            batch = step(env, x[None], u[None])[0]
+        assert np.array_equal(one, batch, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "name, x",
+        [
+            ("cartpole", [0.0, 0.0, 0.0, 1e200]),  # dtheta * dtheta overflows to inf
+            ("cartpole", [0.0, 0.0, 1.7e308, 1e308]),  # math.sin(-inf) raises
+            ("pendulum", [1.7e308, 1e308]),  # math.sin(inf) raises
+        ],
+    )
+    def test_overflowing_point_gets_the_one_row_batch_result(self, name, x):
+        env = make_env(name)
+        x, u = np.array(x), np.zeros(1)
+        with np.errstate(all="ignore"):
+            one = step(env, x, u)
+            batch = step(env, x[None], u[None])[0]
+        assert not np.isfinite(one).all()
+        assert np.array_equal(one, batch, equal_nan=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, _, alive = rollout(env, x[None], np.zeros((3, 1)))
+        assert not alive and np.all(states[1:] == 0.0)
 
     def test_non_finite_row_in_a_batch_rejected(self):
         env = make_pendulum_env()
@@ -407,6 +454,22 @@ class TestBuilders:
     def test_pendulum_deriv_velocity_slot_is_consistent(self, theta, omega, torque):
         d = pendulum_deriv((theta, omega), (torque,), **PENDULUM_PARAMS)
         assert d[0] == omega
+
+    @pytest.mark.parametrize(
+        "deriv, params, x",
+        [
+            (pendulum_deriv, PENDULUM_PARAMS, [np.inf, 0.0]),
+            (cartpole_deriv, CARTPOLE_PARAMS, [0.0, 1.0, -np.inf, 2.0]),
+        ],
+    )
+    def test_derivs_on_numpy_scalars_keep_numpy_semantics(self, deriv, params, x):
+        # np.float64 subclasses float, but an infinite numpy-scalar angle
+        # must give numpy's nan, not math.sin's ValueError
+        with np.errstate(all="ignore"):
+            scalars = deriv([np.float64(v) for v in x], [np.float64(0.5)], **params)
+            arrays = deriv([np.array([v]) for v in x], [np.array([0.5])], **params)
+        assert all(type(d) is not float for d in scalars)
+        assert np.array_equal(np.array(scalars), np.array(arrays)[:, 0], equal_nan=True)
 
     @settings(max_examples=20, deadline=None)
     @given(u=st.floats(-500.0, 500.0), seed=st.integers(0, 1000))

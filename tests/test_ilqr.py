@@ -269,6 +269,27 @@ class TestForwardPass:
         assert not ok and out is prev
         assert sum(rows) == prev.horizon
 
+    def test_overflowing_one_point_rollout_is_rejected_after_exactly_n_step_rows(self):
+        # math.sin(inf) raises on the one-point float path; the step falls back
+        # to numpy's nan, the row dies and the candidate is rejected, not raised
+        env = make_pendulum_env(horizon=4)
+        rows = []
+
+        def counting(x, u):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return env.step_fn(x, u)
+
+        cost = QuadraticCostModel(Q=np.eye(2), R=1.0, Q_terminal=np.eye(2), x_goal=np.zeros(2))
+        states = np.zeros((5, 2))
+        states[0] = [1.7e308, 1e308]
+        prev = NominalTrajectory(states, np.zeros((4, 1)), 0.0)
+        gains = IterationGains(k=np.ones((4, 1)), K=np.zeros((4, 1, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, ok = forward_pass(prev, gains, 1.0, replace(env, step_fn=counting), cost)
+        assert not ok and out is prev
+        assert rows == [1] * prev.horizon
+
 
 class TestOptimize:
     def test_linear_problem_reaches_exact_lqr_cost(self):
