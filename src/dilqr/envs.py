@@ -20,10 +20,12 @@ gets numpy's result and is rejected like any other.
 
 Stochastic execution adds eps * w_t to x_{t+1} on the state channel, or
 eps * u_scale * w_t to the control before clamping on the control
-channel, with w_t i.i.d. standard Gaussian per dimension. Each seed has
-one noise stream: rollout i takes row i of the draws of one generator
-keyed by the seed. Sequential draws are prefix-stable, so a rollout's
-noise does not depend on how many rollouts run.
+channel, with w_t i.i.d. standard Gaussian per dimension. The loop draws
+w_t as step t runs: step t has a generator of its own, keyed through
+SeedSequence by (seed, t), and rollout i takes row i of its draws.
+Sequential draws are prefix-stable, so a rollout's noise depends neither
+on how many rollouts run nor on the horizon, and no (N, M, dim) array of
+draws is ever built.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class Environment:
 class NoiseModel:
     """Scaled additive white Gaussian noise, reproducible from a seed.
 
-    Rollout i draws row i of the seed's one stream.
+    Step t's draws come from one generator keyed by (seed, t); rollout i
+    takes row i of them.
     """
 
     epsilon: float
@@ -92,16 +95,16 @@ class NoiseModel:
         if self.channel not in (STATE_CHANNEL, CONTROL_CHANNEL):
             raise ContractViolation(f"unknown noise channel {self.channel!r}")
 
-    def draws(self, rollouts: int, horizon: int, dim: int) -> np.ndarray:
-        """The time-major (horizon, rollouts, dim) draws of rollouts [0, rollouts).
+    def draws(self, t: int, rows: int, dim: int) -> np.ndarray:
+        """The (rows, dim) standard normals of step t for rollouts [0, rows).
 
-        A transposed view: rollout i's draws are row i of one generator's
-        (rollouts, horizon, dim) standard normals.
+        Row i is rollout i's draw from one generator keyed through
+        SeedSequence by (seed, t), so it does not depend on rows.
         """
-        if rollouts < 1:
-            raise ContractViolation("rollouts must be >= 1")
-        rng = np.random.default_rng([int(self.seed) & (2**63 - 1), 0])
-        return rng.standard_normal((rollouts, horizon, dim)).transpose(1, 0, 2)
+        if rows < 1:
+            raise ContractViolation("rows must be >= 1")
+        key = np.random.SeedSequence([int(self.seed) & (2**63 - 1), t])
+        return np.random.default_rng(key).standard_normal((rows, dim))
 
 
 def child_seed(seed: int, *key: int) -> int:
@@ -129,33 +132,30 @@ def _closed_loop(
     u_bar: np.ndarray,
     K: Optional[np.ndarray],
     noise: Optional[NoiseModel],
-    w: Optional[np.ndarray],
+    rows: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
-    Arguments and conventions are those of ``rollout``. Each step's state
-    and control are yielded and then dropped, so a consumer that keeps
-    nothing holds no history. Consume it under np.errstate(all="ignore"):
-    a diverging row overflows before it is masked.
+    Arguments and conventions are those of ``rollout``. Each step's noise
+    is drawn as the step runs, and its state and control are yielded and
+    then dropped, so a consumer that keeps nothing holds O(rows) memory.
+    Consume it under np.errstate(all="ignore"): a diverging row overflows
+    before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
     N = u_bar.shape[0]
-    if (noise is None) != (w is None):
-        raise ContractViolation("a noise model and its draws w go together")
-    channel = None if noise is None else noise.channel
-    dim = env.n_u if channel == CONTROL_CHANNEL else env.n_x
     if (
         x_bar.shape[-1] != env.n_x
         or u_bar.shape[-1] != env.n_u
         or (K is not None and (K.shape != (N, env.n_u, env.n_x) or len(x_bar) != N + 1))
-        or (w is not None and (w.shape[0] != N or w.shape[-1] != dim))
     ):
-        shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K, w)]
+        shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K)]
         raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
     if not np.isfinite(u_bar).all():
         raise ContractViolation("non-finite nominal control passed to rollout")
-    batch = () if w is None else w.shape[1:-1]
+    channel = None if noise is None else noise.channel
+    batch = () if noise is None else (rows,)
     x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
     for t in range(N):
@@ -164,13 +164,13 @@ def _closed_loop(
             # the per-point form: each row equals the unbatched K_t @ dx bit for bit
             u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
         if channel == CONTROL_CHANNEL:
-            u = u + noise.epsilon * env.u_scale * w[t]
+            u = u + noise.epsilon * env.u_scale * noise.draws(t, rows, env.n_u)
         u = env.clamp(u)
         if u.shape[:-1] != batch:  # no K and no control noise: every row applies u
             u = np.broadcast_to(u, (*batch, env.n_u))
         x_next = step(env, x, u)
         if channel == STATE_CHANNEL:
-            x_next = x_next + noise.epsilon * w[t]
+            x_next = x_next + noise.epsilon * noise.draws(t, rows, env.n_x)
         alive &= np.isfinite(x_next).all(axis=-1)
         x_next = np.where(alive[..., None], x_next, 0.0)
         yield x, u
@@ -184,16 +184,17 @@ def rollout(
     u_bar: np.ndarray,
     K: Optional[np.ndarray] = None,
     noise: Optional[NoiseModel] = None,
-    w: Optional[np.ndarray] = None,
+    rows: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
 
     x_bar (N+1, n_x) is the reference trajectory and x_bar[0] the start
     state; without K only that row is read. u_bar is (N, n_u) and K
-    (N, n_u, n_x). A NoiseModel comes with its standard-normal draws w
-    (N, ..., dim), whose middle axes are the batch: on the state channel
-    eps * w_t is added to x_{t+1}, on the control channel eps * u_scale * w_t
-    is added to u_t before clamping. Without noise the batch shape is ().
+    (N, n_u, n_x). A NoiseModel makes the batch `rows` noisy rollouts, and
+    step t adds rollout i's draw, row i of noise.draws(t, rows, dim): on the
+    state channel eps * w_t is added to x_{t+1}, on the control channel
+    eps * u_scale * w_t is added to u_t before clamping. Without noise the
+    batch shape is () and rows is not read.
 
     Returns the whole history: time-major states (N+1, ..., n_x), the
     applied controls (N, ..., n_u) and the alive mask (...). A row whose
@@ -202,9 +203,9 @@ def rollout(
     the open-loop rollout read this history; the Monte-Carlo evaluator adds
     up its costs as the loop steps instead and keeps none.
     """
-    steps = _closed_loop(env, x_bar, u_bar, K, noise, w)
+    steps = _closed_loop(env, x_bar, u_bar, K, noise, rows)
     N = np.shape(u_bar)[0]
-    batch = () if w is None else w.shape[1:-1]
+    batch = () if noise is None else (rows,)
     states = np.empty((N + 1, *batch, env.n_x))
     controls = np.empty((N, *batch, env.n_u))
     with np.errstate(all="ignore"):

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import QuadraticCostModel, stage_cost, terminal_cost
-from .envs import STATE_CHANNEL, Environment, NoiseModel, _closed_loop, child_seed
+from .envs import Environment, NoiseModel, _closed_loop, child_seed
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
@@ -54,10 +54,11 @@ def monte_carlo_eval(
 ) -> RolloutStats:
     """M independent closed-loop rollouts, run as one batch; unbiased sample moments.
 
-    Rollout i gets row i of noise.draws, whose prefix-stable stream makes
-    rollout i's noise independent of M. Each rollout's cost is added up
-    while the batch steps, in total_cost's order, so no state or control
-    history is stored: apart from the draws, memory is O(M) per step.
+    Rollout i gets row i of each step's noise.draws, drawn as the step
+    runs; the prefix-stable streams make rollout i's noise independent of
+    M. Each rollout's cost is added up while the batch steps, in
+    total_cost's order, so neither the draws nor a state or control history
+    is stored: memory is O(M), whatever the horizon.
     Divergent rollouts (non-finite states) are excluded from the moments and
     counted. Deterministic given (noise.seed, M).
     """
@@ -71,9 +72,7 @@ def monte_carlo_eval(
         raise ContractViolation(f"policy and cost dimensions {dims} do not fit {env.name}")
     # at epsilon = 0 every rollout is the same noiseless rollout
     rows = 1 if noise.epsilon == 0.0 else M
-    dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
-    w = noise.draws(rows, nominal.horizon, dim)
-    steps = _closed_loop(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    steps = _closed_loop(env, nominal.states, nominal.controls, policy.gains, noise, rows)
     costs = 0.0
     with np.errstate(all="ignore"):
         for _ in range(nominal.horizon):

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from dilqr.costs import stage_cost, terminal_cost, total_cost
-from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, STATE_CHANNEL, rollout
+from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, rollout
 from dilqr.errors import ContractViolation
 from dilqr.evaluation import RolloutStats
 
@@ -270,9 +270,9 @@ def history_monte_carlo_eval(env, policy, noise, M, cost):
     """
     nominal = policy.nominal
     rows = 1 if noise.epsilon == 0.0 else M
-    dim = env.n_x if noise.channel == STATE_CHANNEL else env.n_u
-    w = noise.draws(rows, nominal.horizon, dim)
-    states, controls, ok = rollout(env, nominal.states, nominal.controls, policy.gains, noise, w)
+    states, controls, ok = rollout(
+        env, nominal.states, nominal.controls, policy.gains, noise, rows
+    )
     with np.errstate(all="ignore"):
         costs = total_cost(states, controls, cost)
         terminal_sq = np.sum((states[-1] - cost.x_goal) ** 2, axis=-1)

@@ -115,12 +115,11 @@ class TestTotalCost:
         env = cfg.make_env()
         cost = cfg.make_cost(env)
         noise = NoiseModel(epsilon=0.2, seed=3)
-        w = noise.draws(9, env.horizon, env.n_x)
         for seed in range(10):  # a summation order other than left to right shows on some
             rng = np.random.default_rng(seed)
             u_bar = env.u_scale * rng.uniform(-1.0, 1.0, (env.horizon, env.n_u))
             single = rollout(env, env.x0[None], u_bar)
-            batch = rollout(env, env.x0[None], u_bar, None, noise, w)
+            batch = rollout(env, env.x0[None], u_bar, None, noise, 9)
             for states, controls, _ in (single, batch):
                 J = total_cost(states, controls, cost)
                 assert np.array_equal(J, per_step_total_cost(states, controls, cost))

@@ -191,13 +191,11 @@ class TestNoiseModel:
         env = make_linear_env()
         noise = NoiseModel(epsilon=0.0, channel="state", seed=5)
         x, u = np.array([1.0, 2.0]), np.array([0.3])
-        w = noise.draws(1, 1, env.n_x)[:, 0]
-        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=w)
-        assert np.array_equal(states[1], step(env, x, u))
+        states, _, _ = rollout(env, x[None], u[None], noise=noise)
+        assert np.array_equal(states[1, 0], step(env, x, u))
         noise_c = NoiseModel(epsilon=0.0, channel="control", seed=5)
-        w = noise_c.draws(1, 1, env.n_u)[:, 0]
-        states, _, _ = rollout(env, x[None], u[None], noise=noise_c, w=w)
-        assert np.allclose(states[1], step(env, x, u))
+        states, _, _ = rollout(env, x[None], u[None], noise=noise_c)
+        assert np.allclose(states[1, 0], step(env, x, u))
 
     def test_state_noise_std_matches_epsilon(self):
         env = make_linear_env()
@@ -205,42 +203,41 @@ class TestNoiseModel:
         noise = NoiseModel(epsilon=eps, channel="state", seed=11)
         x, u = np.array([1.0, 0.0]), np.array([0.0])
         base = step(env, x, u)
-        w = noise.draws(10_000, 1, env.n_x)
-        states, _, _ = rollout(env, x[None], u[None], noise=noise, w=w)
+        states, _, _ = rollout(env, x[None], u[None], noise=noise, rows=10_000)
         residuals = states[1] - base
         stds = residuals.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - eps) / eps < 0.05)
 
     def test_identical_seeds_give_bit_identical_draws(self):
-        a = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(8, 30, 2)
-        b = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(8, 30, 2)
+        a = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(4, 8, 2)
+        b = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(4, 8, 2)
         assert np.array_equal(a, b)
 
     def test_distinct_rollouts_get_distinct_streams(self):
-        w = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(2, 30, 2)
-        assert not np.array_equal(w[:, 0], w[:, 1])
+        w = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(0, 2, 2)
+        assert not np.array_equal(w[0], w[1])
 
     def test_rollouts_a_block_apart_get_distinct_draws(self):
         # rollouts 0 and 1,024 once opened separate streams; in one stream they still differ
-        w = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(1025, 30, 2)
-        assert not np.array_equal(w[:, 0], w[:, 1024])
+        w = NoiseModel(epsilon=0.1, channel="state", seed=3).draws(0, 1025, 2)
+        assert not np.array_equal(w[0], w[1024])
 
-    def test_rollout_draws_are_rows_of_one_stream_keyed_by_seed(self):
+    def test_step_draws_are_rows_of_one_generator_keyed_by_seed_and_step(self):
         M = 2500
         n = NoiseModel(epsilon=0.1, channel="state", seed=3)
-        w = n.draws(M, 30, 2)
-        assert w.shape == (30, M, 2)
-        assert w.base is not None  # a transposed view: no second copy of the draws
-        expected = np.random.default_rng([3, 0]).standard_normal((M, 30, 2))
-        for i in (0, 5, 1023, 1024, 1030, M - 1):
-            assert np.array_equal(w[:, i], expected[i])
-        # sequential draws are prefix-stable: fewer rollouts are a prefix of more
-        assert np.array_equal(n.draws(5, 30, 2), w[:, :5])
+        for t in (0, 1, 29, 1000):
+            w = n.draws(t, M, 2)
+            assert w.shape == (M, 2)
+            expected = np.random.default_rng(np.random.SeedSequence([3, t])).standard_normal((M, 2))
+            assert np.array_equal(w, expected)
+            # sequential draws are prefix-stable: fewer rollouts are a prefix of more
+            assert np.array_equal(n.draws(t, 5, 2), w[:5])
+        assert not np.array_equal(n.draws(0, 5, 2), n.draws(1, 5, 2))
 
     def test_no_rollouts_is_a_contract_violation(self):
         n = NoiseModel(epsilon=0.1, channel="state", seed=3)
-        with pytest.raises(ContractViolation, match="rollouts"):
-            n.draws(0, 30, 2)
+        with pytest.raises(ContractViolation, match="rows"):
+            n.draws(0, 0, 2)
 
     def test_epsilon_range_validated(self):
         with pytest.raises(ContractViolation):
@@ -276,17 +273,16 @@ class TestRollouts:
         controls = 0.1 * np.ones((8, 1))
         nominal = rollout_open_loop(env, env.x0, controls, cost)
         noise = NoiseModel(epsilon=0.05, channel="state", seed=2)
-        w = noise.draws(5, 8, 2)[:, 4]
         states, applied, _ = rollout(
-            env, nominal.states, nominal.controls, np.zeros((8, 1, 2)), noise, w
+            env, nominal.states, nominal.controls, np.zeros((8, 1, 2)), noise, 5
         )
         # zero gains: applied controls are exactly the nominal ones
-        assert np.array_equal(applied, controls)
-        # and states reproduce a manual noisy propagation
+        assert np.array_equal(applied[:, 4], controls)
+        # and rollout 4's states reproduce a manual noisy propagation
         x = env.x0.copy()
         for t in range(8):
-            x = step(env, x, controls[t]) + noise.epsilon * w[t]
-            assert np.allclose(states[t + 1], x)
+            x = step(env, x, controls[t]) + noise.epsilon * noise.draws(t, 5, 2)[4]
+            assert np.allclose(states[t + 1, 4], x)
 
     def test_closed_loop_feedback_tracks_reference(self):
         env = make_linear_env()
@@ -294,13 +290,10 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, np.zeros((20, 1)), cost)
         gains = np.tile(np.array([[-1.0, -1.5]]), (20, 1, 1))
         noise = NoiseModel(epsilon=0.02, channel="state", seed=9)
-        w = noise.draws(1, 20, 2)[:, 0]
-        states_fb, _, _ = rollout(env, nominal.states, nominal.controls, gains, noise, w)
-        states_ol, _, _ = rollout(
-            env, nominal.states, nominal.controls, np.zeros_like(gains), noise, w
-        )
-        dev_fb = np.linalg.norm(states_fb - nominal.states)
-        dev_ol = np.linalg.norm(states_ol - nominal.states)
+        states_fb, _, _ = rollout(env, nominal.states, nominal.controls, gains, noise)
+        states_ol, _, _ = rollout(env, nominal.states, nominal.controls, np.zeros_like(gains), noise)
+        dev_fb = np.linalg.norm(states_fb[:, 0] - nominal.states)
+        dev_ol = np.linalg.norm(states_ol[:, 0] - nominal.states)
         assert dev_fb < dev_ol
 
     def test_rollouts_reproducible_across_calls(self):
@@ -309,10 +302,10 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, np.zeros((5, 1)), cost)
         noise = NoiseModel(epsilon=0.1, channel="state", seed=1)
         K = np.zeros((5, 1, 2))
-        a = rollout(env, nominal.states, nominal.controls, K, noise, noise.draws(3, 5, 2)[:, 2])
-        b = rollout(env, nominal.states, nominal.controls, K, noise, noise.draws(3, 5, 2)[:, 2])
+        a = rollout(env, nominal.states, nominal.controls, K, noise, 3)
+        b = rollout(env, nominal.states, nominal.controls, K, noise, 3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert total_cost(a[0], a[1], cost) == total_cost(b[0], b[1], cost)
+        assert np.array_equal(total_cost(a[0], a[1], cost), total_cost(b[0], b[1], cost))
 
     def test_open_loop_records_and_charges_applied_controls(self):
         # the torque limit is 10: u = 50 drives the same states as u = 10,
@@ -349,16 +342,25 @@ class TestRollouts:
         K = rng.standard_normal((N, env.n_u, env.n_x))
         noise = NoiseModel(epsilon=0.3, channel=channel, seed=7)
         dim = env.n_x if channel == "state" else env.n_u
-        w = noise.draws(M, N, dim)
-        states, controls, alive = rollout(env, nominal.states, nominal.controls, K, noise, w)
+        states, controls, alive = rollout(env, nominal.states, nominal.controls, K, noise, M)
         assert states.shape == (N + 1, M, env.n_x) and controls.shape == (N, M, env.n_u)
+        assert alive.all()
+        w = np.stack([noise.draws(t, M, dim) for t in range(N)])
         for i in range(M):
-            s_i, c_i, a_i = rollout(env, nominal.states, nominal.controls, K, noise, w[:, i])
-            assert np.array_equal(states[:, i], s_i)
-            assert np.array_equal(controls[:, i], c_i)
-            assert alive[i] == a_i
+            # rollout i as single points: 1-D states, K_t @ dx and one step per t
+            x = nominal.states[0]
+            for t in range(N):
+                u = nominal.controls[t] + K[t] @ (x - nominal.states[t])
+                if channel == "control":
+                    u = u + noise.epsilon * env.u_scale * w[t, i]
+                u = env.clamp(u)
+                x = step(env, x, u)
+                if channel == "state":
+                    x = x + noise.epsilon * w[t, i]
+                assert np.array_equal(controls[t, i], u)
+                assert np.array_equal(states[t + 1, i], x)
 
-    def test_divergent_row_is_held_at_zero_while_the_batch_steps_on(self):
+    def test_divergent_row_is_held_at_zero_while_the_batch_steps_on(self, monkeypatch):
         env = make_linear_env(A=10.0 * np.eye(2), B=[[0.0], [1.0]], horizon=4)
         calls = []
 
@@ -370,7 +372,8 @@ class TestRollouts:
         noise = NoiseModel(epsilon=0.5, channel="state", seed=0)
         w = np.zeros((4, 3, 2))
         w[0, 1, 0] = 1e308  # row 1 reaches 5e307, then overflows at t = 1
-        states, _, alive = rollout(counted, np.zeros((1, 2)), np.zeros((4, 1)), None, noise, w)
+        monkeypatch.setattr(NoiseModel, "draws", lambda self, t, rows, dim: w[t])
+        states, _, alive = rollout(counted, np.zeros((1, 2)), np.zeros((4, 1)), None, noise, 3)
         assert alive.tolist() == [True, False, True]
         assert np.all(states[2:, 1] == 0.0)
         assert np.all(np.isfinite(states))
@@ -388,9 +391,8 @@ class TestRollouts:
         env = make_pendulum_env()
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((1, 4)), np.zeros((5, 1)))
-        noise = NoiseModel(epsilon=0.1)
-        with pytest.raises(ContractViolation, match="dimensions"):
-            rollout(env, np.zeros((1, 2)), np.zeros((5, 1)), None, noise, np.zeros((5, 3, 4)))
+        with pytest.raises(ContractViolation, match="rows"):
+            rollout(env, np.zeros((1, 2)), np.zeros((5, 1)), None, NoiseModel(epsilon=0.1), 0)
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((6, 2)), np.zeros((5, 1)), np.zeros((5, 1, 4)))
 

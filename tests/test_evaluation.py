@@ -113,14 +113,15 @@ class TestExactMomentOracle:
         eps = 0.03
         noise = NoiseModel(epsilon=eps, channel="state", seed=4)
         stats = monte_carlo_eval(env, policy, noise, 1, cost)
-        w = noise.draws(1, policy.nominal.horizon, env.n_x)[:, 0]
-        expected = cost_of_noise_vector(env, cost, policy, eps, w.ravel())
+        w = [noise.draws(t, 1, env.n_x)[0] for t in range(policy.nominal.horizon)]
+        expected = cost_of_noise_vector(env, cost, policy, eps, np.ravel(w))
         assert stats.cost_mean == pytest.approx(expected, rel=1e-12)
         assert stats.cost_var == 0.0  # single rollout
 
 
 class TestNoiseStreams:
-    """The evaluator's draws w (N, M, dim), captured where it receives them."""
+    """The evaluator's draws, captured at each step's noise.draws call and
+    stacked time-major into w (N, M, dim)."""
 
     def _w(self, monkeypatch, noise, M):
         env, cost, policy = small_problem()
@@ -133,7 +134,8 @@ class TestNoiseStreams:
 
         monkeypatch.setattr(NoiseModel, "draws", spy)
         monte_carlo_eval(env, policy, noise, M, cost)
-        (w,) = seen
+        assert len(seen) == policy.nominal.horizon  # one draw per step, as it runs
+        w = np.stack(seen)
         assert w.shape == (policy.nominal.horizon, M, env.n_x)
         return w
 
@@ -143,14 +145,15 @@ class TestNoiseStreams:
         for M in (1, 500, 1024, 1025):
             assert np.array_equal(self._w(monkeypatch, noise, M), w[:, :M])
 
-    def test_each_column_is_the_rollouts_draws(self, monkeypatch):
+    def test_each_step_is_one_generator_keyed_by_seed_and_step(self, monkeypatch):
         noise = NoiseModel(epsilon=0.05, channel="state", seed=6)
         w = self._w(monkeypatch, noise, 2500)
         N, M, dim = w.shape
-        # the stream's definition, not noise.draws, which built w
-        stream = np.random.default_rng([6, 0]).standard_normal((M, N, dim))
-        for i in (0, 1023, 1024, 2049, M - 1):
-            assert np.array_equal(w[:, i], stream[i])
+        for t in range(N):
+            # the stream's definition, not noise.draws, which built w
+            key = np.random.SeedSequence([6, t])
+            assert np.array_equal(w[t], np.random.default_rng(key).standard_normal((M, dim)))
+        assert not np.array_equal(w[0], w[1])
         assert not np.array_equal(w[:, 0], w[:, 1024])
 
 
@@ -184,11 +187,12 @@ class TestStreamingEvaluator:
         assert 0 < streamed.divergences < 1025
         assert streamed == history_monte_carlo_eval(env, policy, noise, 1025, cost)
 
-    def test_peak_memory_stays_near_the_noise_draws(self, trained_cartpole):
-        # the draws (M, N, n_x) are the one allocation that grows with M * N;
-        # storing the state history as well would roughly double the peak
+    def test_peak_memory_holds_no_array_with_both_N_and_M_axes(self, trained_cartpole):
+        # each step draws its own (M, n_x) noise, so the peak is a few (M, n_x)
+        # arrays whatever the horizon; an (N, M, n_x) array of draws or states
+        # alone would be N = 30 of these units
         run, M = trained_cartpole, 4000
-        draws_bytes = M * run.env.horizon * run.env.n_x * 8
+        unit = M * run.env.n_x * 8
         noise = NoiseModel(epsilon=0.05, channel="state", seed=0)
         tracemalloc.start()
         try:
@@ -198,7 +202,7 @@ class TestStreamingEvaluator:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * draws_bytes, f"peak {peak} B is {peak / draws_bytes:.2f}x the draws"
+        assert peak < 16 * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
 
 
 class TestMonteCarloEval:
