@@ -1,9 +1,9 @@
 """SHA-256 digests of every file the CLI pipeline writes.
 
 For each environment in ENV_BUILDERS and each seed in SEEDS, runs
-`dilqr train -> feedback -> eval -> sweep` in-process with
-`eval.rollouts = ROLLOUTS`, each command into its own directory, and hashes
-every file the four commands write. The digests are stored with the numpy
+`dilqr train -> feedback -> eval -> sweep` and `dilqr jacobian-bench`
+in-process with `eval.rollouts = ROLLOUTS`, each command into its own
+directory, and hashes every file the five commands write. The digests are stored with the numpy
 and BLAS versions that produced them, because a different BLAS build may
 round differently; tests/test_golden.py recomputes them and fails on any
 changed byte or on a version mismatch.
@@ -58,7 +58,7 @@ def _run(*argv: str) -> None:
 
 
 def run_pipeline(root: Path, env_name: str, seed: int) -> None:
-    """train -> feedback -> eval -> sweep under root/<env>/seed<seed>/<command>."""
+    """train -> feedback -> eval -> sweep, and jacobian-bench, into root/<env>/seed<seed>/<cmd>."""
     run = root / env_name / f"seed{seed}"
     run.mkdir(parents=True)
     cfg = run / "run.cfg"
@@ -69,6 +69,7 @@ def run_pipeline(root: Path, env_name: str, seed: int) -> None:
     policy = str(run / "feedback" / "policy.txt")
     _run("eval", *common, "--out", str(run / "eval"), policy)
     _run("sweep", *common, "--out", str(run / "sweep"), policy)
+    _run("jacobian-bench", *common, "--out", str(run / "bench"))
 
 
 def pipeline_digests() -> dict[str, str]:

@@ -1,15 +1,17 @@
 """Sample-based Jacobian estimation from black-box rollouts.
 
-Two estimators share the LinearizedModel output type:
+Every estimate is one least-squares central-difference fit (LLS-CD) of a
+perturbation design D: both signs of every row d of D are rolled out, and
 
-* a least-squares central-difference estimator (LLS-CD): n_s random
-  symmetric perturbations of state and control, paired rollouts, one
-  least-squares solve recovering [f_x f_u] simultaneously (2*n_s black-box
-  rows). It regresses on the control the black box applied: where ``step``
-  clamped either sign of a pair, du is the applied half-difference
-  (clamp(u + du) - clamp(u - du)) / 2;
-* a per-coordinate central-difference baseline (2*(n_x+n_u) rows), whose
-  control columns divide by the applied difference by the same rule.
+    [f_x f_u] d = (f(x + dx, u + du) - f(x - dx, u - du)) / 2
+
+is solved in the least-squares sense over the rows (2 black-box rows per row
+of D). The fit regresses on the control the black box applied: where
+``step`` clamped either sign of a row, du is the applied half-difference
+(clamp(u + du) - clamp(u - du)) / 2. Two designs use it:
+
+* ``estimate_llscd``: n_s random Gaussian rows of std sigma;
+* ``estimate_fd``: the per-coordinate baseline, D = h * I.
 
 Identifying a trajectory is one step call, one SVD, one stacked model:
 ``identify_ltv`` draws the perturbations of every timestep from one
@@ -81,37 +83,15 @@ class EstimatorConfig:
         return replace(self, seed=child_seed(self.seed, *key))
 
 
-def _central_differences(
-    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, D: np.ndarray
-) -> np.ndarray:
-    """f(z_t + d) - f(z_t - d) for every perturbation row d of D[t], in one step call.
-
-    x_bar (T, n_x) and u_bar (T, n_u) are the nominal points z_t; D has shape
-    (T, m, n_x + n_u). Returns (T, m, n_x); overflow gives inf or nan silently.
-    """
-    if x_bar.shape[-1] != env.n_x or u_bar.shape[-1] != env.n_u:
-        raise ContractViolation(
-            f"bad dimensions for {env.name}: state {x_bar.shape}, control {u_bar.shape}"
-        )
-    dX, dU = D[..., : env.n_x], D[..., env.n_x :]
-    X = np.concatenate([x_bar[:, None] + dX, x_bar[:, None] - dX], axis=1)
-    U = np.concatenate([u_bar[:, None] + dU, u_bar[:, None] - dU], axis=1)
-    with np.errstate(all="ignore"):
-        F = step(env, X.reshape(-1, env.n_x), U.reshape(-1, env.n_u))
-        F = F.reshape(D.shape[0], 2, D.shape[1], env.n_x)
-        return F[:, 0] - F[:, 1]
-
-
 def _sample(
     env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Perturbations D (T, n_s, n_x + n_u) and half-differences Y (T, n_s, n_x).
+    """The random design D (T, n_s, n_x + n_u), then _step_design: (applied D, Y).
 
-    D is one (T, n_s, n_x + n_u) draw of default_rng(cfg.seed); sequential
-    draws are prefix-stable, so point t's pairs do not depend on T. All
-    T * 2 * n_s rollouts go to the black box in one step call. A sigma so
-    large that a perturbation overflows raises NonFiniteModel naming the
-    first such t.
+    D is one draw of default_rng(cfg.seed); sequential draws are
+    prefix-stable, so point t's pairs do not depend on T. A sigma so large
+    that a perturbation overflows raises NonFiniteModel naming the first
+    such t, before any step call.
     """
     shape = (len(x_bar), cfg.resolve_n_s(env), env.n_x + env.n_u)
     with np.errstate(over="ignore"):
@@ -122,46 +102,63 @@ def _sample(
             f"identification failed at t={np.argmin(finite)}: "
             f"perturbations of sigma={cfg.sigma:g} are not finite"
         )
-    Y = 0.5 * _central_differences(env, x_bar, u_bar, D)
-    # regress on the control the black box applied
-    D[..., env.n_x :] = _applied_half_step(env, u_bar[:, None], D[..., env.n_x :])
+    return _step_design(env, x_bar, u_bar, D)
+
+
+def _step_design(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both signs of every row d of D (T, m, n_x + n_u) about z_t in one step call.
+
+    z_t is (x_bar[t], u_bar[t]). Returns D, rewritten in place to the applied
+    design, and Y (T, m, n_x) = (f(z_t + d) - f(z_t - d)) / 2; overflow gives
+    inf or nan silently. Only a control entry du that step clamped on either
+    side changes, to (clamp(u + du) - clamp(u - du)) / 2: that expression is
+    not du bit for bit, and fits that never touch a bound must not move.
+    """
+    if x_bar.shape[-1] != env.n_x or u_bar.shape[-1] != env.n_u:
+        raise ContractViolation(
+            f"bad dimensions for {env.name}: state {x_bar.shape}, control {u_bar.shape}"
+        )
+    x, u = x_bar[:, None], u_bar[:, None]
+    dX, dU = D[..., : env.n_x], D[..., env.n_x :]
+    up, down = u + dU, u - dU
+    X = np.concatenate([x + dX, x - dX], axis=1)
+    U = np.concatenate([up, down], axis=1)
+    with np.errstate(all="ignore"):
+        F = step(env, X.reshape(-1, env.n_x), U.reshape(-1, env.n_u))
+        F = F.reshape(D.shape[0], 2, D.shape[1], env.n_x)
+        Y = 0.5 * (F[:, 0] - F[:, 1])
+    hi, lo = env.clamp(up), env.clamp(down)
+    D[..., env.n_x :] = np.where((hi != up) | (lo != down), 0.5 * (hi - lo), dU)
     return D, Y
 
 
-def _applied_half_step(env: Environment, u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """du, except where step clamps u + du or u - du: there (clamp(u+du) - clamp(u-du)) / 2.
-
-    Only clamped entries change: 0.5 * ((u + du) - (u - du)) is not du bit for
-    bit, and estimates that never touch a bound must not move.
-    """
-    hi, lo = env.clamp(u + du), env.clamp(u - du)
-    clamped = (hi != u + du) | (lo != u - du)
-    return np.where(clamped, 0.5 * (hi - lo), du)
-
-
-def _identify(
-    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
+def _solve(
+    env: Environment, D: np.ndarray, Y: np.ndarray, gram: float | None = None
 ) -> LinearizedModel:
-    """LLS-CD estimates at the T points (x_bar, u_bar), as one model stacked over T.
+    """The fit of D_t [f_x f_u]_t' = Y_t at every t, as one model stacked over T.
 
-    Every point's system D_t X_t = Y_t is solved by one batched SVD,
-    X_t = V_t diag(1/s_t) U_t' Y_t, and AB_t = X_t'.
+    One batched SVD solves them all, X_t = V_t diag(1/s_t) U_t' Y_t and
+    AB_t = X_t'; a gram takes D_t'D_t as gram * I instead (the
+    approx_identity shortcut, no rank check). A rank-deficient D_t raises
+    SingularSystem and a non-finite fit NonFiniteModel, naming the first t.
     """
-    D, Y = _sample(env, x_bar, u_bar, cfg)
     T, n_s, _ = D.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite Y: LinearizedModel reports t
-        if cfg.approx_identity:
-            # sample-covariance identity approximation: D'D ~ sigma^2 (n_s - 1) I
-            AB = (Y.transpose(0, 2, 1) @ D) / (cfg.sigma**2 * (n_s - 1))
+    with np.errstate(all="ignore"):  # non-finite Y: LinearizedModel reports t; cond may be inf
+        if gram is not None:
+            AB = (Y.transpose(0, 2, 1) @ D) / gram
         else:
             U, s, Vh = np.linalg.svd(D, full_matrices=False)
             singular = s[:, -1] <= LSTSQ_RCOND * s[:, 0]
             if singular.any():
                 t = int(np.argmax(singular))
-                cond = s[t, 0] / max(s[t, -1], 1e-300)
+                cond = s[t, 0] / s[t, -1]
+                stuck = (D[t, :, env.n_x :] == 0).all(axis=0)
+                what = (f"control u[{np.argmax(stuck)}] clamped on both sides" if stuck.any()
+                        else "perturbation matrix rank-deficient")
                 raise SingularSystem(
-                    f"identification failed at t={t}: perturbation matrix rank-deficient "
-                    f"(cond {cond:.3e})",
+                    f"identification failed at t={t}: {what} (cond {cond:.3e})",
                     condition_number=cond,
                 )
             X = Vh.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ Y) / s[..., None])
@@ -169,54 +166,51 @@ def _identify(
     return LinearizedModel(A=AB[..., : env.n_x], B=AB[..., env.n_x :], eval_count=2 * n_s * T)
 
 
+def _identify(
+    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
+) -> LinearizedModel:
+    """LLS-CD estimates at the T points (x_bar, u_bar), as one model stacked over T."""
+    D, Y = _sample(env, x_bar, u_bar, cfg)
+    return _solve(env, D, Y, cfg.sigma**2 * (D.shape[1] - 1) if cfg.approx_identity else None)
+
+
 def estimate_llscd(
     env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
 ) -> LinearizedModel:
-    """Central-difference least-squares estimate of (f_x, f_u).
+    """(f_x, f_u) from the LLS-CD fit of n_s random pairs of per-entry std sigma.
 
-    Draws n_s Gaussian perturbation pairs with per-entry std sigma, rolls
-    out both signs of each, and solves the stacked system
-
-        [f_x f_u] [dx_i; du_i] = (f(x+dx_i, u+du_i) - f(x-dx_i, u-du_i)) / 2
-
-    in the least-squares sense. Where either sign of a pair is clamped to the
-    control bounds, du_i in that system is the applied half-difference
-    (clamp(u+du_i) - clamp(u-du_i)) / 2, so a nominal on a bound gets the
-    one-sided slope inside it; a nominal beyond a bound, where both signs
-    clamp, leaves the control column zero and raises SingularSystem. Bias
-    is O(sigma^2) on smooth dynamics. This is identify_ltv at one point:
-    under the same cfg it equals row 0 of a trajectory starting at (x, u).
+    A nominal on a control bound gets the one-sided slope inside it; one
+    beyond a bound, where both signs of every pair clamp, raises
+    SingularSystem. Bias is O(sigma^2) on smooth dynamics. This is
+    identify_ltv at one point: under the same cfg it equals row 0 of a
+    trajectory starting at (x, u).
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    m = _identify(env, x_bar[None], u_bar[None], cfg)
-    return LinearizedModel(A=m.A[0], B=m.B[0], eval_count=m.eval_count)
+    return _first(_identify(env, x_bar[None], u_bar[None], cfg))
 
 
 def estimate_fd(
     env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, h: float
 ) -> LinearizedModel:
-    """Per-coordinate central-difference baseline; 2*(n_x + n_u) black-box rows.
+    """Per-coordinate central differences: the LLS-CD fit of the design h * I.
 
-    A control column whose step is clamped on either side is divided by the
-    applied difference clamp(u+h) - clamp(u-h), so a nominal on a bound gets
-    the one-sided slope inside it; one clamped on both sides raises
-    SingularSystem.
+    2 * (n_x + n_u) black-box rows. Each column is a difference divided by
+    2h, or by clamp(u+h) - clamp(u-h) where step clamped the control, so a
+    nominal on a bound gets the one-sided slope inside it; one clamped on
+    both sides raises SingularSystem.
     """
     if h <= 0:
         raise ContractViolation("finite-difference step h must be positive")
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    E = h * np.eye(env.n_x + env.n_u)
-    du = _applied_half_step(env, u_bar, np.full(env.n_u, h))
-    if np.any(du == 0):
-        raise SingularSystem(
-            f"control step clamped on both sides at u={u_bar}", condition_number=np.inf
-        )
-    half_steps = np.concatenate([np.full(env.n_x, h), du])
-    diffs = _central_differences(env, x_bar[None], u_bar[None], E[None])[0]
-    AB = (diffs / (2 * half_steps)[:, None]).T
-    return LinearizedModel(A=AB[:, : env.n_x], B=AB[:, env.n_x :], eval_count=2 * len(E))
+    D = h * np.eye(env.n_x + env.n_u)[None]
+    return _first(_solve(env, *_step_design(env, x_bar[None], u_bar[None], D)))
+
+
+def _first(m: LinearizedModel) -> LinearizedModel:
+    """Point 0 of a stacked model, with its eval_count."""
+    return LinearizedModel(A=m.A[0], B=m.B[0], eval_count=m.eval_count)
 
 
 def identify_ltv(

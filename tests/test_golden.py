@@ -1,8 +1,8 @@
 """Golden digests: the CLI pipeline's files must not change by a single byte.
 
 tests/golden_digests.json holds the SHA-256 of every file that
-`train -> feedback -> eval -> sweep` writes for each environment at seeds 0
-and 7, generated by scripts/golden_digests.py. A change that alters outputs
+`train -> feedback -> eval -> sweep` and `jacobian-bench` write for each
+environment at seeds 0 and 7, generated by scripts/golden_digests.py. A change that alters outputs
 on purpose regenerates them with `python scripts/golden_digests.py --write`
 and names each changed file in CHANGES.md; any other change must keep them.
 """

@@ -403,25 +403,42 @@ class TestClampedFiniteDifferences:
             hs = [4e-2, 2e-2, 1e-2]
             assert 0.8 <= np.polyfit(np.log(hs), np.log([err(h) for h in hs]), 1)[0] <= 1.2
 
-    def test_fd_clamped_on_both_sides_is_singular(self):
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda env, x, u: estimate_llscd(env, x, u, EstimatorConfig(sigma=1e-6, seed=0)),
+            lambda env, x, u: estimate_fd(env, x, u, 1e-4),
+        ],
+        ids=["llscd", "fd"],
+    )
+    def test_fd_clamped_on_both_sides_is_singular(self, estimate):
+        # both estimators are one fit, so they fail alike beyond a bound
         env = make_pendulum_env()
         with pytest.raises(SingularSystem, match="clamped on both sides"):
-            estimate_fd(env, self.X, np.array([15.0]), 1e-4)
-        with pytest.raises(SingularSystem):
-            estimate_fd(env, self.X, np.array([-10.0 - 2e-4]), 1e-4)
+            estimate(env, self.X, np.array([15.0]))
+        with pytest.raises(SingularSystem, match="clamped on both sides"):
+            estimate(env, self.X, np.array([-10.0 - 2e-4]))
 
     @pytest.mark.parametrize("name", ENV_NAMES)
     def test_fd_inside_the_bounds_divides_by_the_commanded_step(self, name):
+        # on a bound the control column divides by the applied step instead;
+        # either way the least-squares fit changes no bits of the division
         env = dilqr.make_env(name)
         rng = np.random.default_rng(4)
-        h = 1e-4
-        E = h * np.eye(env.n_x + env.n_u)
+        h, n = 1e-4, env.n_x + env.n_u
+        dX, dU = np.hsplit(h * np.eye(n), [env.n_x])
+        points = []
         for _ in range(5):
             x = rng.standard_normal(env.n_x)
-            u = 0.9 * env.u_scale * rng.uniform(-1.0, 1.0, env.n_u)
+            points.append((x, 0.9 * env.u_scale * rng.uniform(-1.0, 1.0, env.n_u)))
+        points += [(rng.standard_normal(env.n_x), bound) for bound in env.control_bounds.T]
+        for x, u in points:
             m = estimate_fd(env, x, u, h)
-            diffs = sysid._central_differences(env, x[None], u[None], E[None])[0]
-            AB = (diffs / (2 * h)).T
+            F = step(env, np.concatenate([x + dX, x - dX]), np.concatenate([u + dU, u - dU]))
+            diffs = F[:n] - F[n:]
+            applied = 0.5 * (env.clamp(u + h) - env.clamp(u - h))
+            du = np.where(np.isin(u, env.control_bounds), applied, h)
+            AB = (diffs / (2 * np.concatenate([np.full(env.n_x, h), du]))[:, None]).T
             assert np.array_equal(m.A, AB[:, : env.n_x]) and np.array_equal(m.B, AB[:, env.n_x :])
 
 
@@ -441,7 +458,7 @@ class TestReferenceJacobian:
         x, u = _bench_points(env)[point]
         A, B = _reference_jacobian(env, x, u)
         A_ref, B_ref = self.ORACLES[name](env, x, u)
-        # at most 5.4e-9 (cart-pole's one-sided B on the bound)
+        # at most 9.0e-9 (cart-pole's one-sided B on the bound)
         assert np.max(np.abs(A - A_ref)) < 2e-8
         assert np.max(np.abs(B - B_ref)) < 2e-8
 
