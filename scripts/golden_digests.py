@@ -3,7 +3,10 @@
 For each environment in ENV_BUILDERS and each seed in SEEDS, runs
 `dilqr train -> feedback -> eval -> sweep` and `dilqr jacobian-bench`
 in-process with `eval.rollouts = ROLLOUTS`, each command into its own
-directory, and hashes every file the five commands write. The digests are stored with the numpy
+directory, and hashes every file the five commands write. One more sweep of
+the cart-pole seed-0 policy at `eval.rollouts = PARALLEL_MIN_ROLLOUTS` pins
+the bytes of the sweep whose levels run on threads (on a single core it runs
+them in turn, and must write the same bytes). The digests are stored with the numpy
 and BLAS versions that produced them, because a different BLAS build may
 round differently; tests/test_golden.py recomputes them and fails on any
 changed byte or on a version mismatch.
@@ -34,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dilqr.cli import main as dilqr_main  # noqa: E402
 from dilqr.envs import ENV_BUILDERS  # noqa: E402
+from dilqr.evaluation import PARALLEL_MIN_ROLLOUTS  # noqa: E402
 
 DIGEST_FILE = ROOT / "tests" / "golden_digests.json"
 SEEDS = (0, 7)
@@ -57,12 +61,16 @@ def _run(*argv: str) -> None:
         raise RuntimeError(f"dilqr {' '.join(argv)} exited {code}")
 
 
+def _config(path: Path, env_name: str, rollouts: int) -> Path:
+    path.write_text(f"[env]\nname = {env_name}\n\n[eval]\nrollouts = {rollouts}\n")
+    return path
+
+
 def run_pipeline(root: Path, env_name: str, seed: int) -> None:
     """train -> feedback -> eval -> sweep, and jacobian-bench, into root/<env>/seed<seed>/<cmd>."""
     run = root / env_name / f"seed{seed}"
     run.mkdir(parents=True)
-    cfg = run / "run.cfg"
-    cfg.write_text(f"[env]\nname = {env_name}\n\n[eval]\nrollouts = {ROLLOUTS}\n")
+    cfg = _config(run / "run.cfg", env_name, ROLLOUTS)
     common = ("--config", str(cfg), "--seed", str(seed))
     _run("train", *common, "--out", str(run / "train"))
     _run("feedback", *common, "--out", str(run / "feedback"), str(run / "train" / "trajectory.txt"))
@@ -72,6 +80,14 @@ def run_pipeline(root: Path, env_name: str, seed: int) -> None:
     _run("jacobian-bench", *common, "--out", str(run / "bench"))
 
 
+def run_threaded_sweep(root: Path) -> None:
+    """sweep of the cart-pole seed-0 policy at PARALLEL_MIN_ROLLOUTS into root/cartpole/seed0/sweep-threaded."""
+    run = root / "cartpole" / "seed0"
+    cfg = _config(run / "threaded.cfg", "cartpole", PARALLEL_MIN_ROLLOUTS)
+    _run("sweep", "--config", str(cfg), "--seed", "0", "--out", str(run / "sweep-threaded"),
+         str(run / "feedback" / "policy.txt"))
+
+
 def pipeline_digests() -> dict[str, str]:
     """SHA-256 of every output file, keyed by its path relative to the run root."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,10 +95,11 @@ def pipeline_digests() -> dict[str, str]:
         for env_name in ENV_BUILDERS:
             for seed in SEEDS:
                 run_pipeline(root, env_name, seed)
+        run_threaded_sweep(root)
         return {
             path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*"))
-            if path.is_file() and path.name != "run.cfg"
+            if path.is_file() and path.suffix != ".cfg"
         }
 
 

@@ -172,7 +172,8 @@ def _closed_loop(
         if channel == STATE_CHANNEL:
             x_next = x_next + noise.epsilon * noise.draws(t, rows, env.n_x)
         alive &= np.isfinite(x_next).all(axis=-1)
-        x_next = np.where(alive[..., None], x_next, 0.0)
+        if not alive.all():
+            x_next = np.where(alive[..., None], x_next, 0.0)
         yield x, u
         x = x_next
     yield x, alive
@@ -260,14 +261,15 @@ def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) 
 def _rk4_stages(deriv, x: list, u: list, h: float, substeps: int) -> list:
     """The RK4 stages on state and control components, floats or arrays alike."""
     for _ in range(substeps):
-        k1 = deriv(x, u)
-        k2 = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k1)], u)
-        k3 = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k2)], u)
-        k4 = deriv([xi + h * ki for xi, ki in zip(x, k3)], u)
-        x = [
-            xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
+        # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
+        # so no more than one stage is held at a time
+        total = k = deriv(x, u)
+        k = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k)], u)
+        total = [a + 2.0 * b for a, b in zip(total, k)]
+        k = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k)], u)
+        total = [a + 2.0 * b for a, b in zip(total, k)]
+        k = deriv([xi + h * ki for xi, ki in zip(x, k)], u)
+        x = [xi + (h / 6.0) * (a + b) for xi, a, b in zip(x, total, k)]
     return x
 
 

@@ -7,6 +7,7 @@ statistics scale with the noise factor.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,6 +17,13 @@ from .costs import QuadraticCostModel, stage_cost, terminal_cost
 from .envs import Environment, NoiseModel, _closed_loop, child_seed
 from .errors import ContractViolation
 from .feedback import DecoupledPolicy
+
+
+# Rollouts per level from which epsilon_sweep runs its levels on threads.
+# Below it, handing the GIL between threads costs more than a second core
+# gains: on a 2-core VM two threads ran a cart-pole sweep at 0.6-0.9x the
+# speed of one at M = 1,000-2,000, 1.4x at 4,000 and 1.4-1.8x at 10,000.
+PARALLEL_MIN_ROLLOUTS = 8192
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ def monte_carlo_eval(
     costs = 0.0
     with np.errstate(all="ignore"):
         for _ in range(nominal.horizon):
-            x, u = next(steps)
-            costs += stage_cost(x, u, cost)
+            # bind nothing: x_t and u_t are freed before the loop steps t + 1
+            costs += stage_cost(*next(steps), cost)
         x, ok = next(steps)
         costs += terminal_cost(x, cost)
         terminal_sq = np.sum((x - cost.x_goal) ** 2, axis=-1)
@@ -106,15 +114,29 @@ def epsilon_sweep(
     cost: QuadraticCostModel,
     seed: int = 0,
 ) -> list[RolloutStats]:
-    """One RolloutStats per epsilon, each from a disjoint noise stream."""
+    """One RolloutStats per epsilon, each from a disjoint noise stream.
+
+    With M >= PARALLEL_MIN_ROLLOUTS the levels run on one thread per core
+    this process may use, at most one level per thread: numpy releases the
+    GIL in the elementwise kernels that bound a level. Each level keeps its
+    own stream and the results come back in epsilon order, so the output is
+    the same either way, and so is the first failing level's error.
+    """
     epsilons = [float(e) for e in epsilons]
     if any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
         raise ContractViolation("epsilons must be non-negative and ascending")
-    out = []
-    for i, eps in enumerate(epsilons):
-        noise = NoiseModel(epsilon=eps, channel=channel, seed=child_seed(seed, i))
-        out.append(monte_carlo_eval(env, policy, noise, M, cost))
-    return out
+
+    def level(i: int) -> RolloutStats:
+        noise = NoiseModel(epsilon=epsilons[i], channel=channel, seed=child_seed(seed, i))
+        return monte_carlo_eval(env, policy, noise, M, cost)
+
+    workers = min(len(os.sched_getaffinity(0)), len(epsilons))
+    if M < PARALLEL_MIN_ROLLOUTS or workers < 2:
+        return [level(i) for i in range(len(epsilons))]
+    from concurrent.futures import ThreadPoolExecutor  # here only: it costs RSS to import
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(level, range(len(epsilons))))
 
 
 COST_VAR = "cost_var"

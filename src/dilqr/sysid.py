@@ -141,10 +141,19 @@ def _solve(
 
     One batched SVD solves them all, X_t = V_t diag(1/s_t) U_t' Y_t and
     AB_t = X_t'; a gram takes D_t'D_t as gram * I instead (the
-    approx_identity shortcut, no rank check). A rank-deficient D_t raises
-    SingularSystem and a non-finite fit NonFiniteModel, naming the first t.
+    approx_identity shortcut, no rank check). A control column of D_t that
+    is all zero (clamped on both sides) raises SingularSystem before either
+    fit, as does a rank-deficient D_t in the exact fit; a non-finite fit
+    raises NonFiniteModel. Each names the first t.
     """
     T, n_s, _ = D.shape
+    stuck = (D[..., env.n_x :] == 0).all(axis=1)  # (T, n_u): a control that never moved
+    if stuck.any():
+        t, j = (int(i) for i in np.argwhere(stuck)[0])
+        raise SingularSystem(
+            f"identification failed at t={t}: control u[{j}] clamped on both sides (cond inf)",
+            condition_number=np.inf,
+        )
     with np.errstate(all="ignore"):  # non-finite Y: LinearizedModel reports t; cond may be inf
         if gram is not None:
             AB = (Y.transpose(0, 2, 1) @ D) / gram
@@ -154,11 +163,9 @@ def _solve(
             if singular.any():
                 t = int(np.argmax(singular))
                 cond = s[t, 0] / s[t, -1]
-                stuck = (D[t, :, env.n_x :] == 0).all(axis=0)
-                what = (f"control u[{np.argmax(stuck)}] clamped on both sides" if stuck.any()
-                        else "perturbation matrix rank-deficient")
                 raise SingularSystem(
-                    f"identification failed at t={t}: {what} (cond {cond:.3e})",
+                    f"identification failed at t={t}: perturbation matrix rank-deficient "
+                    f"(cond {cond:.3e})",
                     condition_number=cond,
                 )
             X = Vh.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ Y) / s[..., None])

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +18,7 @@ from dilqr.envs import (
     rollout,
     rollout_open_loop,
 )
+from dilqr import evaluation
 from dilqr.errors import ContractViolation
 from dilqr.evaluation import (
     COST_VAR,
@@ -157,6 +160,22 @@ class TestNoiseStreams:
         assert not np.array_equal(w[:, 0], w[:, 1024])
 
 
+# the bound, in (M, n_x) float arrays, on what one Monte-Carlo level holds at its peak
+LEVEL_PEAK_UNITS = 16
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs, in any thread."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamingEvaluator:
     """monte_carlo_eval adds up each rollout's cost as the batch steps; it must
     equal the history-based evaluator (rollout, then total_cost) field for field."""
@@ -194,15 +213,8 @@ class TestStreamingEvaluator:
         run, M = trained_cartpole, 4000
         unit = M * run.env.n_x * 8
         noise = NoiseModel(epsilon=0.05, channel="state", seed=0)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            monte_carlo_eval(run.env, run.policy, noise, M, run.cost)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
+        peak = traced_peak(lambda: monte_carlo_eval(run.env, run.policy, noise, M, run.cost))
+        assert peak < LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
 
 
 class TestMonteCarloEval:
@@ -343,6 +355,104 @@ class TestEpsilonSweep:
         env, cost, policy = small_problem()
         with pytest.raises(ContractViolation):
             epsilon_sweep(env, policy, "state", (-0.01, 0.05), 10, cost)
+
+
+def on_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestThreadedSweep:
+    """From PARALLEL_MIN_ROLLOUTS rollouts per level, epsilon_sweep runs its
+    levels on one thread per core; the output must not depend on it."""
+
+    M = evaluation.PARALLEL_MIN_ROLLOUTS
+
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    def test_threads_give_the_sequential_sweep(self, monkeypatch, trained_cartpole, channel):
+        run, eps = trained_cartpole, (0.01, 0.04, 0.08)
+        pools = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+
+        def sweep(cores):
+            on_cores(monkeypatch, cores)
+            return epsilon_sweep(run.env, run.policy, channel, eps, self.M, run.cost, seed=3)
+
+        threaded = sweep(2)
+        assert [pool._max_workers for pool in pools] == [2]
+        assert len(pools[0]._threads) <= 2
+        assert threaded == sweep(1)
+        assert len(pools) == 1
+
+    def test_a_level_that_all_diverges_fails_alike(self, monkeypatch):
+        env, cost, policy = small_problem()
+        linear = env.step_fn
+
+        def derails(x, u):
+            # a batch whose states spread wider than 0.1 blows up whole
+            x_next = linear(x, u)
+            return np.full_like(x_next, np.inf) if x.std(axis=0).max() > 0.1 else x_next
+
+        def tagged(env, policy, noise, M, cost):
+            try:
+                return monte_carlo_eval(env, policy, noise, M, cost)
+            except ContractViolation as exc:
+                exc.epsilon = noise.epsilon
+                raise
+
+        env = replace(env, step_fn=derails)
+        monkeypatch.setattr(evaluation, "monte_carlo_eval", tagged)
+        raised = []
+        for cores in (2, 1):
+            on_cores(monkeypatch, cores)
+            with pytest.raises(ContractViolation, match="all rollouts diverged") as info:
+                epsilon_sweep(env, policy, "state", (0.01, 0.3, 0.5), self.M, cost)
+            raised.append((str(info.value), info.value.epsilon))
+        assert raised == [("all rollouts diverged; cannot form moments", 0.3)] * 2
+
+    def test_no_more_workers_than_cores_and_none_below_the_gate(self, monkeypatch):
+        # a stand-in pool records its size and maps in the calling thread, so
+        # claiming more cores than the machine has starts no thread
+        workers = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+        env, cost, policy = small_problem()
+        eps = (0.01, 0.02, 0.03, 0.04)
+        for cores, M in ((1, self.M), (4, self.M - 1)):
+            on_cores(monkeypatch, cores)
+            epsilon_sweep(env, policy, "state", eps, M, cost)
+        assert workers == []
+        for cores in (2, 3, 8):
+            on_cores(monkeypatch, cores)
+            epsilon_sweep(env, policy, "state", eps, self.M, cost)
+        assert workers == [2, 3, 4]
+
+    def test_at_most_one_level_per_worker_is_in_flight(self, monkeypatch, trained_cartpole):
+        # eight levels on two workers hold at most two levels' arrays at once
+        run = trained_cartpole
+        unit = self.M * run.env.n_x * 8
+        on_cores(monkeypatch, 2)
+        eps = DEFAULT_EPSILON_GRID
+        peak = traced_peak(lambda: epsilon_sweep(run.env, run.policy, "state", eps, self.M, run.cost))
+        assert peak < 2 * LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
 
 
 class TestScalingFit:

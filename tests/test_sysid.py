@@ -408,11 +408,15 @@ class TestClampedFiniteDifferences:
         [
             lambda env, x, u: estimate_llscd(env, x, u, EstimatorConfig(sigma=1e-6, seed=0)),
             lambda env, x, u: estimate_fd(env, x, u, 1e-4),
+            lambda env, x, u: estimate_llscd(
+                env, x, u, EstimatorConfig(sigma=1e-6, seed=0, approx_identity=True)
+            ),
         ],
-        ids=["llscd", "fd"],
+        ids=["llscd", "fd", "approx_identity"],
     )
     def test_fd_clamped_on_both_sides_is_singular(self, estimate):
-        # both estimators are one fit, so they fail alike beyond a bound
+        # both estimators are one fit, so they fail alike beyond a bound; the
+        # approx_identity shortcut has no rank check and returned B = 0 here
         env = make_pendulum_env()
         with pytest.raises(SingularSystem, match="clamped on both sides"):
             estimate(env, self.X, np.array([15.0]))
