@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from dilqr.cli import main as cli_main
+from dilqr.config import parse_seed
 from dilqr.envs import CONTROL_CHANNEL, ENV_BUILDERS, STATE_CHANNEL
 
 
@@ -21,7 +22,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--env", nargs="+", default=["pendulum"], choices=list(ENV_BUILDERS))
     ap.add_argument("--out", default="out", help="output root; each environment gets <out>/<env>")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=parse_seed, default=0)
     ap.add_argument("--rollouts", type=int, default=10_000, help="Monte-Carlo rollouts per epsilon")
     ap.add_argument("--channel", default=STATE_CHANNEL, choices=[STATE_CHANNEL, CONTROL_CHANNEL])
     args = ap.parse_args()

@@ -24,13 +24,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
 from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
-from .errors import (
-    ContractViolation,
-    NonFiniteModel,
-    NotPositiveDefinite,
-    RegularizationExhausted,
-    SingularSystem,
-)
+from .errors import ContractViolation, NumericalFailure
 from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
 from .feedback import build_policy
 from .ilqr import optimize
@@ -289,7 +283,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RegularizationExhausted, NotPositiveDefinite, SingularSystem, NonFiniteModel) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -132,30 +132,32 @@ def _closed_loop(
     u_bar: np.ndarray,
     K: Optional[np.ndarray],
     noise: Optional[NoiseModel],
-    rows: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
     Arguments and conventions are those of ``rollout``. Each step's noise
     is drawn as the step runs, and its state and control are yielded and
-    then dropped, so a consumer that keeps nothing holds O(rows) memory.
+    then dropped, so a consumer that keeps nothing holds O(M) memory.
     Consume it under np.errstate(all="ignore"): a diverging row overflows
     before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    N = u_bar.shape[0]
+    N, batch = u_bar.shape[0], u_bar.shape[1:-1]
     if (
-        x_bar.shape[-1] != env.n_x
+        x_bar.shape[1:] != (env.n_x,)
+        or len(x_bar) < 1
+        or u_bar.ndim < 2
         or u_bar.shape[-1] != env.n_u
         or (K is not None and (K.shape != (N, env.n_u, env.n_x) or len(x_bar) != N + 1))
     ):
         shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K)]
         raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
+    if 0 in batch or (noise is not None and len(batch) != 1):
+        raise ContractViolation(f"bad rollout batch {batch}: noise needs controls (N, M, n_u)")
     if not np.isfinite(u_bar).all():
         raise ContractViolation("non-finite nominal control passed to rollout")
     channel = None if noise is None else noise.channel
-    batch = () if noise is None else (rows,)
     x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
     for t in range(N):
@@ -164,13 +166,11 @@ def _closed_loop(
             # the per-point form: each row equals the unbatched K_t @ dx bit for bit
             u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
         if channel == CONTROL_CHANNEL:
-            u = u + noise.epsilon * env.u_scale * noise.draws(t, rows, env.n_u)
+            u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
         u = env.clamp(u)
-        if u.shape[:-1] != batch:  # no K and no control noise: every row applies u
-            u = np.broadcast_to(u, (*batch, env.n_u))
         x_next = step(env, x, u)
         if channel == STATE_CHANNEL:
-            x_next = x_next + noise.epsilon * noise.draws(t, rows, env.n_x)
+            x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
         alive &= np.isfinite(x_next).all(axis=-1)
         if not alive.all():
             x_next = np.where(alive[..., None], x_next, 0.0)
@@ -185,17 +185,17 @@ def rollout(
     u_bar: np.ndarray,
     K: Optional[np.ndarray] = None,
     noise: Optional[NoiseModel] = None,
-    rows: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
 
-    x_bar (N+1, n_x) is the reference trajectory and x_bar[0] the start
-    state; without K only that row is read. u_bar is (N, n_u) and K
-    (N, n_u, n_x). A NoiseModel makes the batch `rows` noisy rollouts, and
-    step t adds rollout i's draw, row i of noise.draws(t, rows, dim): on the
-    state channel eps * w_t is added to x_{t+1}, on the control channel
-    eps * u_scale * w_t is added to u_t before clamping. Without noise the
-    batch shape is () and rows is not read.
+    x_bar (T, n_x) is the reference trajectory and x_bar[0] the start state:
+    T = N + 1 with K (N, n_u, n_x), and without K only x_bar[0] is read. The
+    middle axes of u_bar are the batch: (N, n_u) runs one trajectory, and
+    (N, M, n_u) runs M rows from x_bar[0], row i under controls u_bar[:, i].
+    A NoiseModel needs the (N, M, n_u) form, and step t adds rollout i's
+    draw, row i of noise.draws(t, M, dim): on the state channel eps * w_t is
+    added to x_{t+1}, on the control channel eps * u_scale * w_t is added to
+    u_t before clamping.
 
     Returns the whole history: time-major states (N+1, ..., n_x), the
     applied controls (N, ..., n_u) and the alive mask (...). A row whose
@@ -204,9 +204,8 @@ def rollout(
     the open-loop rollout read this history; the Monte-Carlo evaluator adds
     up its costs as the loop steps instead and keeps none.
     """
-    steps = _closed_loop(env, x_bar, u_bar, K, noise, rows)
-    N = np.shape(u_bar)[0]
-    batch = () if noise is None else (rows,)
+    steps = _closed_loop(env, x_bar, u_bar, K, noise)
+    N, batch = np.shape(u_bar)[0], np.shape(u_bar)[1:-1]
     states = np.empty((N + 1, *batch, env.n_x))
     controls = np.empty((N, *batch, env.n_u))
     with np.errstate(all="ignore"):

@@ -5,7 +5,11 @@ class ContractViolation(ValueError):
     """An input failed a documented precondition (dimension, finiteness, ...)."""
 
 
-class SingularSystem(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A numerical step failed on valid inputs; the CLI exits 2 on any subclass."""
+
+
+class SingularSystem(NumericalFailure):
     """A least-squares system was numerically rank-deficient."""
 
     def __init__(self, message, condition_number=None):
@@ -13,11 +17,11 @@ class SingularSystem(RuntimeError):
         self.condition_number = condition_number
 
 
-class NonFiniteModel(RuntimeError):
+class NonFiniteModel(NumericalFailure):
     """An identified Jacobian had non-finite entries: the black box overflowed."""
 
 
-class NotPositiveDefinite(RuntimeError):
+class NotPositiveDefinite(NumericalFailure):
     """Q_uu was not positive definite, or Q_uu or the gains were not finite."""
 
     def __init__(self, t):
@@ -25,6 +29,6 @@ class NotPositiveDefinite(RuntimeError):
         self.t = t
 
 
-class RegularizationExhausted(RuntimeError):
+class RegularizationExhausted(NumericalFailure):
     """The regularizer hit its cap with the backward pass still failing."""
 

@@ -78,9 +78,10 @@ def monte_carlo_eval(
             (cost.n_x, cost.n_u))
     if dims != ((env.n_x,), (env.n_u,), (env.n_u, env.n_x), (env.n_x, env.n_u)):
         raise ContractViolation(f"policy and cost dimensions {dims} do not fit {env.name}")
-    # at epsilon = 0 every rollout is the same noiseless rollout
+    # at epsilon = 0 every rollout is the same noiseless rollout; the rows are one view
     rows = 1 if noise.epsilon == 0.0 else M
-    steps = _closed_loop(env, nominal.states, nominal.controls, policy.gains, noise, rows)
+    controls = np.broadcast_to(nominal.controls[:, None], (nominal.horizon, rows, env.n_u))
+    steps = _closed_loop(env, nominal.states, controls, policy.gains, noise)
     costs = 0.0
     with np.errstate(all="ignore"):
         for _ in range(nominal.horizon):
@@ -130,7 +131,8 @@ def epsilon_sweep(
         noise = NoiseModel(epsilon=epsilons[i], channel=channel, seed=child_seed(seed, i))
         return monte_carlo_eval(env, policy, noise, M, cost)
 
-    workers = min(len(os.sched_getaffinity(0)), len(epsilons))
+    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(epsilons))
     if M < PARALLEL_MIN_ROLLOUTS or workers < 2:
         return [level(i) for i in range(len(epsilons))]
     from concurrent.futures import ThreadPoolExecutor  # here only: it costs RSS to import

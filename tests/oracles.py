@@ -260,6 +260,11 @@ def per_step_total_cost(states, controls, cost):
     return J + terminal_cost(states[-1], cost)
 
 
+def rows_of(controls, M):
+    """M rows that all apply one (N, n_u) control sequence, as an (N, M, n_u) view."""
+    return np.broadcast_to(controls[:, None], (controls.shape[0], M, controls.shape[1]))
+
+
 def history_monte_carlo_eval(env, policy, noise, M, cost):
     """The Monte-Carlo evaluator as it was before it streamed its costs.
 
@@ -271,7 +276,7 @@ def history_monte_carlo_eval(env, policy, noise, M, cost):
     nominal = policy.nominal
     rows = 1 if noise.epsilon == 0.0 else M
     states, controls, ok = rollout(
-        env, nominal.states, nominal.controls, policy.gains, noise, rows
+        env, nominal.states, rows_of(nominal.controls, rows), policy.gains, noise
     )
     with np.errstate(all="ignore"):
         costs = total_cost(states, controls, cost)

@@ -19,6 +19,7 @@ from dilqr.cli import (
 )
 from dilqr.config import parse_config
 from dilqr.costs import total_cost
+from dilqr.errors import NumericalFailure
 from dilqr.envs import ENV_BUILDERS, make_env, rollout
 from dilqr.serialize import load_policy, load_trajectory
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd
@@ -319,12 +320,14 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{made} with horizon 15 but config selects horizon 5" in err
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "failure", NumericalFailure.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, failure):
         import dilqr.cli as cli_mod
-        from dilqr.errors import RegularizationExhausted
 
         def boom(*args, **kwargs):
-            raise RegularizationExhausted("mu ceiling reached")
+            raise failure("boom")
 
         monkeypatch.setattr(cli_mod, "optimize", boom)
         assert run("train", "--out", str(tmp_path / "o")) == EXIT_NUMERICAL

@@ -15,7 +15,7 @@ from dilqr.costs import (
 from dilqr.config import default_config
 from dilqr.envs import NoiseModel, make_env, rollout
 from dilqr.errors import ContractViolation
-from oracles import per_step_total_cost
+from oracles import per_step_total_cost, rows_of
 
 
 def simple_cost(n_x=2, n_u=1):
@@ -119,7 +119,7 @@ class TestTotalCost:
             rng = np.random.default_rng(seed)
             u_bar = env.u_scale * rng.uniform(-1.0, 1.0, (env.horizon, env.n_u))
             single = rollout(env, env.x0[None], u_bar)
-            batch = rollout(env, env.x0[None], u_bar, None, noise, 9)
+            batch = rollout(env, env.x0[None], rows_of(u_bar, 9), None, noise)
             for states, controls, _ in (single, batch):
                 J = total_cost(states, controls, cost)
                 assert np.array_equal(J, per_step_total_cost(states, controls, cost))

@@ -27,7 +27,7 @@ from dilqr.envs import (
     step,
 )
 from dilqr.errors import ContractViolation
-from oracles import stacked_cartpole_step, stacked_pendulum_step
+from oracles import rows_of, stacked_cartpole_step, stacked_pendulum_step
 
 
 def unit_cost(n_x, n_u):
@@ -191,10 +191,10 @@ class TestNoiseModel:
         env = make_linear_env()
         noise = NoiseModel(epsilon=0.0, channel="state", seed=5)
         x, u = np.array([1.0, 2.0]), np.array([0.3])
-        states, _, _ = rollout(env, x[None], u[None], noise=noise)
+        states, _, _ = rollout(env, x[None], u[None, None], noise=noise)
         assert np.array_equal(states[1, 0], step(env, x, u))
         noise_c = NoiseModel(epsilon=0.0, channel="control", seed=5)
-        states, _, _ = rollout(env, x[None], u[None], noise=noise_c)
+        states, _, _ = rollout(env, x[None], u[None, None], noise=noise_c)
         assert np.allclose(states[1, 0], step(env, x, u))
 
     def test_state_noise_std_matches_epsilon(self):
@@ -203,7 +203,7 @@ class TestNoiseModel:
         noise = NoiseModel(epsilon=eps, channel="state", seed=11)
         x, u = np.array([1.0, 0.0]), np.array([0.0])
         base = step(env, x, u)
-        states, _, _ = rollout(env, x[None], u[None], noise=noise, rows=10_000)
+        states, _, _ = rollout(env, x[None], rows_of(u[None], 10_000), noise=noise)
         residuals = states[1] - base
         stds = residuals.std(axis=0, ddof=1)
         assert np.all(np.abs(stds - eps) / eps < 0.05)
@@ -274,7 +274,7 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, controls, cost)
         noise = NoiseModel(epsilon=0.05, channel="state", seed=2)
         states, applied, _ = rollout(
-            env, nominal.states, nominal.controls, np.zeros((8, 1, 2)), noise, 5
+            env, nominal.states, rows_of(nominal.controls, 5), np.zeros((8, 1, 2)), noise
         )
         # zero gains: applied controls are exactly the nominal ones
         assert np.array_equal(applied[:, 4], controls)
@@ -290,8 +290,9 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, np.zeros((20, 1)), cost)
         gains = np.tile(np.array([[-1.0, -1.5]]), (20, 1, 1))
         noise = NoiseModel(epsilon=0.02, channel="state", seed=9)
-        states_fb, _, _ = rollout(env, nominal.states, nominal.controls, gains, noise)
-        states_ol, _, _ = rollout(env, nominal.states, nominal.controls, np.zeros_like(gains), noise)
+        u_bar = rows_of(nominal.controls, 1)
+        states_fb, _, _ = rollout(env, nominal.states, u_bar, gains, noise)
+        states_ol, _, _ = rollout(env, nominal.states, u_bar, np.zeros_like(gains), noise)
         dev_fb = np.linalg.norm(states_fb[:, 0] - nominal.states)
         dev_ol = np.linalg.norm(states_ol[:, 0] - nominal.states)
         assert dev_fb < dev_ol
@@ -302,8 +303,8 @@ class TestRollouts:
         nominal = rollout_open_loop(env, env.x0, np.zeros((5, 1)), cost)
         noise = NoiseModel(epsilon=0.1, channel="state", seed=1)
         K = np.zeros((5, 1, 2))
-        a = rollout(env, nominal.states, nominal.controls, K, noise, 3)
-        b = rollout(env, nominal.states, nominal.controls, K, noise, 3)
+        a = rollout(env, nominal.states, rows_of(nominal.controls, 3), K, noise)
+        b = rollout(env, nominal.states, rows_of(nominal.controls, 3), K, noise)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert np.array_equal(total_cost(a[0], a[1], cost), total_cost(b[0], b[1], cost))
 
@@ -342,7 +343,7 @@ class TestRollouts:
         K = rng.standard_normal((N, env.n_u, env.n_x))
         noise = NoiseModel(epsilon=0.3, channel=channel, seed=7)
         dim = env.n_x if channel == "state" else env.n_u
-        states, controls, alive = rollout(env, nominal.states, nominal.controls, K, noise, M)
+        states, controls, alive = rollout(env, nominal.states, rows_of(nominal.controls, M), K, noise)
         assert states.shape == (N + 1, M, env.n_x) and controls.shape == (N, M, env.n_u)
         assert alive.all()
         w = np.stack([noise.draws(t, M, dim) for t in range(N)])
@@ -360,6 +361,51 @@ class TestRollouts:
                 assert np.array_equal(controls[t, i], u)
                 assert np.array_equal(states[t + 1, i], x)
 
+    @pytest.mark.parametrize("feedback", [False, True], ids=["open-loop", "feedback"])
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_control_batch_rows_equal_single_rollouts_exactly(self, name, feedback):
+        # M distinct control sequences as one (N, M, n_u) batch, without noise
+        env = make_env(name)
+        rng = np.random.default_rng(4)
+        N, M = 12, 5
+        nominal = rollout_open_loop(env, env.x0, np.zeros((N, env.n_u)), unit_cost(env.n_x, env.n_u))
+        K = rng.standard_normal((N, env.n_u, env.n_x)) if feedback else None
+        U = 0.8 * env.u_scale * rng.uniform(-1.0, 1.0, (N, M, env.n_u))
+        calls = []
+
+        def counting(x, u):
+            calls.append((x.shape, u.shape))
+            return env.step_fn(x, u)
+
+        states, controls, alive = rollout(replace(env, step_fn=counting), nominal.states, U, K)
+        assert calls == [((M, env.n_x), (M, env.n_u))] * N
+        assert states.shape == (N + 1, M, env.n_x) and controls.shape == (N, M, env.n_u)
+        assert alive.shape == (M,) and alive.all()
+        assert len({U[:, i].tobytes() for i in range(M)}) == M
+        for i in range(M):
+            # row i as one trajectory: 1-D states, on the float RK4 path
+            one = rollout(env, nominal.states, U[:, i], K)
+            assert np.array_equal(states[:, i], one[0])
+            assert np.array_equal(controls[:, i], one[1])
+            assert one[2].shape == () and one[2]
+
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_noise_needs_a_non_empty_control_batch(self, name):
+        env = make_env(name)
+        calls = []
+        counted = replace(env, step_fn=lambda x, u: calls.append(x.shape) or env.step_fn(x, u))
+        noise = NoiseModel(epsilon=0.1, seed=1)
+        for u_bar, K, noise_model in (
+            (np.zeros((4, env.n_u)), None, noise),
+            (np.zeros((4, env.n_u)), np.zeros((4, env.n_u, env.n_x)), noise),
+            (np.zeros((4, 2, 3, env.n_u)), None, noise),
+            (np.zeros((4, 0, env.n_u)), None, noise),
+            (np.zeros((4, 0, env.n_u)), None, None),
+        ):
+            with pytest.raises(ContractViolation, match="batch"):
+                rollout(counted, np.zeros((5, env.n_x)), u_bar, K, noise_model)
+        assert calls == []
+
     def test_divergent_row_is_held_at_zero_while_the_batch_steps_on(self, monkeypatch):
         env = make_linear_env(A=10.0 * np.eye(2), B=[[0.0], [1.0]], horizon=4)
         calls = []
@@ -373,7 +419,7 @@ class TestRollouts:
         w = np.zeros((4, 3, 2))
         w[0, 1, 0] = 1e308  # row 1 reaches 5e307, then overflows at t = 1
         monkeypatch.setattr(NoiseModel, "draws", lambda self, t, rows, dim: w[t])
-        states, _, alive = rollout(counted, np.zeros((1, 2)), np.zeros((4, 1)), None, noise, 3)
+        states, _, alive = rollout(counted, np.zeros((1, 2)), np.zeros((4, 3, 1)), None, noise)
         assert alive.tolist() == [True, False, True]
         assert np.all(states[2:, 1] == 0.0)
         assert np.all(np.isfinite(states))
@@ -391,10 +437,18 @@ class TestRollouts:
         env = make_pendulum_env()
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((1, 4)), np.zeros((5, 1)))
-        with pytest.raises(ContractViolation, match="rows"):
-            rollout(env, np.zeros((1, 2)), np.zeros((5, 1)), None, NoiseModel(epsilon=0.1), 0)
+        with pytest.raises(ContractViolation, match="batch"):
+            rollout(env, np.zeros((1, 2)), np.zeros((5, 0, 1)), None, NoiseModel(epsilon=0.1))
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((6, 2)), np.zeros((5, 1)), np.zeros((5, 1, 4)))
+        # a 1-D x_bar would start from (x_bar[0], x_bar[0]); 3-D and empty ones are refused too
+        for x_bar in (np.array([0.5, 0.1]), np.zeros((1, 1, 2)), np.zeros((0, 2))):
+            with pytest.raises(ContractViolation, match="dimensions"):
+                rollout(env, x_bar, np.zeros((3, 1)))
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((1, 2)), np.zeros(3))
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 1, 2)))
 
 
 class TestBuilders:

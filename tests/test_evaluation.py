@@ -445,6 +445,26 @@ class TestThreadedSweep:
             epsilon_sweep(env, policy, "state", eps, self.M, cost)
         assert workers == [2, 3, 4]
 
+    def test_without_cpu_affinity_the_sweep_counts_cores(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count stands in
+        workers = []
+
+        class Spy(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                workers.append(max_workers)
+
+        env, cost, policy = small_problem()
+        eps = (0.01, 0.02, 0.03)
+        on_cores(monkeypatch, 1)
+        in_turn = epsilon_sweep(env, policy, "state", eps, self.M, cost)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for cores in (2, None):  # cpu_count() may not know
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert epsilon_sweep(env, policy, "state", eps, self.M, cost) == in_turn
+        assert workers == [2]
+
     def test_at_most_one_level_per_worker_is_in_flight(self, monkeypatch, trained_cartpole):
         # eight levels on two workers hold at most two levels' arrays at once
         run = trained_cartpole

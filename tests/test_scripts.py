@@ -36,6 +36,14 @@ def test_feedback_vs_open_loop_rejects_a_bad_seed_before_training(tmp_path):
     assert result.stdout == ""
 
 
+def test_train_swingup_rejects_a_bad_seed_before_writing(tmp_path):
+    out = tmp_path / "out"
+    result = _run("train_swingup.py", "--seed", "-1", "--out", str(out), cwd=tmp_path)
+    assert result.returncode != 0
+    assert "--seed" in result.stderr and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, args, expect",
     [
