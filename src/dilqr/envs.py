@@ -61,6 +61,9 @@ class Environment:
     def __post_init__(self):
         bounds = np.asarray(self.control_bounds, dtype=float).reshape(self.n_u, 2)
         object.__setattr__(self, "control_bounds", bounds)
+        lo, hi = bounds.T.copy()
+        object.__setattr__(self, "_u_lo", lo)
+        object.__setattr__(self, "_u_hi", hi)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x_goal", np.asarray(self.x_goal, dtype=float))
         if self.n_x < 1 or self.n_u < 1 or self.horizon < 1 or self.dt <= 0:
@@ -74,7 +77,14 @@ class Environment:
         return 0.5 * (self.control_bounds[:, 1] - self.control_bounds[:, 0])
 
     def clamp(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(u, self.control_bounds[:, 0], self.control_bounds[:, 1])
+        """u clipped into the bounds: np.clip's bits at under half its per-call cost.
+
+        Where a bound is a signed zero and u the other zero, the two compare
+        equal and the bound is returned, for a point and a batch alike.
+        np.clip returns u there on a batch with n_u = 1, so under np.clip a
+        point and its one-row batch differ.
+        """
+        return np.minimum(np.maximum(u, self._u_lo), self._u_hi)
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,11 @@ def child_seed(seed: int, *key: int) -> int:
     return int(sub.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() minus the ndarray.all wrapper, which costs more than a small check."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Deterministic black-box transition; controls clamped before integration."""
     x = np.asarray(x, dtype=float)
@@ -121,7 +136,7 @@ def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ContractViolation(
             f"bad dimensions for {env.name}: state {x.shape}, control {u.shape}"
         )
-    if not (np.isfinite(x).all() and np.isfinite(u).all()):
+    if not (all_finite(x) and all_finite(u)):
         raise ContractViolation("non-finite state or control passed to step")
     return env.step_fn(x, env.clamp(u))
 
@@ -135,48 +150,58 @@ def _closed_loop(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
-    Arguments and conventions are those of ``rollout``. Each step's noise
-    is drawn as the step runs, and its state and control are yielded and
-    then dropped, so a consumer that keeps nothing holds O(M) memory.
-    Consume it under np.errstate(all="ignore"): a diverging row overflows
-    before it is masked.
+    Arguments and conventions are those of ``rollout``; they are checked
+    when it is called, before the first step. Each step's noise is drawn as
+    the step runs, and its state and control are yielded and then dropped,
+    so a consumer that keeps nothing holds O(M) memory. Consume it under
+    np.errstate(all="ignore"): a diverging row overflows before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    N, batch = u_bar.shape[0], u_bar.shape[1:-1]
     if (
         x_bar.shape[1:] != (env.n_x,)
         or len(x_bar) < 1
         or u_bar.ndim < 2
         or u_bar.shape[-1] != env.n_u
-        or (K is not None and (K.shape != (N, env.n_u, env.n_x) or len(x_bar) != N + 1))
+        or (
+            K is not None
+            and (K.shape != (len(u_bar), env.n_u, env.n_x) or len(x_bar) != len(u_bar) + 1)
+        )
     ):
         shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K)]
         raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
+    N, batch = u_bar.shape[0], u_bar.shape[1:-1]
     if 0 in batch or (noise is not None and len(batch) != 1):
         raise ContractViolation(f"bad rollout batch {batch}: noise needs controls (N, M, n_u)")
-    if not np.isfinite(u_bar).all():
+    if not all_finite(u_bar):
         raise ContractViolation("non-finite nominal control passed to rollout")
     channel = None if noise is None else noise.channel
-    x = np.full((*batch, env.n_x), x_bar[0])
-    alive = np.ones(batch, dtype=bool)
-    for t in range(N):
-        u = u_bar[t]
-        if K is not None:
-            # the per-point form: each row equals the unbatched K_t @ dx bit for bit
-            u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
-        if channel == CONTROL_CHANNEL:
-            u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
-        u = env.clamp(u)
-        x_next = step(env, x, u)
-        if channel == STATE_CHANNEL:
-            x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
-        alive &= np.isfinite(x_next).all(axis=-1)
-        if not alive.all():
-            x_next = np.where(alive[..., None], x_next, 0.0)
-        yield x, u
-        x = x_next
-    yield x, alive
+
+    def steps():
+        x = np.full((*batch, env.n_x), x_bar[0])
+        alive = np.ones(batch, dtype=bool)
+        # alive.all(): until a row dies, one whole-batch check stands in for the per-row one
+        all_alive = True
+        for t in range(N):
+            u = u_bar[t]
+            if K is not None:
+                # the per-point form: each row equals the unbatched K_t @ dx bit for bit
+                u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
+            if channel == CONTROL_CHANNEL:
+                u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
+            u = env.clamp(u)
+            x_next = step(env, x, u)
+            if channel == STATE_CHANNEL:
+                x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
+            if not (all_alive and all_finite(x_next)):
+                all_alive = False
+                alive &= np.isfinite(x_next).all(axis=-1)
+                x_next = np.where(alive[..., None], x_next, 0.0)
+            yield x, u
+            x = x_next
+        yield x, alive
+
+    return steps()
 
 
 def rollout(
@@ -259,16 +284,18 @@ def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) 
 
 def _rk4_stages(deriv, x: list, u: list, h: float, substeps: int) -> list:
     """The RK4 stages on state and control components, floats or arrays alike."""
+    # 0.5 * h * k evaluates as (0.5 * h) * k, so hoisting the step factors keeps every bit
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
         # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
         # so no more than one stage is held at a time
         total = k = deriv(x, u)
-        k = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k)], u)
+        k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
         total = [a + 2.0 * b for a, b in zip(total, k)]
-        k = deriv([xi + 0.5 * h * ki for xi, ki in zip(x, k)], u)
+        k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
         total = [a + 2.0 * b for a, b in zip(total, k)]
         k = deriv([xi + h * ki for xi, ki in zip(x, k)], u)
-        x = [xi + (h / 6.0) * (a + b) for xi, a, b in zip(x, total, k)]
+        x = [xi + sixth * (a + b) for xi, a, b in zip(x, total, k)]
     return x
 
 

@@ -1,10 +1,13 @@
 """Model-free ILQR: regularized backward pass, line-searched forward pass,
 and the outer loop with band acceptance.
 
-The backward pass adds mu*I to the value Hessian inside Q_ux and Q_uu only
-(state-regularization variant). Each timestep takes one numpy Cholesky
-factorization Q_uu = L L' and two solves, on L and then on L', for k_t and
-K_t together. A Q_uu that is not positive definite, or a non-finite Q_uu or
+The backward pass runs the Riccati recursion in augmented (homogeneous)
+coordinates z = (u, x, 1), where the value function is one matrix P over
+(x, 1) and a timestep is one product Z = H_t + F_t' P F_t. It adds mu*I to
+the value Hessian inside Q_ux and Q_uu only (state-regularization
+variant). Each timestep takes one numpy Cholesky factorization of Q_uu,
+kept as the positive-definiteness check, and one solve for K_t and k_t
+together. A Q_uu that is not positive definite, or a non-finite Q_uu or
 (k_t, K_t), aborts the pass so the caller can escalate mu.
 """
 
@@ -23,7 +26,7 @@ from .costs import (
     terminal_partials,
     total_cost,
 )
-from .envs import Environment, rollout, rollout_open_loop
+from .envs import Environment, all_finite, rollout, rollout_open_loop
 from .errors import ContractViolation, NotPositiveDefinite, RegularizationExhausted
 from .sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
@@ -114,10 +117,16 @@ def backward_pass(
 ) -> IterationGains:
     """Riccati-like recursion producing (k_t, K_t) from the stacked models.A[t], models.B[t].
 
-    The stage gradients come from one cost_partials call over the whole
-    trajectory; only the recursion itself runs per t. Raises
-    NotPositiveDefinite(t) where Q_uu is not positive definite or not
-    finite, or where k_t or K_t is not finite.
+    Over z = (u, x, 1), F_t = [[B_t A_t 0], [0 0 1]] maps z to (x_{t+1}, 1),
+    and the stage Hessian H_t holds R, Q and, in its last row and column,
+    the stage gradients from one cost_partials call over the whole
+    trajectory. mu * B_t'[B_t A_t] is added to H_t's control rows, which is
+    mu*I on the value Hessian inside Q_uu and Q_ux only. Both are built for
+    every t before the recursion; each t then forms Z = H_t + F_t' P F_t,
+    whose control rows are [Q_uu Q_ux Q_u], solves Q_uu [K_t k_t] =
+    -[Q_ux Q_u] and takes P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t],
+    symmetrized. Raises NotPositiveDefinite(t) where Q_uu is not positive
+    definite or not finite, or where k_t or K_t is not finite.
     """
     N = traj.horizon
     if models.A.ndim != 3 or len(models.A) != N:
@@ -126,39 +135,41 @@ def backward_pass(
         )
     n_x = traj.states.shape[1]
     n_u = traj.controls.shape[1]
-    k = np.empty((N, n_u))
-    K = np.empty((N, n_u, n_x))
-
     C_x, C_u = cost_partials(traj.states[:-1], traj.controls, cost)
-    Q, R = cost.Q, cost.R
-    mu_I = mu * np.eye(n_x)
-    J_x = terminal_partials(traj.states[N], cost)
-    J_xx = cost.Q_terminal
+    F = np.zeros((N, n_x + 1, n_u + n_x + 1))
+    F[:, :n_x, :n_u] = models.B
+    F[:, :n_x, n_u:-1] = models.A
+    F[:, n_x, -1] = 1.0
+    H = np.zeros((N, n_u + n_x + 1, n_u + n_x + 1))
+    H[:, :n_u, :n_u] = cost.R
+    H[:, n_u:-1, n_u:-1] = cost.Q
+    H[:, :n_u, -1] = H[:, -1, :n_u] = C_u
+    H[:, n_u:-1, -1] = H[:, -1, n_u:-1] = C_x
+    F_T = F.transpose(0, 2, 1)
+    # P's corner, the constant of the value function, is held at 0: no gain
+    # reads it, and were it to overflow, F_t' P F_t would take 0 * inf = nan
+    P = np.zeros((n_x + 1, n_x + 1))
+    P[:n_x, :n_x] = cost.Q_terminal
+    P[:n_x, n_x] = P[n_x, :n_x] = terminal_partials(traj.states[N], cost)
+    S = np.empty((N, n_u, n_x + 1))  # -[K_t k_t]
     # overflow only ever yields inf or nan, which the finiteness check below turns
     # into NotPositiveDefinite(t), so numpy's warnings would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
+        H[:, :n_u, :-1] += mu * (models.B.transpose(0, 2, 1) @ F[:, :n_x, :-1])
         for t in range(N - 1, -1, -1):
-            A, B = models.A[t], models.B[t]
-            J_xx_reg = J_xx + mu_I
-            Q_x = C_x[t] + A.T @ J_x
-            Q_u = C_u[t] + B.T @ J_x
-            Q_xx = Q + A.T @ J_xx @ A
-            Q_ux = B.T @ J_xx_reg @ A
-            Q_uu = R + B.T @ J_xx_reg @ B
-            Q_uu = 0.5 * (Q_uu + Q_uu.T)
-            Q_u_ux = np.concatenate((Q_u[:, None], Q_ux), axis=1)
+            Z = H[t] + F_T[t] @ P @ F[t]
+            Q_uu, Z_u = Z[:n_u, :n_u], Z[:n_u, n_u:]
             try:
-                L = np.linalg.cholesky(Q_uu)
-                kK = -np.linalg.solve(L.T, np.linalg.solve(L, Q_u_ux))
+                np.linalg.cholesky(Q_uu)
+                S[t] = np.linalg.solve(Q_uu, Z_u)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(t) from None
-            if not (np.isfinite(Q_uu).all() and np.isfinite(kK).all()):
+            if not (all_finite(Q_uu) and all_finite(S[t])):
                 raise NotPositiveDefinite(t)
-            k[t], K[t] = kK[:, 0], kK[:, 1:]
-            J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
-            J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
-            J_xx = 0.5 * (J_xx + J_xx.T)
-    return IterationGains(k=k, K=K)
+            P = Z[n_u:, n_u:] - Z_u.T @ S[t]
+            P = 0.5 * (P + P.T)
+            P[n_x, n_x] = 0.0
+    return IterationGains(k=-S[:, :, n_x], K=-S[:, :, :n_x])
 
 
 def forward_pass(

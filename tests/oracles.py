@@ -4,7 +4,8 @@ These are computed independently of the code under test: analytic
 Jacobians pushed through the integrator by the chain rule, the exact
 finite-horizon discrete Riccati recursion on known (A, B), the
 time-varying Riccati recursion in Joseph form, the ILQR backward pass in
-its earlier per-step form, the RK4 integrator in its earlier stacked
+its earlier per-step form and in augmented coordinates with every product
+formed per step, the RK4 integrator in its earlier stacked
 form, the Monte-Carlo evaluator in its earlier history-based form, and
 the trajectory cost in its earlier per-step form.
 """
@@ -171,6 +172,43 @@ def per_step_backward_pass(traj, cost, models, mu):
         J_x = Q_x + K[t].T @ Q_uu @ k[t] + K[t].T @ Q_u + Q_ux.T @ k[t]
         J_xx = Q_xx + K[t].T @ Q_uu @ K[t] + K[t].T @ Q_ux + Q_ux.T @ K[t]
         J_xx = 0.5 * (J_xx + J_xx.T)
+    return k, K
+
+
+def per_step_augmented_backward_pass(traj, cost, models, mu):
+    """The augmented-coordinate ILQR backward pass with everything formed inside its t-loop.
+
+    Over z = (u, x, 1), per step: F_t = [[B_t A_t 0], [0 0 1]], the stage
+    Hessian H_t with the stage gradients Q (x_t - x_g) and R u_t in its last
+    row and column and mu * B_t'[B_t A_t] added to its control rows, then
+    Z = H_t + F_t' P F_t. One numpy Cholesky factorization checks Q_uu and
+    one solve gives G = [K_t k_t]; P = Z_(x,1)(x,1) + Z_u(x,1)' G,
+    symmetrized, with its constant corner held at 0. Raises
+    np.linalg.LinAlgError where Q_uu is not positive definite and does no
+    finiteness checks. Returns (k, K).
+    """
+    N, n_x, n_u = traj.horizon, traj.states.shape[1], traj.controls.shape[1]
+    k = np.empty((N, n_u))
+    K = np.empty((N, n_u, n_x))
+    P = np.zeros((n_x + 1, n_x + 1))
+    P[:n_x, :n_x] = cost.Q_terminal
+    P[:n_x, n_x] = P[n_x, :n_x] = cost.Q_terminal @ (traj.states[N] - cost.x_goal)
+    for t in range(N - 1, -1, -1):
+        A, B = models.A[t], models.B[t]
+        F = np.zeros((n_x + 1, n_u + n_x + 1))
+        F[:n_x, :n_u], F[:n_x, n_u:-1], F[n_x, -1] = B, A, 1.0
+        H = np.zeros((n_u + n_x + 1, n_u + n_x + 1))
+        H[:n_u, :n_u], H[n_u:-1, n_u:-1] = cost.R, cost.Q
+        H[:n_u, -1] = H[-1, :n_u] = cost.R @ traj.controls[t]
+        H[n_u:-1, -1] = H[-1, n_u:-1] = cost.Q @ (traj.states[t] - cost.x_goal)
+        H[:n_u, :-1] += mu * (B.T @ F[:n_x, :-1])
+        Z = H + F.T @ P @ F
+        np.linalg.cholesky(Z[:n_u, :n_u])
+        G = -np.linalg.solve(Z[:n_u, :n_u], Z[:n_u, n_u:])
+        K[t], k[t] = G[:, :n_x], G[:, n_x]
+        P = Z[n_u:, n_u:] + Z[:n_u, n_u:].T @ G
+        P = 0.5 * (P + P.T)
+        P[n_x, n_x] = 0.0
     return k, K
 
 

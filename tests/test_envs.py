@@ -445,8 +445,10 @@ class TestRollouts:
         for x_bar in (np.array([0.5, 0.1]), np.zeros((1, 1, 2)), np.zeros((0, 2))):
             with pytest.raises(ContractViolation, match="dimensions"):
                 rollout(env, x_bar, np.zeros((3, 1)))
-        with pytest.raises(ContractViolation, match="dimensions"):
-            rollout(env, np.zeros((1, 2)), np.zeros(3))
+        # a 0-d or 1-d control has no time axis and no control axis to read
+        for u_bar in (np.float64(1.0), np.zeros(3)):
+            with pytest.raises(ContractViolation, match="dimensions"):
+                rollout(env, np.zeros((1, 2)), u_bar)
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 1, 2)))
 
@@ -535,3 +537,32 @@ class TestBuilders:
         out = env.clamp(np.array([u]))
         lo, hi = env.control_bounds[0]
         assert lo <= out[0] <= hi
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [[-10.0, 10.0]],
+            [[-10.0, 10.0], [0.5, 2.0], [-np.inf, np.inf]],
+            [[-3.0, np.inf], [-np.inf, -1.0], [1e-300, 1e300]],
+        ],
+    )
+    def test_clamp_equals_np_clip_bit_for_bit(self, bounds):
+        env = make_linear_env(A=np.eye(1), B=np.ones((1, len(bounds))), control_bounds=bounds)
+        lo, hi = env.control_bounds[:, 0], env.control_bounds[:, 1]
+        entries = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+        # 1,000 rows take numpy's vectorized loops, a point its scalar ones
+        batch = np.random.default_rng(0).choice(entries, size=(1000, env.n_u))
+        for u in (*batch[:50], batch):
+            assert np.array_equal(env.clamp(u).view(np.int64), np.clip(u, lo, hi).view(np.int64))
+
+    @pytest.mark.parametrize("n_u", [1, 3])
+    def test_clamp_at_a_signed_zero_bound_returns_the_bound(self, n_u):
+        # np.clip returns u here on an n_u = 1 batch and the bound otherwise;
+        # clamp returns the bound, equal in value, for a point and a batch alike
+        for lo, hi, u in ((0.0, 1.0, -0.0), (-0.0, 1.0, 0.0), (-1.0, 0.0, -0.0), (-1.0, -0.0, 0.0)):
+            env = make_linear_env(A=np.eye(1), B=np.ones((1, n_u)), control_bounds=[[lo, hi]] * n_u)
+            bound = lo if u == lo else hi
+            for controls in (np.full(n_u, u), np.full((40, n_u), u)):
+                out = env.clamp(controls)
+                assert np.array_equal(np.signbit(out), np.full(controls.shape, np.signbit(bound)))
+                assert np.array_equal(out, np.clip(controls, lo, hi))

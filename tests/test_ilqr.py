@@ -21,7 +21,9 @@ from dilqr.ilqr import (
 )
 from dilqr.sysid import EstimatorConfig, LinearizedModel, identify_ltv
 
-from oracles import lqr_optimal_cost, per_step_backward_pass
+from oracles import (
+    lqr_optimal_cost, per_step_augmented_backward_pass, per_step_backward_pass,
+)
 
 
 def scalar_setup():
@@ -62,23 +64,31 @@ def two_solve_backward_pass(traj, cost, models, mu):
     return k, K
 
 
-def assert_single_solve_is_bit_identical(traj, cost, models, mu):
-    gains = backward_pass(traj, cost, models, mu)
-    k, K = two_solve_backward_pass(traj, cost, models, mu)
-    assert np.array_equal(gains.k, k)
-    assert np.array_equal(gains.K, K)
-
-
-# With n_u >= 2, numpy's solves on L and L' round differently from scipy's
-# cho_solve. On the cases below the largest gap measured 3.1e-13 of the
-# largest entry (|dk| <= 1.3e-13, |dK| <= 6.9e-13).
+# The pass solves in augmented coordinates with one numpy solve, the
+# references with the Q-function blocks and two solves, so they round
+# differently. The gap is measured against the largest entry of the
+# reference gains [K k]: near convergence k is the small remainder of a
+# cancelling Q_u (max |k| = 1.3e-8 on the trained linear system), so k alone
+# is no scale for its rounding. Over 2,000 random problems (n_u 1-5, mu in
+# {0, U(0, 1e-3), 1}) the largest gap measured 3.8e3 eps, and 3.7 eps on the
+# trained linear system, pendulum and cart-pole.
 MULTI_CONTROL_REL_TOL = 1e5 * np.finfo(float).eps
 
 
 def assert_single_solve_matches_to_rounding(traj, cost, models, mu):
     gains = backward_pass(traj, cost, models, mu)
-    for ours, ref in zip((gains.k, gains.K), two_solve_backward_pass(traj, cost, models, mu)):
-        assert np.max(np.abs(ours - ref)) <= MULTI_CONTROL_REL_TOL * np.max(np.abs(ref))
+    for reference in (two_solve_backward_pass, per_step_backward_pass):
+        k, K = reference(traj, cost, models, mu)
+        scale = max(np.max(np.abs(k)), np.max(np.abs(K)))
+        for ours, ref in ((gains.k, k), (gains.K, K)):
+            assert np.max(np.abs(ours - ref)) <= MULTI_CONTROL_REL_TOL * scale
+
+
+def assert_bit_identical_to_the_per_step_pass(traj, cost, models, mu):
+    gains = backward_pass(traj, cost, models, mu)
+    k, K = per_step_augmented_backward_pass(traj, cost, models, mu)
+    assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
+    assert_single_solve_matches_to_rounding(traj, cost, models, mu)
 
 
 def random_problem(rng, n_u_low, n_u_high):
@@ -143,19 +153,19 @@ class TestBackwardPass:
     def test_single_solve_matches_two_solves_on_pendulum(self, trained_pendulum):
         run = trained_pendulum
         models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
-        assert_single_solve_is_bit_identical(run.traj, run.cost, models, OptimizerConfig().mu)
+        assert_single_solve_matches_to_rounding(run.traj, run.cost, models, OptimizerConfig().mu)
 
     def test_single_solve_matches_two_solves_on_cartpole(self, trained_cartpole):
         run = trained_cartpole
         models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
         for mu in (0.0, OptimizerConfig().mu):
-            assert_single_solve_is_bit_identical(run.traj, run.cost, models, mu)
+            assert_single_solve_matches_to_rounding(run.traj, run.cost, models, mu)
 
     def test_single_solve_matches_two_solves_on_random_single_control_systems(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             traj, cost, models = random_problem(rng, 1, 2)
-            assert_single_solve_is_bit_identical(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
+            assert_single_solve_matches_to_rounding(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
 
     def test_single_solve_matches_two_solves_on_random_systems(self):
         rng = np.random.default_rng(11)
@@ -176,21 +186,22 @@ class TestBackwardPass:
 
     @pytest.mark.parametrize("mu", [0.0, 1e-6, 1.0])
     def test_hoisted_pass_is_bit_identical_to_the_per_step_loop(self, mu):
-        # the per-t reference is the pass as it was before its stage gradients,
-        # weights and mu*I were hoisted out of the loop
+        # the per-t reference forms F_t, H_t (stage gradients and mu * B_t'[B_t A_t]
+        # included) inside the loop, where the pass builds them for every t up front
         rng = np.random.default_rng(17)
         compared = 0
         for low, high in ((1, 2), (2, 6)):
             for _ in range(50):
                 traj, cost, models = random_problem(rng, low, high)
                 try:
-                    k, K = per_step_backward_pass(traj, cost, models, mu)
+                    per_step_backward_pass(traj, cost, models, mu)
                 except np.linalg.LinAlgError:  # Q_uu indefinite: both passes must fail
+                    with pytest.raises(np.linalg.LinAlgError):
+                        per_step_augmented_backward_pass(traj, cost, models, mu)
                     with pytest.raises(NotPositiveDefinite):
                         backward_pass(traj, cost, models, mu)
                     continue
-                gains = backward_pass(traj, cost, models, mu)
-                assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
+                assert_bit_identical_to_the_per_step_pass(traj, cost, models, mu)
                 compared += 1
         assert compared >= 50  # of 100; random models at mu = 1 often make Q_uu indefinite
 
@@ -200,9 +211,21 @@ class TestBackwardPass:
     ):
         for run in (trained_linear, trained_pendulum, trained_cartpole):
             models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
-            gains = backward_pass(run.traj, run.cost, models, mu)
-            k, K = per_step_backward_pass(run.traj, run.cost, models, mu)
-            assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
+            assert_bit_identical_to_the_per_step_pass(run.traj, run.cost, models, mu)
+
+    def test_value_constant_overflow_does_not_fail_the_pass(self):
+        # with u_t = 1e160 the constant of the value function, sum of
+        # -Q_u'Q_uu^-1 Q_u, overflows while every gain stays finite
+        _, cost, _, _ = scalar_setup()
+        traj = NominalTrajectory(np.zeros((4, 1)), np.full((3, 1), 1e160), 0.0)
+        models = LinearizedModel(A=np.ones((3, 1, 1)), B=np.ones((3, 1, 1)), eval_count=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the pass itself must not warn on overflow
+            gains = backward_pass(traj, cost, models, 0.0)
+        with np.errstate(over="ignore"):
+            k, K = per_step_augmented_backward_pass(traj, cost, models, 0.0)
+        assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
+        assert_single_solve_matches_to_rounding(traj, cost, models, 0.0)
 
 
 class TestForwardPass:
