@@ -77,12 +77,13 @@ class Environment:
         return 0.5 * (self.control_bounds[:, 1] - self.control_bounds[:, 0])
 
     def clamp(self, u: np.ndarray) -> np.ndarray:
-        """u clipped into the bounds: np.clip's bits at under half its per-call cost.
+        """u clipped into the bounds: np.clip's values at under half its per-call cost.
 
-        Where a bound is a signed zero and u the other zero, the two compare
-        equal and the bound is returned, for a point and a batch alike.
-        np.clip returns u there on a batch with n_u = 1, so under np.clip a
-        point and its one-row batch differ.
+        The bits are np.clip's too, but for one case: where a bound is a
+        signed zero and u the other zero, the two compare equal and clamp
+        returns the bound, for a point and a batch alike. np.clip returns u
+        there on a batch with n_u = 1, so under np.clip a point and its
+        one-row batch differ.
         """
         return np.minimum(np.maximum(u, self._u_lo), self._u_hi)
 

@@ -5,10 +5,11 @@ The backward pass runs the Riccati recursion in augmented (homogeneous)
 coordinates z = (u, x, 1), where the value function is one matrix P over
 (x, 1) and a timestep is one product Z = H_t + F_t' P F_t. It adds mu*I to
 the value Hessian inside Q_ux and Q_uu only (state-regularization
-variant). Each timestep takes one numpy Cholesky factorization of Q_uu,
-kept as the positive-definiteness check, and one solve for K_t and k_t
-together. A Q_uu that is not positive definite, or a non-finite Q_uu or
-(k_t, K_t), aborts the pass so the caller can escalate mu.
+variant). Each timestep symmetrizes Q_uu, takes one numpy Cholesky
+factorization of it, kept as the positive-definiteness check, and one
+solve of it for K_t and k_t together. A Q_uu that is not positive
+definite, or a non-finite Q_uu or (k_t, K_t), aborts the pass so the
+caller can escalate mu.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def backward_pass(
     trajectory. mu * B_t'[B_t A_t] is added to H_t's control rows, which is
     mu*I on the value Hessian inside Q_uu and Q_ux only. Both are built for
     every t before the recursion; each t then forms Z = H_t + F_t' P F_t,
-    whose control rows are [Q_uu Q_ux Q_u], solves Q_uu [K_t k_t] =
-    -[Q_ux Q_u] and takes P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t],
-    symmetrized. Raises NotPositiveDefinite(t) where Q_uu is not positive
+    whose control rows are [Q_uu Q_ux Q_u], symmetrizes Q_uu, solves
+    Q_uu [K_t k_t] = -[Q_ux Q_u] and takes
+    P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t], symmetrized. Raises NotPositiveDefinite(t) where Q_uu is not positive
     definite or not finite, or where k_t or K_t is not finite.
     """
     N = traj.horizon
@@ -159,6 +160,7 @@ def backward_pass(
         for t in range(N - 1, -1, -1):
             Z = H[t] + F_T[t] @ P @ F[t]
             Q_uu, Z_u = Z[:n_u, :n_u], Z[:n_u, n_u:]
+            Q_uu[...] = 0.5 * (Q_uu + Q_uu.T)  # the check and the solve see one matrix
             try:
                 np.linalg.cholesky(Q_uu)
                 S[t] = np.linalg.solve(Q_uu, Z_u)

@@ -181,9 +181,10 @@ def per_step_augmented_backward_pass(traj, cost, models, mu):
     Over z = (u, x, 1), per step: F_t = [[B_t A_t 0], [0 0 1]], the stage
     Hessian H_t with the stage gradients Q (x_t - x_g) and R u_t in its last
     row and column and mu * B_t'[B_t A_t] added to its control rows, then
-    Z = H_t + F_t' P F_t. One numpy Cholesky factorization checks Q_uu and
-    one solve gives G = [K_t k_t]; P = Z_(x,1)(x,1) + Z_u(x,1)' G,
-    symmetrized, with its constant corner held at 0. Raises
+    Z = H_t + F_t' P F_t. Q_uu is symmetrized, one numpy Cholesky
+    factorization checks it and one solve gives G = [K_t k_t];
+    P = Z_(x,1)(x,1) + Z_u(x,1)' G, symmetrized, with its constant corner
+    held at 0. Raises
     np.linalg.LinAlgError where Q_uu is not positive definite and does no
     finiteness checks. Returns (k, K).
     """
@@ -203,6 +204,7 @@ def per_step_augmented_backward_pass(traj, cost, models, mu):
         H[n_u:-1, -1] = H[-1, n_u:-1] = cost.Q @ (traj.states[t] - cost.x_goal)
         H[:n_u, :-1] += mu * (B.T @ F[:n_x, :-1])
         Z = H + F.T @ P @ F
+        Z[:n_u, :n_u] = 0.5 * (Z[:n_u, :n_u] + Z[:n_u, :n_u].T)
         np.linalg.cholesky(Z[:n_u, :n_u])
         G = -np.linalg.solve(Z[:n_u, :n_u], Z[:n_u, n_u:])
         K[t], k[t] = G[:, :n_x], G[:, n_x]

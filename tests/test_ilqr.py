@@ -66,29 +66,38 @@ def two_solve_backward_pass(traj, cost, models, mu):
 
 # The pass solves in augmented coordinates with one numpy solve, the
 # references with the Q-function blocks and two solves, so they round
-# differently. The gap is measured against the largest entry of the
-# reference gains [K k]: near convergence k is the small remainder of a
-# cancelling Q_u (max |k| = 1.3e-8 on the trained linear system), so k alone
-# is no scale for its rounding. Over 2,000 random problems (n_u 1-5, mu in
-# {0, U(0, 1e-3), 1}) the largest gap measured 3.8e3 eps, and 3.7 eps on the
-# trained linear system, pendulum and cart-pole.
+# differently. Each gap is measured against the largest entry of the
+# reference's own k or K. Over 2,000 random problems (n_u 1-5, mu in
+# {0, U(0, 1e-3), 1}) the largest gap measured 2.8e3 eps, and 20 eps on
+# the identified pendulum and cart-pole models.
 MULTI_CONTROL_REL_TOL = 1e5 * np.finfo(float).eps
 
+# On the trained linear system k_t = -Q_uu^-1 Q_u is the remainder of
+# Q_u = R u_t + B_t'J_x, two terms that cancel near the optimum: max |k| is
+# 1.3e-8 against max |u_t| = 0.93, and the two recursions' k differ by up to
+# 4e7 eps of max |k|. Rounding in Q_u is relative to the size of those
+# terms, |R u_t|, and a scalar Q_uu >= R passes it to k_t at no more than
+# |u_t|, so there k is measured against max |u_t|: the gap measured at most
+# 0.6 eps of it at mu = 0, 1e-6 and 1.
+CANCELLING_K_TOL = 1e2 * np.finfo(float).eps
 
-def assert_single_solve_matches_to_rounding(traj, cost, models, mu):
+
+def assert_single_solve_matches_to_rounding(traj, cost, models, mu, cancelling_k=False):
     gains = backward_pass(traj, cost, models, mu)
     for reference in (two_solve_backward_pass, per_step_backward_pass):
         k, K = reference(traj, cost, models, mu)
-        scale = max(np.max(np.abs(k)), np.max(np.abs(K)))
-        for ours, ref in ((gains.k, k), (gains.K, K)):
-            assert np.max(np.abs(ours - ref)) <= MULTI_CONTROL_REL_TOL * scale
+        if cancelling_k:
+            assert np.max(np.abs(gains.k - k)) <= CANCELLING_K_TOL * np.max(np.abs(traj.controls))
+        else:
+            assert np.max(np.abs(gains.k - k)) <= MULTI_CONTROL_REL_TOL * np.max(np.abs(k))
+        assert np.max(np.abs(gains.K - K)) <= MULTI_CONTROL_REL_TOL * np.max(np.abs(K))
 
 
-def assert_bit_identical_to_the_per_step_pass(traj, cost, models, mu):
+def assert_bit_identical_to_the_per_step_pass(traj, cost, models, mu, cancelling_k=False):
     gains = backward_pass(traj, cost, models, mu)
     k, K = per_step_augmented_backward_pass(traj, cost, models, mu)
     assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
-    assert_single_solve_matches_to_rounding(traj, cost, models, mu)
+    assert_single_solve_matches_to_rounding(traj, cost, models, mu, cancelling_k)
 
 
 def random_problem(rng, n_u_low, n_u_high):
@@ -209,9 +218,11 @@ class TestBackwardPass:
     def test_hoisted_pass_is_bit_identical_on_identified_models(
         self, mu, trained_linear, trained_pendulum, trained_cartpole
     ):
-        for run in (trained_linear, trained_pendulum, trained_cartpole):
+        # only the linear system's k is a cancelling remainder
+        runs = ((trained_linear, True), (trained_pendulum, False), (trained_cartpole, False))
+        for run, cancelling_k in runs:
             models = identify_ltv(run.env, run.traj, EstimatorConfig(seed=0))
-            assert_bit_identical_to_the_per_step_pass(run.traj, run.cost, models, mu)
+            assert_bit_identical_to_the_per_step_pass(run.traj, run.cost, models, mu, cancelling_k)
 
     def test_value_constant_overflow_does_not_fail_the_pass(self):
         # with u_t = 1e160 the constant of the value function, sum of
