@@ -66,9 +66,9 @@ class Environment:
         object.__setattr__(self, "_u_hi", hi)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x_goal", np.asarray(self.x_goal, dtype=float))
-        if self.n_x < 1 or self.n_u < 1 or self.horizon < 1 or self.dt <= 0:
+        if self.n_x < 1 or self.n_u < 1 or self.horizon < 1 or not self.dt > 0:
             raise ContractViolation("n_x, n_u, horizon must be >= 1 and dt > 0")
-        if np.any(bounds[:, 0] >= bounds[:, 1]):
+        if not np.all(lo < hi):
             raise ContractViolation("control bounds must satisfy lo < hi")
 
     @property

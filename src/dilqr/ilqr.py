@@ -70,7 +70,7 @@ class OptimizerConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
     def __post_init__(self):
-        if self.mu < 0 or self.mu_factor <= 1 or not 0 < self.mu_min <= self.mu_max:
+        if not (self.mu >= 0 and self.mu_factor > 1 and 0 < self.mu_min <= self.mu_max):
             raise ContractViolation("invalid regularizer bounds")
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas or any(not 0 < a <= 1 for a in alphas):
@@ -78,7 +78,7 @@ class OptimizerConfig:
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
             raise ContractViolation("alpha schedule must be strictly decreasing")
         object.__setattr__(self, "alphas", alphas)
-        if self.band < 0 or self.conv_tol <= 0 or self.conv_patience < 1 or self.max_iters < 0:
+        if not (self.band >= 0 and self.conv_tol > 0) or self.conv_patience < 1 or self.max_iters < 0:
             raise ContractViolation("invalid convergence parameters")
 
 

@@ -8,7 +8,9 @@ perturbation design D: both signs of every row d of D are rolled out, and
 is solved in the least-squares sense over the rows (2 black-box rows per row
 of D). The fit regresses on the control the black box applied: where
 ``step`` clamped either sign of a row, du is the applied half-difference
-(clamp(u + du) - clamp(u - du)) / 2. Two designs use it:
+(clamp(u + du) - clamp(u - du)) / 2. The fit is exact, by SVD, and it
+raises SingularSystem where a control was clamped on both sides of every
+row or where D is rank-deficient. Two designs use it:
 
 * ``estimate_llscd``: n_s random Gaussian rows of std sigma;
 * ``estimate_fd``: the per-coordinate baseline, D = h * I.
@@ -61,11 +63,10 @@ class EstimatorConfig:
     n_s: int = 0  # 0 -> n_x + n_u + 4, resolved per environment
     sigma: float = 1e-3
     seed: int = 0
-    approx_identity: bool = False  # use the sigma^2 (n_s - 1) I shortcut
     fd_step: float = 1e-4
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.fd_step <= 0:
+        if not (self.sigma > 0 and self.fd_step > 0):
             raise ContractViolation("sigma and fd_step must be positive")
         if self.n_s < 0:
             raise ContractViolation(f"n_s={self.n_s} is negative; 0 selects the default count")
@@ -134,17 +135,13 @@ def _step_design(
     return D, Y
 
 
-def _solve(
-    env: Environment, D: np.ndarray, Y: np.ndarray, gram: float | None = None
-) -> LinearizedModel:
+def _solve(env: Environment, D: np.ndarray, Y: np.ndarray) -> LinearizedModel:
     """The fit of D_t [f_x f_u]_t' = Y_t at every t, as one model stacked over T.
 
-    One batched SVD solves them all, X_t = V_t diag(1/s_t) U_t' Y_t and
-    AB_t = X_t'; a gram takes D_t'D_t as gram * I instead (the
-    approx_identity shortcut, no rank check). A control column of D_t that
-    is all zero (clamped on both sides) raises SingularSystem before either
-    fit, as does a rank-deficient D_t in the exact fit; a non-finite fit
-    raises NonFiniteModel. Each names the first t.
+    One batched SVD solves them all: X_t = V_t diag(1/s_t) U_t' Y_t and
+    AB_t = X_t'. A control column of D_t that is all zero (clamped on both
+    sides) raises SingularSystem before the SVD, and a rank-deficient D_t
+    after it; a non-finite fit raises NonFiniteModel. Each names the first t.
     """
     T, n_s, _ = D.shape
     stuck = (D[..., env.n_x :] == 0).all(axis=1)  # (T, n_u): a control that never moved
@@ -155,30 +152,19 @@ def _solve(
             condition_number=np.inf,
         )
     with np.errstate(all="ignore"):  # non-finite Y: LinearizedModel reports t; cond may be inf
-        if gram is not None:
-            AB = (Y.transpose(0, 2, 1) @ D) / gram
-        else:
-            U, s, Vh = np.linalg.svd(D, full_matrices=False)
-            singular = s[:, -1] <= LSTSQ_RCOND * s[:, 0]
-            if singular.any():
-                t = int(np.argmax(singular))
-                cond = s[t, 0] / s[t, -1]
-                raise SingularSystem(
-                    f"identification failed at t={t}: perturbation matrix rank-deficient "
-                    f"(cond {cond:.3e})",
-                    condition_number=cond,
-                )
-            X = Vh.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ Y) / s[..., None])
-            AB = X.transpose(0, 2, 1)
+        U, s, Vh = np.linalg.svd(D, full_matrices=False)
+        singular = s[:, -1] <= LSTSQ_RCOND * s[:, 0]
+        if singular.any():
+            t = int(np.argmax(singular))
+            cond = s[t, 0] / s[t, -1]
+            raise SingularSystem(
+                f"identification failed at t={t}: perturbation matrix rank-deficient "
+                f"(cond {cond:.3e})",
+                condition_number=cond,
+            )
+        X = Vh.transpose(0, 2, 1) @ ((U.transpose(0, 2, 1) @ Y) / s[..., None])
+    AB = X.transpose(0, 2, 1)
     return LinearizedModel(A=AB[..., : env.n_x], B=AB[..., env.n_x :], eval_count=2 * n_s * T)
-
-
-def _identify(
-    env: Environment, x_bar: np.ndarray, u_bar: np.ndarray, cfg: EstimatorConfig
-) -> LinearizedModel:
-    """LLS-CD estimates at the T points (x_bar, u_bar), as one model stacked over T."""
-    D, Y = _sample(env, x_bar, u_bar, cfg)
-    return _solve(env, D, Y, cfg.sigma**2 * (D.shape[1] - 1) if cfg.approx_identity else None)
 
 
 def estimate_llscd(
@@ -194,7 +180,7 @@ def estimate_llscd(
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
-    return _first(_identify(env, x_bar[None], u_bar[None], cfg))
+    return _first(_solve(env, *_sample(env, x_bar[None], u_bar[None], cfg)))
 
 
 def estimate_fd(
@@ -207,7 +193,7 @@ def estimate_fd(
     nominal on a bound gets the one-sided slope inside it; one clamped on
     both sides raises SingularSystem.
     """
-    if h <= 0:
+    if not h > 0:
         raise ContractViolation("finite-difference step h must be positive")
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
@@ -230,4 +216,4 @@ def identify_ltv(
     cfg). A rank-deficient perturbation matrix raises SingularSystem, and a
     non-finite estimate NonFiniteModel, each naming the first failing t.
     """
-    return _identify(env, traj.states[:-1], traj.controls, cfg)
+    return _solve(env, *_sample(env, traj.states[:-1], traj.controls, cfg))

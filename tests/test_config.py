@@ -42,7 +42,6 @@ max_iters = 500
 [estimator]
 n_s = 0
 sigma = 0.001
-approx_identity = false
 fd_step = 0.0001
 
 [noise]
@@ -168,8 +167,13 @@ class TestParsing:
             parse_config("\n\n[engine]\n")
 
     def test_unknown_key_reports_line_number(self):
-        with pytest.raises(ConfigError, match=r"<config>:2: unknown key run.pilot"):
-            parse_config("[run]\npilot = 1\n")
+        # a removed key fails like any other unknown key
+        for text, key in [
+            ("[run]\npilot = 1\n", "run.pilot"),
+            ("[estimator]\napprox_identity = false\n", "estimator.approx_identity"),
+        ]:
+            with pytest.raises(ConfigError, match=rf"<config>:2: unknown key {key}$"):
+                parse_config(text)
 
     def test_bad_value_reports_line_number(self):
         with pytest.raises(ConfigError, match=r"<config>:2: bad value"):
@@ -201,12 +205,13 @@ class TestParsing:
     def test_dataclass_sections_parse_by_default_type(self):
         cfg = parse_config(
             "[optimizer]\nalphas = 1.0 0.3\nconv_patience = 7\n"
-            "[estimator]\nn_s = 9\napprox_identity = yes\n"
+            "[estimator]\nn_s = 9\n[run]\nrecord_timing = yes\n"
         )
         opt = cfg.make_optimizer()
         assert opt.alphas == (1.0, 0.3) and opt.conv_patience == 7
-        assert opt.estimator == EstimatorConfig(n_s=9, approx_identity=True)
-        for text in ("[estimator]\nn_s = 2.5\n", "[estimator]\napprox_identity = maybe\n"):
+        assert opt.estimator == EstimatorConfig(n_s=9)
+        assert cfg.get("run", "record_timing") is True
+        for text in ("[estimator]\nn_s = 2.5\n", "[run]\nrecord_timing = maybe\n"):
             with pytest.raises(ConfigError, match="bad value"):
                 parse_config(text)
 

@@ -500,8 +500,14 @@ class TestBuilders:
         assert (make_env("cartpole").n_x, make_env("cartpole").n_u) == (4, 1)
 
     def test_invalid_bounds_rejected(self):
+        # a NaN bound or dt must fail the check, not construct and step to NaN states
+        for bounds in ([[2.0, -2.0]], [[np.nan, 1.0]], [[-1.0, np.nan]]):
+            with pytest.raises(ContractViolation, match="bounds"):
+                make_linear_env(control_bounds=bounds)
         with pytest.raises(ContractViolation, match="bounds"):
-            make_linear_env(control_bounds=[[2.0, -2.0]])
+            make_pendulum_env(torque_limit=np.nan)
+        with pytest.raises(ContractViolation, match="dt > 0"):
+            make_pendulum_env(dt=np.nan)
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -555,6 +555,12 @@ class TestOptimizerConfig:
         with pytest.raises(ContractViolation):
             OptimizerConfig(band=-0.01)
 
+    @pytest.mark.parametrize("key", ["mu", "mu_factor", "band", "conv_tol"])
+    def test_nan_parameter_rejected(self, key):
+        # NaN fails no comparison, so each check must be written as the range it accepts
+        with pytest.raises(ContractViolation):
+            OptimizerConfig(**{key: np.nan})
+
     def test_default_alpha_schedule_halves(self):
         cfg = OptimizerConfig()
         assert cfg.alphas[0] == 1.0

@@ -89,17 +89,6 @@ class TestLeastSquaresEstimator:
         with pytest.raises(ContractViolation, match="n_s=-5"):
             EstimatorConfig(n_s=-5)
 
-    def test_identity_approximation_is_coarser_but_close(self):
-        env = make_linear_env()
-        x, u = np.array([0.5, 0.5]), np.array([0.1])
-        full = estimate_llscd(env, x, u, EstimatorConfig(n_s=64, seed=2))
-        approx = estimate_llscd(env, x, u, EstimatorConfig(n_s=64, seed=2, approx_identity=True))
-        err_full = np.max(np.abs(full.A - LINEAR_TEST_A))
-        err_approx = np.max(np.abs(approx.A - LINEAR_TEST_A))
-        assert err_full < 1e-10  # exact solve nails linear dynamics
-        assert err_approx < 0.2  # covariance shortcut carries sampling error
-        assert err_approx > err_full
-
     def test_seed_determinism(self):
         env = make_pendulum_env()
         cfg = EstimatorConfig(seed=7)
@@ -118,8 +107,9 @@ class TestLeastSquaresEstimator:
         assert EstimatorConfig(seed=-3).child(2, 5).seed == 1293049783127028401
 
     def test_invalid_sigma_rejected(self):
-        with pytest.raises(ContractViolation):
-            EstimatorConfig(sigma=0.0)
+        for bad in (dict(sigma=0.0), dict(sigma=np.nan), dict(fd_step=np.nan)):
+            with pytest.raises(ContractViolation):
+                EstimatorConfig(**bad)
 
 
 class TestFiniteDifferenceBaseline:
@@ -143,8 +133,9 @@ class TestFiniteDifferenceBaseline:
 
     def test_invalid_step_rejected(self):
         env = make_linear_env()
-        with pytest.raises(ContractViolation):
-            estimate_fd(env, env.x0, np.zeros(1), 0.0)
+        for h in (0.0, np.nan):
+            with pytest.raises(ContractViolation, match="h must be positive"):
+                estimate_fd(env, env.x0, np.zeros(1), h)
 
 
 class TestTrajectoryIdentification:
@@ -208,13 +199,12 @@ ENV_NAMES = ["linear_test", "pendulum", "cartpole"]
 
 
 class TestBatchedIdentification:
-    @pytest.mark.parametrize("approx_identity", [False, True])
     @pytest.mark.parametrize("name", ENV_NAMES)
-    def test_trajectory_equals_per_point_estimates_exactly(self, name, approx_identity):
+    def test_trajectory_equals_per_point_estimates_exactly(self, name):
         # draws are prefix-stable, so the one-point estimate is row 0 of the
         # trajectory, bit for bit, on and off the control bounds
         env = dilqr.make_env(name)
-        cfg = EstimatorConfig(seed=5, approx_identity=approx_identity)
+        cfg = EstimatorConfig(seed=5)
         full = random_trajectory(env)
         assert np.isin(full.controls[2], env.control_bounds).all()
         for start in (0, 2):  # from t = 2 on, row 0's nominal control lies on a bound
@@ -408,15 +398,11 @@ class TestClampedFiniteDifferences:
         [
             lambda env, x, u: estimate_llscd(env, x, u, EstimatorConfig(sigma=1e-6, seed=0)),
             lambda env, x, u: estimate_fd(env, x, u, 1e-4),
-            lambda env, x, u: estimate_llscd(
-                env, x, u, EstimatorConfig(sigma=1e-6, seed=0, approx_identity=True)
-            ),
         ],
-        ids=["llscd", "fd", "approx_identity"],
+        ids=["llscd", "fd"],
     )
     def test_fd_clamped_on_both_sides_is_singular(self, estimate):
-        # both estimators are one fit, so they fail alike beyond a bound; the
-        # approx_identity shortcut has no rank check and returned B = 0 here
+        # both estimators are one fit, so they fail alike beyond a bound
         env = make_pendulum_env()
         with pytest.raises(SingularSystem, match="clamped on both sides"):
             estimate(env, self.X, np.array([15.0]))
