@@ -500,14 +500,23 @@ class TestBuilders:
         assert (make_env("cartpole").n_x, make_env("cartpole").n_u) == (4, 1)
 
     def test_invalid_bounds_rejected(self):
-        # a NaN bound or dt must fail the check, not construct and step to NaN states
-        for bounds in ([[2.0, -2.0]], [[np.nan, 1.0]], [[-1.0, np.nan]]):
-            with pytest.raises(ContractViolation, match="bounds"):
-                make_linear_env(control_bounds=bounds)
         with pytest.raises(ContractViolation, match="bounds"):
-            make_pendulum_env(torque_limit=np.nan)
-        with pytest.raises(ContractViolation, match="dt > 0"):
-            make_pendulum_env(dt=np.nan)
+            make_linear_env(control_bounds=[[2.0, -2.0]])
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: make_linear_env(control_bounds=[[np.nan, 1.0]]), "bounds"),
+            (lambda: make_linear_env(control_bounds=[[-1.0, np.nan]]), "bounds"),
+            (lambda: make_pendulum_env(torque_limit=np.nan), "bounds"),
+            (lambda: make_pendulum_env(dt=np.nan), "dt > 0"),
+        ],
+        ids=["bound_lo", "bound_hi", "torque_limit", "dt"],
+    )
+    def test_nan_parameter_rejected(self, build, match):
+        # a NaN bound or dt must fail the check, not construct and step to NaN states
+        with pytest.raises(ContractViolation, match=match):
+            build()
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -107,9 +107,14 @@ class TestLeastSquaresEstimator:
         assert EstimatorConfig(seed=-3).child(2, 5).seed == 1293049783127028401
 
     def test_invalid_sigma_rejected(self):
-        for bad in (dict(sigma=0.0), dict(sigma=np.nan), dict(fd_step=np.nan)):
-            with pytest.raises(ContractViolation):
-                EstimatorConfig(**bad)
+        with pytest.raises(ContractViolation):
+            EstimatorConfig(sigma=0.0)
+
+    @pytest.mark.parametrize("key", ["sigma", "fd_step"])
+    def test_nan_parameter_rejected(self, key):
+        # NaN fails no comparison, so each check must be written as the range it accepts
+        with pytest.raises(ContractViolation):
+            EstimatorConfig(**{key: np.nan})
 
 
 class TestFiniteDifferenceBaseline:
