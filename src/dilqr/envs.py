@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -66,8 +65,8 @@ class Environment:
         object.__setattr__(self, "_u_hi", hi)
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "x_goal", np.asarray(self.x_goal, dtype=float))
-        if self.n_x < 1 or self.n_u < 1 or self.horizon < 1 or not self.dt > 0:
-            raise ContractViolation("n_x, n_u, horizon must be >= 1 and dt > 0")
+        if self.n_x < 1 or self.n_u < 1 or self.horizon < 1 or not 0 < self.dt < math.inf:
+            raise ContractViolation("n_x, n_u, horizon must be >= 1 and dt > 0, finite")
         if not np.all(lo < hi):
             raise ContractViolation("control bounds must satisfy lo < hi")
 
@@ -258,8 +257,8 @@ def rollout_open_loop(
 # integrators and built-in environments
 
 
-def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) -> np.ndarray:
-    """Classic fixed-step RK4 over dt, split into substeps for fidelity.
+def rk4_step(deriv, dt: float, substeps: int = 4) -> Callable:
+    """Returns step_fn(x, u): classic fixed-step RK4 of deriv over dt, split into substeps.
 
     deriv takes the list of state components and the list of control
     components and returns the list of state derivatives. One point
@@ -273,31 +272,33 @@ def rk4_step(deriv, x: np.ndarray, u: np.ndarray, dt: float, substeps: int = 4) 
     one-row batch, so it gets numpy's result.
     """
     h = dt / substeps
-    if x.ndim == 1 and u.ndim == 1:
-        try:
-            return np.array(_rk4_stages(deriv, x.tolist(), u.tolist(), h, substeps))
-        except (ArithmeticError, ValueError):
-            return rk4_step(deriv, x[None], u[None], dt, substeps)[0]
-    x = [x[..., i] for i in range(x.shape[-1])]
-    u = [u[..., i] for i in range(u.shape[-1])]
-    return np.stack(_rk4_stages(deriv, x, u, h, substeps), axis=-1)
-
-
-def _rk4_stages(deriv, x: list, u: list, h: float, substeps: int) -> list:
-    """The RK4 stages on state and control components, floats or arrays alike."""
     # 0.5 * h * k evaluates as (0.5 * h) * k, so hoisting the step factors keeps every bit
     half, sixth = 0.5 * h, h / 6.0
-    for _ in range(substeps):
-        # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
-        # so no more than one stage is held at a time
-        total = k = deriv(x, u)
-        k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
-        total = [a + 2.0 * b for a, b in zip(total, k)]
-        k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
-        total = [a + 2.0 * b for a, b in zip(total, k)]
-        k = deriv([xi + h * ki for xi, ki in zip(x, k)], u)
-        x = [xi + sixth * (a + b) for xi, a, b in zip(x, total, k)]
-    return x
+
+    def stages(x: list, u: list) -> list:
+        for _ in range(substeps):
+            # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
+            # so no more than one stage is held at a time
+            total = k = deriv(x, u)
+            k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
+            total = [a + 2.0 * b for a, b in zip(total, k)]
+            k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
+            total = [a + 2.0 * b for a, b in zip(total, k)]
+            k = deriv([xi + h * ki for xi, ki in zip(x, k)], u)
+            x = [xi + sixth * (a + b) for xi, a, b in zip(x, total, k)]
+        return x
+
+    def step_fn(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if x.ndim == 1 and u.ndim == 1:
+            try:
+                return np.array(stages(x.tolist(), u.tolist()))
+            except (ArithmeticError, ValueError):
+                return step_fn(x[None], u[None])[0]
+        x = [x[..., i] for i in range(x.shape[-1])]
+        u = [u[..., i] for i in range(u.shape[-1])]
+        return np.stack(stages(x, u), axis=-1)
+
+    return step_fn
 
 
 def _sin(a):
@@ -366,22 +367,27 @@ def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
         control_bounds=[[-limit, limit]],
         x0=np.zeros(len(x_goal)),
         x_goal=x_goal,
-        step_fn=partial(rk4_step, deriv, dt=dt, substeps=substeps),
+        step_fn=rk4_step(deriv, dt, substeps),
     )
 
 
-def pendulum_deriv(x, u, *, mass, length, gravity, damping):
+def pendulum_deriv(*, mass, length, gravity, damping):
     """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright.
 
-    Component form: x = (theta, omega) and u = (torque,); returns
-    (d theta/dt, d omega/dt).
+    Returns deriv(x, u) in component form: x = (theta, omega) and
+    u = (torque,); it returns (d theta/dt, d omega/dt). The parameters are
+    bound once, and so are the two constant products: Python evaluates them
+    first in the written-out expression too, so every bit is the same.
     """
-    theta, omega = x
-    (torque,) = u
-    alpha = (torque - damping * omega - mass * gravity * length * _sin(theta)) / (
-        mass * length**2
-    )
-    return omega, alpha
+    weight_torque = mass * gravity * length
+    inertia = mass * length**2
+
+    def deriv(x, u):
+        theta, omega = x
+        (torque,) = u
+        return omega, (torque - damping * omega - weight_torque * _sin(theta)) / inertia
+
+    return deriv
 
 
 def make_pendulum_env(
@@ -391,27 +397,31 @@ def make_pendulum_env(
     damping: float = PENDULUM_PARAMS["damping"],
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
-    deriv = partial(pendulum_deriv, **dict(PENDULUM_PARAMS, damping=damping))
+    deriv = pendulum_deriv(**dict(PENDULUM_PARAMS, damping=damping))
     return _rk4_env("pendulum", deriv, [np.pi, 0.0], dt, horizon, torque_limit, substeps)
 
 
-def cartpole_deriv(x, u, *, cart_mass, pole_mass, pole_length, gravity):
+def cartpole_deriv(*, cart_mass, pole_mass, pole_length, gravity):
     """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright.
 
-    Component form: x = (pos, dpos, theta, dtheta) and u = (force,); returns
-    their time derivatives in the same order. Squares are written as
-    products: numpy squares an array by multiplying, but ``** 2`` on a float
-    or a numpy scalar calls libm's pow, which rounds differently in the last
-    bit on about 1 in 1,250 random inputs.
+    Returns deriv(x, u) in component form: x = (pos, dpos, theta, dtheta)
+    and u = (force,); it returns their time derivatives in the same order.
+    Squares are written as products: numpy squares an array by multiplying,
+    but ``** 2`` on a float or a numpy scalar calls libm's pow, which rounds
+    differently in the last bit on about 1 in 1,250 random inputs.
     """
-    _, dpos, theta, dtheta = x
-    (force,) = u
-    s, c = _sin(theta), _cos(theta)
-    accel = (force + pole_mass * s * (pole_length * (dtheta * dtheta) + gravity * c)) / (
-        cart_mass + pole_mass * (s * s)
-    )
-    ang_accel = -(accel * c + gravity * s) / pole_length
-    return dpos, accel, dtheta, ang_accel
+
+    def deriv(x, u):
+        _, dpos, theta, dtheta = x
+        (force,) = u
+        s, c = _sin(theta), _cos(theta)
+        accel = (force + pole_mass * s * (pole_length * (dtheta * dtheta) + gravity * c)) / (
+            cart_mass + pole_mass * (s * s)
+        )
+        ang_accel = -(accel * c + gravity * s) / pole_length
+        return dpos, accel, dtheta, ang_accel
+
+    return deriv
 
 
 def make_cartpole_env(
@@ -420,7 +430,7 @@ def make_cartpole_env(
     force_limit: float = 20.0,
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
-    deriv = partial(cartpole_deriv, **CARTPOLE_PARAMS)
+    deriv = cartpole_deriv(**CARTPOLE_PARAMS)
     return _rk4_env("cartpole", deriv, [0.0, 0.0, np.pi, 0.0], dt, horizon, force_limit, substeps)
 
 

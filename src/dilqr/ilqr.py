@@ -5,11 +5,12 @@ The backward pass runs the Riccati recursion in augmented (homogeneous)
 coordinates z = (u, x, 1), where the value function is one matrix P over
 (x, 1) and a timestep is one product Z = H_t + F_t' P F_t. It adds mu*I to
 the value Hessian inside Q_ux and Q_uu only (state-regularization
-variant). Each timestep symmetrizes Q_uu, takes one numpy Cholesky
-factorization of it, kept as the positive-definiteness check, and one
-solve of it for K_t and k_t together. A Q_uu that is not positive
-definite, or a non-finite Q_uu or (k_t, K_t), aborts the pass so the
-caller can escalate mu.
+variant). Each timestep symmetrizes Q_uu and takes one solve of it for
+K_t and k_t together. After the recursion, one batched numpy Cholesky
+factorization over every Q_uu is the positive-definiteness check. A Q_uu
+that is not positive definite, or a non-finite Q_uu or (k_t, K_t), fails
+the pass at the first failing t in recursion order, so the caller can
+escalate mu.
 """
 
 from __future__ import annotations
@@ -126,8 +127,14 @@ def backward_pass(
     every t before the recursion; each t then forms Z = H_t + F_t' P F_t,
     whose control rows are [Q_uu Q_ux Q_u], symmetrizes Q_uu, solves
     Q_uu [K_t k_t] = -[Q_ux Q_u] and takes
-    P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t], symmetrized. Raises NotPositiveDefinite(t) where Q_uu is not positive
-    definite or not finite, or where k_t or K_t is not finite.
+    P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t], symmetrized.
+
+    Every Q_uu is kept, and one batched Cholesky factorization of the stack
+    checks them all after the recursion. Raises NotPositiveDefinite(t) at
+    the first t in recursion order (N-1 down to 0) where Q_uu is not
+    positive definite or not finite, or where k_t or K_t is not finite.
+    Only when the batched check fails, or a solve fails, are the steps
+    checked one at a time to find that t.
     """
     N = traj.horizon
     if models.A.ndim != 3 or len(models.A) != N:
@@ -153,25 +160,43 @@ def backward_pass(
     P[:n_x, :n_x] = cost.Q_terminal
     P[:n_x, n_x] = P[n_x, :n_x] = terminal_partials(traj.states[N], cost)
     S = np.empty((N, n_u, n_x + 1))  # -[K_t k_t]
-    # overflow only ever yields inf or nan, which the finiteness check below turns
+    Q_uus = np.empty((N, n_u, n_u))
+    failed = None  # the t whose solve raised, which ends the recursion
+    # overflow only ever yields inf or nan, which the finiteness checks below turn
     # into NotPositiveDefinite(t), so numpy's warnings would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
         H[:, :n_u, :-1] += mu * (models.B.transpose(0, 2, 1) @ F[:, :n_x, :-1])
         for t in range(N - 1, -1, -1):
             Z = H[t] + F_T[t] @ P @ F[t]
-            Q_uu, Z_u = Z[:n_u, :n_u], Z[:n_u, n_u:]
-            Q_uu[...] = 0.5 * (Q_uu + Q_uu.T)  # the check and the solve see one matrix
+            Z_u = Z[:n_u, n_u:]
+            # the check and the solve see one matrix
+            Q_uu = Q_uus[t] = 0.5 * (Z[:n_u, :n_u] + Z[:n_u, :n_u].T)
             try:
-                np.linalg.cholesky(Q_uu)
                 S[t] = np.linalg.solve(Q_uu, Z_u)
             except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(t) from None
-            if not (all_finite(Q_uu) and all_finite(S[t])):
-                raise NotPositiveDefinite(t)
+                failed = t
+                break
             P = Z[n_u:, n_u:] - Z_u.T @ S[t]
             P = 0.5 * (P + P.T)
             P[n_x, n_x] = 0.0
-    return IterationGains(k=-S[:, :, n_x], K=-S[:, :, :n_x])
+        if failed is None:
+            try:
+                np.linalg.cholesky(Q_uus)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if all_finite(Q_uus) and all_finite(S):
+                    return IterationGains(k=-S[:, :, n_x], K=-S[:, :, :n_x])
+        # on failure only: each step's checks, in recursion order, name the first
+        # failing t (inline, so every Cholesky of the pass has this frame as caller)
+        for t in range(N - 1, -1 if failed is None else failed - 1, -1):
+            try:
+                np.linalg.cholesky(Q_uus[t])
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(t) from None
+            if t == failed or not (all_finite(Q_uus[t]) and all_finite(S[t])):
+                raise NotPositiveDefinite(t)
+    raise AssertionError("the batched check failed where no step's check does")
 
 
 def forward_pass(

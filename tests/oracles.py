@@ -15,7 +15,7 @@ import scipy.linalg
 
 from dilqr.costs import stage_cost, terminal_cost, total_cost
 from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, rollout
-from dilqr.errors import ContractViolation
+from dilqr.errors import ContractViolation, NotPositiveDefinite
 from dilqr.evaluation import RolloutStats
 
 
@@ -104,9 +104,9 @@ def _field_value(fx_fu, x, u):
 
     x, u = tuple(np.asarray(x, dtype=float)), tuple(np.atleast_1d(u))
     if fx_fu is pendulum_continuous_jacobians:
-        return np.array(pendulum_deriv(x, u, **PENDULUM_PARAMS))
+        return np.array(pendulum_deriv(**PENDULUM_PARAMS)(x, u))
     if fx_fu is cartpole_continuous_jacobians:
-        return np.array(cartpole_deriv(x, u, **CARTPOLE_PARAMS))
+        return np.array(cartpole_deriv(**CARTPOLE_PARAMS)(x, u))
     raise ValueError("unknown field")
 
 
@@ -175,7 +175,7 @@ def per_step_backward_pass(traj, cost, models, mu):
     return k, K
 
 
-def per_step_augmented_backward_pass(traj, cost, models, mu):
+def per_step_augmented_backward_pass(traj, cost, models, mu, checked=False):
     """The augmented-coordinate ILQR backward pass with everything formed inside its t-loop.
 
     Over z = (u, x, 1), per step: F_t = [[B_t A_t 0], [0 0 1]], the stage
@@ -184,9 +184,13 @@ def per_step_augmented_backward_pass(traj, cost, models, mu):
     Z = H_t + F_t' P F_t. Q_uu is symmetrized, one numpy Cholesky
     factorization checks it and one solve gives G = [K_t k_t];
     P = Z_(x,1)(x,1) + Z_u(x,1)' G, symmetrized, with its constant corner
-    held at 0. Raises
-    np.linalg.LinAlgError where Q_uu is not positive definite and does no
-    finiteness checks. Returns (k, K).
+    held at 0. Returns (k, K).
+
+    Unchecked, it raises np.linalg.LinAlgError where Q_uu is not positive
+    definite and does no finiteness checks. Checked, each step is checked
+    as it runs, and the first step in recursion order whose Cholesky
+    factorization or solve fails, or whose Q_uu or G is not finite, raises
+    NotPositiveDefinite(t).
     """
     N, n_x, n_u = traj.horizon, traj.states.shape[1], traj.controls.shape[1]
     k = np.empty((N, n_u))
@@ -205,8 +209,15 @@ def per_step_augmented_backward_pass(traj, cost, models, mu):
         H[:n_u, :-1] += mu * (B.T @ F[:n_x, :-1])
         Z = H + F.T @ P @ F
         Z[:n_u, :n_u] = 0.5 * (Z[:n_u, :n_u] + Z[:n_u, :n_u].T)
-        np.linalg.cholesky(Z[:n_u, :n_u])
-        G = -np.linalg.solve(Z[:n_u, :n_u], Z[:n_u, n_u:])
+        try:
+            np.linalg.cholesky(Z[:n_u, :n_u])
+            G = -np.linalg.solve(Z[:n_u, :n_u], Z[:n_u, n_u:])
+        except np.linalg.LinAlgError:
+            if checked:
+                raise NotPositiveDefinite(t) from None
+            raise
+        if checked and not (np.isfinite(Z[:n_u, :n_u]).all() and np.isfinite(G).all()):
+            raise NotPositiveDefinite(t)
         K[t], k[t] = G[:, :n_x], G[:, n_x]
         P = Z[n_u:, n_u:] + Z[:n_u, n_u:].T @ G
         P = 0.5 * (P + P.T)

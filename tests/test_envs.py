@@ -160,7 +160,7 @@ class TestIntegratorFidelity:
             (x1,) = x
             return (a * x1,)
 
-        x = rk4_step(deriv, np.array([1.0]), np.zeros(1), 0.1, substeps=4)
+        x = rk4_step(deriv, 0.1, substeps=4)(np.array([1.0]), np.zeros(1))
         assert x[0] == pytest.approx(np.exp(a * 0.1), rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -510,11 +510,13 @@ class TestBuilders:
             (lambda: make_linear_env(control_bounds=[[-1.0, np.nan]]), "bounds"),
             (lambda: make_pendulum_env(torque_limit=np.nan), "bounds"),
             (lambda: make_pendulum_env(dt=np.nan), "dt > 0"),
+            (lambda: make_pendulum_env(dt=np.inf), "dt > 0, finite"),
         ],
-        ids=["bound_lo", "bound_hi", "torque_limit", "dt"],
+        ids=["bound_lo", "bound_hi", "torque_limit", "dt", "dt_inf"],
     )
     def test_nan_parameter_rejected(self, build, match):
-        # a NaN bound or dt must fail the check, not construct and step to NaN states
+        # a NaN bound, or a NaN or infinite dt, must fail the check, not
+        # construct and step to NaN states
         with pytest.raises(ContractViolation, match=match):
             build()
 
@@ -525,7 +527,7 @@ class TestBuilders:
         torque=st.floats(-5.0, 5.0),
     )
     def test_pendulum_deriv_velocity_slot_is_consistent(self, theta, omega, torque):
-        d = pendulum_deriv((theta, omega), (torque,), **PENDULUM_PARAMS)
+        d = pendulum_deriv(**PENDULUM_PARAMS)((theta, omega), (torque,))
         assert d[0] == omega
 
     @pytest.mark.parametrize(
@@ -538,9 +540,10 @@ class TestBuilders:
     def test_derivs_on_numpy_scalars_keep_numpy_semantics(self, deriv, params, x):
         # np.float64 subclasses float, but an infinite numpy-scalar angle
         # must give numpy's nan, not math.sin's ValueError
+        physics = deriv(**params)
         with np.errstate(all="ignore"):
-            scalars = deriv([np.float64(v) for v in x], [np.float64(0.5)], **params)
-            arrays = deriv([np.array([v]) for v in x], [np.array([0.5])], **params)
+            scalars = physics([np.float64(v) for v in x], [np.float64(0.5)])
+            arrays = physics([np.array([v]) for v in x], [np.array([0.5])])
         assert all(type(d) is not float for d in scalars)
         assert np.array_equal(np.array(scalars), np.array(arrays)[:, 0], equal_nan=True)
 

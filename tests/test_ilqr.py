@@ -238,6 +238,81 @@ class TestBackwardPass:
         assert np.array_equal(gains.k, k) and np.array_equal(gains.K, K)
         assert_single_solve_matches_to_rounding(traj, cost, models, 0.0)
 
+    def test_a_successful_pass_factors_once(self, monkeypatch):
+        traj, cost, models = random_problem(np.random.default_rng(2), 2, 3)
+        calls = []
+        real_cholesky = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return real_cholesky(a)
+
+        monkeypatch.setattr(ilqr_mod.np.linalg, "cholesky", spy)
+        backward_pass(traj, cost, models, 1e-6)
+        assert calls == [(4, 2, 2)]  # every Q_uu of the horizon in one batched call
+
+
+def switched_problem(B, A=0.0, mu=-2.0):
+    """A scalar problem whose Q_uu at t is set by B[t] alone: 1 + B[t]^2 (1 + mu).
+
+    With A = 0 every P_xx is Q = 1 and Q_N = 1, so at mu = -2 a step with
+    B_t = 0 has Q_uu = 1, B_t = 1 gives the singular Q_uu = 0 exactly (its
+    solve raises) and B_t = 2 the indefinite Q_uu = -3 (its solve succeeds
+    and the recursion runs on).
+    """
+    N = len(B)
+    cost = QuadraticCostModel(Q=1.0, R=1.0, Q_terminal=1.0, x_goal=[0.0])
+    traj = NominalTrajectory(np.linspace(1.0, 2.0, N + 1)[:, None], np.full((N, 1), 0.5), 0.0)
+    models = LinearizedModel(
+        A=(np.zeros(N) + A).reshape(N, 1, 1), B=np.reshape(B, (N, 1, 1)).astype(float), eval_count=0
+    )
+    return traj, cost, models, mu
+
+
+class TestBatchedCheck:
+    """The pass checks every Q_uu in one batched call after the recursion, and
+    names the same failing t as the per-step checks of the oracle."""
+
+    @staticmethod
+    def assert_fails_where_the_oracle_does(traj, cost, models, mu, t):
+        with np.errstate(all="ignore"), pytest.raises(NotPositiveDefinite) as want:
+            per_step_augmented_backward_pass(traj, cost, models, mu, checked=True)
+        with warnings.catch_warnings(), pytest.raises(NotPositiveDefinite) as got:
+            warnings.simplefilter("error")  # the pass itself must not warn
+            backward_pass(traj, cost, models, mu)
+        assert got.value.t == want.value.t == t
+
+    @pytest.mark.parametrize(
+        "B, t",
+        [([0, 0, 2, 0, 0, 0], 2), ([0, 2, 0, 2, 0, 0], 3)],
+        ids=["one_interior", "two_interior"],
+    )
+    def test_indefinite_q_uu_whose_solve_succeeds(self, B, t):
+        self.assert_fails_where_the_oracle_does(*switched_problem(B), t)
+
+    @pytest.mark.parametrize(
+        "B, t",
+        [([0, 1, 0, 2, 0, 0], 3), ([0, 1, 0, 0, 0, 0], 1)],
+        ids=["indefinite_above_singular", "singular_alone"],
+    )
+    def test_singular_q_uu_ends_the_recursion(self, B, t):
+        self.assert_fails_where_the_oracle_does(*switched_problem(B), t)
+
+    @pytest.mark.parametrize(
+        "B, A, mu, t",
+        [
+            # Q_uu = R + B_t^2 (P_xx + mu) overflows to inf at t, its gains stay finite
+            ([1, 1, 1e200, 1, 1, 1], 0.5, 1.0, 2),
+            # P_xx overflows below t
+            ([1] * 6, [0.5, 0.5, 1e200, 0.5, 0.5, 0.5], 0.0, 1),
+        ],
+        ids=["B", "A"],
+    )
+    def test_non_finite_recursion_from_an_interior_model(self, B, A, mu, t):
+        # LinearizedModel rejects non-finite entries, so a finite model
+        # overflows the recursion instead
+        self.assert_fails_where_the_oracle_does(*switched_problem(B, A, mu), t)
+
 
 class TestForwardPass:
     def test_full_step_reaches_hand_computed_cost(self):
