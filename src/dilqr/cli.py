@@ -25,7 +25,9 @@ import numpy as np
 from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
 from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
 from .errors import ContractViolation, NumericalFailure
-from .evaluation import COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit
+from .evaluation import (
+    COST_VAR, MEAN_COST_GAP, check_rollouts, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
+)
 from .feedback import build_policy
 from .ilqr import optimize
 from .serialize import load_policy, load_trajectory, save_policy, save_trajectory
@@ -134,8 +136,9 @@ def cmd_eval(args) -> int:
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost, noise = cfg.make_cost(env), cfg.make_noise()
+    M = check_rollouts(cfg.get("eval", "rollouts"))
     out = _out_dir(args, cfg)
-    stats = monte_carlo_eval(env, policy, noise, cfg.get("eval", "rollouts"), cost)
+    stats = monte_carlo_eval(env, policy, noise, M, cost)
     _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
     print(f"eval: eps={stats.epsilon} cost_mean={stats.cost_mean!r} cost_var={stats.cost_var!r}")
     return EXIT_OK
@@ -146,11 +149,12 @@ def cmd_sweep(args) -> int:
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
+    epsilons, M = sorted(cfg.get("eval", "epsilons")), check_rollouts(cfg.get("eval", "rollouts"))
+    for epsilon in (0.0, *epsilons):
+        cfg.make_noise(epsilon)  # each level's NoiseModel checks its inputs before any output
     out = _out_dir(args, cfg)
     sweep = epsilon_sweep(
-        env, policy, cfg.get("noise", "channel"),
-        sorted(cfg.get("eval", "epsilons")), cfg.get("eval", "rollouts"),
-        cost, seed=cfg.get("run", "seed"),
+        env, policy, cfg.get("noise", "channel"), epsilons, M, cost, seed=cfg.get("run", "seed")
     )
     _write_csv(out / "sweep.csv", SWEEP_HEADER, [_stats_row(s) for s in sweep])
     clean = [s for s in sweep if s.divergences == 0]

@@ -77,7 +77,7 @@ class QuadraticCostModel:
 
 @dataclass(frozen=True)
 class NominalTrajectory:
-    """A deterministic state/control rollout with its scalar cost.
+    """A deterministic state/control rollout with its finite scalar cost.
 
     states has shape (N+1, n_x), controls (N, n_u).
     """
@@ -93,6 +93,8 @@ class NominalTrajectory:
             raise ContractViolation("states must have exactly one more entry than controls")
         if not np.all(np.isfinite(self.states)) or not np.all(np.isfinite(self.controls)):
             raise ContractViolation("trajectory contains non-finite entries")
+        if not np.isfinite(self.cost):
+            raise ContractViolation(f"trajectory cost {self.cost!r} is not finite")
 
     @property
     def horizon(self) -> int:

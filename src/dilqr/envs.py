@@ -150,10 +150,10 @@ def _closed_loop(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
-    Arguments and conventions are those of ``rollout``; they are checked
-    when it is called, before the first step. Each step's noise is drawn as
-    the step runs, and its state and control are yielded and then dropped,
-    so a consumer that keeps nothing holds O(M) memory. Consume it under
+    Arguments and conventions are those of ``rollout``; they are checked as
+    it starts, before the first step. Each step's noise is drawn as the
+    step runs, and its state and control are yielded and then dropped, so
+    a consumer that keeps nothing holds O(M) memory. Consume it under
     np.errstate(all="ignore"): a diverging row overflows before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
@@ -170,38 +170,33 @@ def _closed_loop(
     ):
         shapes = [None if a is None else a.shape for a in (x_bar, u_bar, K)]
         raise ContractViolation(f"bad rollout dimensions for {env.name}: {shapes}")
-    N, batch = u_bar.shape[0], u_bar.shape[1:-1]
+    batch = u_bar.shape[1:-1]
     if 0 in batch or (noise is not None and len(batch) != 1):
         raise ContractViolation(f"bad rollout batch {batch}: noise needs controls (N, M, n_u)")
     if not all_finite(u_bar):
         raise ContractViolation("non-finite nominal control passed to rollout")
     channel = None if noise is None else noise.channel
-
-    def steps():
-        x = np.full((*batch, env.n_x), x_bar[0])
-        alive = np.ones(batch, dtype=bool)
-        # alive.all(): until a row dies, one whole-batch check stands in for the per-row one
-        all_alive = True
-        for t in range(N):
-            u = u_bar[t]
-            if K is not None:
-                # the per-point form: each row equals the unbatched K_t @ dx bit for bit
-                u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
-            if channel == CONTROL_CHANNEL:
-                u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
-            u = env.clamp(u)
-            x_next = step(env, x, u)
-            if channel == STATE_CHANNEL:
-                x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
-            if not (all_alive and all_finite(x_next)):
-                all_alive = False
-                alive &= np.isfinite(x_next).all(axis=-1)
-                x_next = np.where(alive[..., None], x_next, 0.0)
-            yield x, u
-            x = x_next
-        yield x, alive
-
-    return steps()
+    x = np.full((*batch, env.n_x), x_bar[0])
+    alive = np.ones(batch, dtype=bool)
+    # alive.all(): until a row dies, one whole-batch check stands in for the per-row one
+    all_alive = True
+    for t, u in enumerate(u_bar):
+        if K is not None:
+            # the per-point form: each row equals the unbatched K_t @ dx bit for bit
+            u = u + (K[t] @ (x - x_bar[t])[..., None])[..., 0]
+        if channel == CONTROL_CHANNEL:
+            u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
+        u = env.clamp(u)
+        x_next = step(env, x, u)
+        if channel == STATE_CHANNEL:
+            x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
+        if not (all_alive and all_finite(x_next)):
+            all_alive = False
+            alive &= np.isfinite(x_next).all(axis=-1)
+            x_next = np.where(alive[..., None], x_next, 0.0)
+        yield x, u
+        x = x_next
+    yield x, alive
 
 
 def rollout(
@@ -229,14 +224,11 @@ def rollout(
     the open-loop rollout read this history; the Monte-Carlo evaluator adds
     up its costs as the loop steps instead and keeps none.
     """
-    steps = _closed_loop(env, x_bar, u_bar, K, noise)
-    N, batch = np.shape(u_bar)[0], np.shape(u_bar)[1:-1]
-    states = np.empty((N + 1, *batch, env.n_x))
-    controls = np.empty((N, *batch, env.n_u))
     with np.errstate(all="ignore"):
-        for t in range(N):
-            states[t], controls[t] = next(steps)
-        states[N], alive = next(steps)
+        *steps, (x_N, alive) = _closed_loop(env, x_bar, u_bar, K, noise)
+    states = np.array([x for x, _ in steps] + [x_N])
+    # the reshape gives N = 0 its (0, ..., n_u) shape
+    controls = np.array([u for _, u in steps]).reshape(len(steps), *alive.shape, env.n_u)
     return states, controls, alive
 
 

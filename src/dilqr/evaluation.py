@@ -53,6 +53,13 @@ class ScalingFit:
     dropped: int = 0
 
 
+def check_rollouts(M: int) -> int:
+    """M, once it is checked to be a rollout count of at least 1."""
+    if M < 1:
+        raise ContractViolation("M must be >= 1")
+    return M
+
+
 def monte_carlo_eval(
     env: Environment,
     policy: DecoupledPolicy,
@@ -70,8 +77,7 @@ def monte_carlo_eval(
     Divergent rollouts (non-finite states) are excluded from the moments and
     counted. Deterministic given (noise.seed, M).
     """
-    if M < 1:
-        raise ContractViolation("M must be >= 1")
+    check_rollouts(M)
     nominal = policy.nominal
     # states, controls, gains, cost (n_x, n_u)
     dims = (nominal.states.shape[1:], nominal.controls.shape[1:], policy.gains.shape[1:],

@@ -7,10 +7,9 @@ coordinates z = (u, x, 1), where the value function is one matrix P over
 the value Hessian inside Q_ux and Q_uu only (state-regularization
 variant). Each timestep symmetrizes Q_uu and takes one solve of it for
 K_t and k_t together. After the recursion, one batched numpy Cholesky
-factorization over every Q_uu is the positive-definiteness check. A Q_uu
-that is not positive definite, or a non-finite Q_uu or (k_t, K_t), fails
-the pass at the first failing t in recursion order, so the caller can
-escalate mu.
+factorization and finiteness check covers every Q_uu and gain. A Q_uu that
+is not positive definite, or a non-finite Q_uu or (k_t, K_t), fails the
+pass at the first failing t in recursion order, so the caller can raise mu.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ class IterationGains:
     k: np.ndarray  # (N, n_u)
     K: np.ndarray  # (N, n_u, n_x)
 
-    @property
-    def horizon(self) -> int:
-        return self.k.shape[0]
-
 
 # Iterations without a new best cost before optimize stops. The default
 # pendulum problem (seeds 0-7) improves its best cost on every iteration and
@@ -53,17 +48,13 @@ class IterationGains:
 STALL_WINDOW = 30
 
 
-def default_alpha_schedule(length: int = 10) -> tuple[float, ...]:
-    return tuple(0.5**i for i in range(length))
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     mu: float = 1e-6
     mu_factor: float = 10.0
     mu_min: float = 1e-9
     mu_max: float = 1e10
-    alphas: Sequence[float] = field(default_factory=default_alpha_schedule)
+    alphas: Sequence[float] = tuple(0.5**i for i in range(10))
     band: float = 0.05
     conv_tol: float = 5e-3
     conv_patience: int = 5
@@ -104,9 +95,6 @@ class ConvergenceTrace:
     records: list[IterationRecord] = field(default_factory=list)
     stop_reason: StopReason = "max_iters"
 
-    def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -129,12 +117,12 @@ def backward_pass(
     Q_uu [K_t k_t] = -[Q_ux Q_u] and takes
     P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t], symmetrized.
 
-    Every Q_uu is kept, and one batched Cholesky factorization of the stack
-    checks them all after the recursion. Raises NotPositiveDefinite(t) at
-    the first t in recursion order (N-1 down to 0) where Q_uu is not
-    positive definite or not finite, or where k_t or K_t is not finite.
-    Only when the batched check fails, or a solve fails, are the steps
-    checked one at a time to find that t.
+    A singular Q_uu, whose solve raises, gets NaN gains and the recursion
+    runs on. _checked runs once on the whole stack of Q_uu and gains; only
+    when that fails does it run per step, N-1 down to 0, to raise
+    NotPositiveDefinite(t) at the first t where Q_uu is not positive
+    definite or not finite, or where k_t or K_t is not finite. Every step
+    above that t is computed as in a pass that stops there.
     """
     N = traj.horizon
     if models.A.ndim != 3 or len(models.A) != N:
@@ -161,9 +149,8 @@ def backward_pass(
     P[:n_x, n_x] = P[n_x, :n_x] = terminal_partials(traj.states[N], cost)
     S = np.empty((N, n_u, n_x + 1))  # -[K_t k_t]
     Q_uus = np.empty((N, n_u, n_u))
-    failed = None  # the t whose solve raised, which ends the recursion
-    # overflow only ever yields inf or nan, which the finiteness checks below turn
-    # into NotPositiveDefinite(t), so numpy's warnings would just be noise
+    # overflow only ever yields inf or nan, which _checked turns into
+    # NotPositiveDefinite(t), so numpy's warnings would just be noise
     with np.errstate(over="ignore", invalid="ignore"):
         H[:, :n_u, :-1] += mu * (models.B.transpose(0, 2, 1) @ F[:, :n_x, :-1])
         for t in range(N - 1, -1, -1):
@@ -174,29 +161,24 @@ def backward_pass(
             try:
                 S[t] = np.linalg.solve(Q_uu, Z_u)
             except np.linalg.LinAlgError:
-                failed = t
-                break
+                S[t] = np.nan  # fails the check at t, and every t below it
             P = Z[n_u:, n_u:] - Z_u.T @ S[t]
             P = 0.5 * (P + P.T)
             P[n_x, n_x] = 0.0
-        if failed is None:
-            try:
-                np.linalg.cholesky(Q_uus)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                if all_finite(Q_uus) and all_finite(S):
-                    return IterationGains(k=-S[:, :, n_x], K=-S[:, :, :n_x])
-        # on failure only: each step's checks, in recursion order, name the first
-        # failing t (inline, so every Cholesky of the pass has this frame as caller)
-        for t in range(N - 1, -1 if failed is None else failed - 1, -1):
-            try:
-                np.linalg.cholesky(Q_uus[t])
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(t) from None
-            if t == failed or not (all_finite(Q_uus[t]) and all_finite(S[t])):
-                raise NotPositiveDefinite(t)
-    raise AssertionError("the batched check failed where no step's check does")
+        if not _checked(Q_uus, S):
+            raise NotPositiveDefinite(
+                next(t for t in range(N - 1, -1, -1) if not _checked(Q_uus[t], S[t]))
+            )
+    return IterationGains(k=-S[:, :, n_x], K=-S[:, :, :n_x])
+
+
+def _checked(Q_uu: np.ndarray, S: np.ndarray) -> bool:
+    """Whether Q_uu (one or a stack) is positive definite and finite, and the solves S finite."""
+    try:
+        np.linalg.cholesky(Q_uu)
+    except np.linalg.LinAlgError:
+        return False
+    return all_finite(Q_uu) and all_finite(S)
 
 
 def forward_pass(
@@ -216,7 +198,7 @@ def forward_pass(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractViolation("alpha must lie in [0, 1]")
-    if gains.horizon != prev.horizon:
+    if len(gains.k) != prev.horizon:
         raise ContractViolation("gain and trajectory horizons disagree")
     ref = prev.cost if reference_cost is None else reference_cost
     states, controls, alive = rollout(env, prev.states, prev.controls + alpha * gains.k, gains.K)
@@ -292,7 +274,7 @@ def optimize(
                 break
         if current.cost < best.cost:
             best, best_it = current, it
-        trace.append(
+        trace.records.append(
             IterationRecord(
                 it, current.cost, best.cost, mu, alpha_used, gains is not None, accepted,
                 time.perf_counter() - t_start, eval_count,

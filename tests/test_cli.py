@@ -21,7 +21,7 @@ from dilqr.config import parse_config
 from dilqr.costs import total_cost
 from dilqr.errors import NumericalFailure
 from dilqr.envs import ENV_BUILDERS, make_env, rollout
-from dilqr.serialize import load_policy, load_trajectory
+from dilqr.serialize import load_policy, load_trajectory, save_policy
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd
 
 
@@ -346,7 +346,7 @@ class TestExitCodes:
 
         def boom(a):
             # fail the backward pass's factorization, not the cost-weight checks
-            if sys._getframe(1).f_code is ilqr_mod.backward_pass.__code__:
+            if sys._getframe(1).f_code is ilqr_mod._checked.__code__:
                 raise np.linalg.LinAlgError("not positive definite")
             return real_cholesky(a)
 
@@ -426,6 +426,36 @@ class TestExitCodes:
             assert run(command, *argv) == EXIT_USAGE
             assert not (rejected / "config.txt").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("eval", "[eval]\nrollouts = 0"),
+            ("eval", "[eval]\nrollouts = -3"),
+            ("eval", "[noise]\nchannel = bogus"),
+            ("sweep", "[eval]\nrollouts = 0"),
+            ("sweep", "[eval]\nrollouts = -3"),
+            ("sweep", "[eval]\nepsilons = 0.5, 1.5"),
+            ("sweep", "[eval]\nepsilons = -0.1, 0.05"),
+            ("sweep", "[noise]\nchannel = bogus"),
+        ],
+        ids=[
+            "eval-no-rollouts", "eval-negative-rollouts", "eval-bad-channel",
+            "sweep-no-rollouts", "sweep-negative-rollouts", "sweep-epsilon-above-one",
+            "sweep-negative-epsilon", "sweep-bad-channel",
+        ],
+    )
+    def test_rejected_eval_setting_leaves_no_config_echo(
+        self, tmp_path, trained_linear, capsys, command, setting
+    ):
+        policy = tmp_path / "policy.txt"
+        save_policy(policy, trained_linear.policy, "linear_test")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[env]\nname = linear_test\n\n{setting}\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out), str(policy)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (out / "config.txt").exists()
 
     def test_malformed_trajectory_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "traj.txt"

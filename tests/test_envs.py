@@ -433,8 +433,20 @@ class TestRollouts:
         with pytest.raises(ContractViolation, match="non-finite"):
             rollout_open_loop(env, env.x0, controls, unit_cost(2, 1))
 
-    def test_rollout_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])
+    def test_empty_horizon_returns_the_start_state(self, batch):
         env = make_pendulum_env()
+        states, controls, alive = rollout(env, env.x0[None], np.zeros((0, *batch, env.n_u)))
+        assert states.shape == (1, *batch, env.n_x)
+        assert controls.shape == (0, *batch, env.n_u)
+        assert states.dtype == controls.dtype == np.float64
+        assert np.array_equal(states[0], np.broadcast_to(env.x0, (*batch, env.n_x)))
+        assert alive.shape == batch and np.all(alive)
+
+    def test_rollout_dimension_mismatch_rejected(self):
+        calls = []
+        env = make_pendulum_env()
+        env = replace(env, step_fn=lambda x, u, _step=env.step_fn: calls.append(x) or _step(x, u))
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((1, 4)), np.zeros((5, 1)))
         with pytest.raises(ContractViolation, match="batch"):
@@ -451,6 +463,7 @@ class TestRollouts:
                 rollout(env, np.zeros((1, 2)), u_bar)
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 1, 2)))
+        assert calls == []  # every check runs before the first step
 
 
 class TestBuilders:

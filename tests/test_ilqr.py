@@ -257,8 +257,9 @@ def switched_problem(B, A=0.0, mu=-2.0):
 
     With A = 0 every P_xx is Q = 1 and Q_N = 1, so at mu = -2 a step with
     B_t = 0 has Q_uu = 1, B_t = 1 gives the singular Q_uu = 0 exactly (its
-    solve raises) and B_t = 2 the indefinite Q_uu = -3 (its solve succeeds
-    and the recursion runs on).
+    solve raises, and the pass stores NaN gains there) and B_t = 2 the
+    indefinite Q_uu = -3 (its solve succeeds). Either way the recursion
+    runs on to t = 0.
     """
     N = len(B)
     cost = QuadraticCostModel(Q=1.0, R=1.0, Q_terminal=1.0, x_goal=[0.0])
@@ -292,10 +293,12 @@ class TestBatchedCheck:
 
     @pytest.mark.parametrize(
         "B, t",
-        [([0, 1, 0, 2, 0, 0], 3), ([0, 1, 0, 0, 0, 0], 1)],
-        ids=["indefinite_above_singular", "singular_alone"],
+        [([0, 1, 0, 2, 0, 0], 3), ([0, 1, 0, 0, 0, 0], 1), ([0, 0, 2, 0, 1, 0], 4)],
+        ids=["indefinite_above_singular", "singular_alone", "singular_above_indefinite"],
     )
-    def test_singular_q_uu_ends_the_recursion(self, B, t):
+    def test_singular_q_uu_whose_solve_raises(self, B, t):
+        # the NaN gains at the singular t fail its check, and the NaN steps
+        # below it never hide it
         self.assert_fails_where_the_oracle_does(*switched_problem(B), t)
 
     @pytest.mark.parametrize(
@@ -312,6 +315,16 @@ class TestBatchedCheck:
         # LinearizedModel rejects non-finite entries, so a finite model
         # overflows the recursion instead
         self.assert_fails_where_the_oracle_does(*switched_problem(B, A, mu), t)
+
+    def test_non_finite_gains_from_a_finite_q_uu(self):
+        # at mu = -2 + 2**-51, B_t = 1 gives the positive definite Q_uu = 2**-51
+        # exactly, and u_t = 1e300 a finite Q_u = 1e300: the gains overflow, Q_uu
+        # stays finite, and only the gains' finiteness check names t
+        traj, cost, models, _ = switched_problem([0, 0, 1, 0, 0, 0])
+        controls = traj.controls.copy()
+        controls[2] = 1e300
+        traj = NominalTrajectory(traj.states, controls, 0.0)
+        self.assert_fails_where_the_oracle_does(traj, cost, models, -2 + 2**-51, 2)
 
 
 class TestForwardPass:

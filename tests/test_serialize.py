@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dilqr.cli import EXIT_USAGE, main
 from dilqr.costs import NominalTrajectory
 from dilqr.errors import ContractViolation
 from dilqr.feedback import DecoupledPolicy
@@ -162,6 +163,25 @@ class TestMalformedFiles:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ContractViolation, match=match):
             load_trajectory(bad)
+
+    @pytest.mark.parametrize("cost", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["trajectory", "policy"])
+    def test_non_finite_cost_rejected(self, tmp_path, capsys, kind, cost):
+        traj = awkward_trajectory()
+        p = tmp_path / f"{kind}.txt"
+        if kind == "trajectory":
+            save_trajectory(p, traj, "pendulum")
+            load, command = load_trajectory, "feedback"
+        else:
+            save_policy(p, DecoupledPolicy(traj, np.zeros((4, 1, 2))), "pendulum")
+            load, command = load_policy, "eval"
+        text = p.read_text()
+        p.write_text(text.replace(f"cost = {traj.cost!r}\n", f"cost = {cost}\n"))
+        assert p.read_text() != text
+        with pytest.raises(ContractViolation, match="cost .* is not finite"):
+            load(p)
+        assert main([command, "--out", str(tmp_path / "out"), str(p)]) == EXIT_USAGE
+        assert "is not finite" in capsys.readouterr().err
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
