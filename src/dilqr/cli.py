@@ -26,7 +26,8 @@ from .config import ConfigError, RunConfig, default_config, load_config, parse_s
 from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
 from .errors import ContractViolation, NumericalFailure
 from .evaluation import (
-    COST_VAR, MEAN_COST_GAP, check_rollouts, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
+    COST_VAR, MEAN_COST_GAP, check_epsilons, check_rollouts, epsilon_sweep, monte_carlo_eval,
+    variance_scaling_fit,
 )
 from .feedback import build_policy
 from .ilqr import optimize
@@ -149,7 +150,8 @@ def cmd_sweep(args) -> int:
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
-    epsilons, M = sorted(cfg.get("eval", "epsilons")), check_rollouts(cfg.get("eval", "rollouts"))
+    epsilons = check_epsilons(sorted(cfg.get("eval", "epsilons")))
+    M = check_rollouts(cfg.get("eval", "rollouts"))
     for epsilon in (0.0, *epsilons):
         cfg.make_noise(epsilon)  # each level's NoiseModel checks its inputs before any output
     out = _out_dir(args, cfg)

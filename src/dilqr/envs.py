@@ -1,11 +1,12 @@
 """Black-box discrete-time dynamics environments.
 
-Every environment is exposed to the optimizer strictly through ``step``;
+Every environment reaches the optimizer only as its black box ``step_fn``;
 no module outside the test suite ever reads an analytic Jacobian.
 
-Execution goes through one time loop: it applies the law
-u_t = clamp(ubar_t + K_t (x_t - xbar_t)), sends every row of a batch
-through ``step`` once per timestep and yields (x_t, u_t) as it goes.
+Execution goes through one time loop: it checks its inputs once, then
+applies the law u_t = clamp(ubar_t + K_t (x_t - xbar_t)), sends every row
+of a batch through ``step_fn`` once per timestep and yields (x_t, u_t) as
+it goes.
 ``rollout`` collects that into the state and control history, which the
 open-loop rollout (no K) and the ILQR line search (one trajectory) read.
 The Monte-Carlo evaluator steps all M noisy rollouts through the loop at
@@ -129,7 +130,11 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Deterministic black-box transition; controls clamped before integration."""
+    """Deterministic black-box transition; controls clamped before integration.
+
+    The checked entry for identification and outside callers; the rollout
+    loop checks its inputs once and calls step_fn.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.shape[-1] != env.n_x or u.shape[-1] != env.n_u:
@@ -151,13 +156,16 @@ def _closed_loop(
     """The one time loop: yields (x_t, u_t) for t < N, then (x_N, alive).
 
     Arguments and conventions are those of ``rollout``; they are checked as
-    it starts, before the first step. Each step's noise is drawn as the
-    step runs, and its state and control are yielded and then dropped, so
-    a consumer that keeps nothing holds O(M) memory. Consume it under
-    np.errstate(all="ignore"): a diverging row overflows before it is masked.
+    it starts, so each step calls env.step_fn unchecked. Each step's noise
+    is drawn as the step runs, and its state and control are yielded and
+    then dropped, so a consumer that keeps nothing holds O(M) memory.
+    Consume it under np.errstate(all="ignore"): a diverging row overflows
+    before it is masked.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     u_bar = np.asarray(u_bar, dtype=float)
+    if K is not None:
+        K = np.asarray(K, dtype=float)
     if (
         x_bar.shape[1:] != (env.n_x,)
         or len(x_bar) < 1
@@ -173,9 +181,13 @@ def _closed_loop(
     batch = u_bar.shape[1:-1]
     if 0 in batch or (noise is not None and len(batch) != 1):
         raise ContractViolation(f"bad rollout batch {batch}: noise needs controls (N, M, n_u)")
-    if not all_finite(u_bar):
-        raise ContractViolation("non-finite nominal control passed to rollout")
     channel = None if noise is None else noise.channel
+    # the loop reads x_bar[0] and, with K, each reference row x_bar[t] for t < N
+    read = [u_bar, x_bar[:1]] + ([] if K is None else [K, x_bar[:-1]])
+    if channel == CONTROL_CHANNEL:
+        read.append(env.u_scale)
+    if not all(map(all_finite, read)):
+        raise ContractViolation("non-finite u_bar, K, x_bar or noise u_scale passed to rollout")
     x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
     # alive.all(): until a row dies, one whole-batch check stands in for the per-row one
@@ -187,7 +199,7 @@ def _closed_loop(
         if channel == CONTROL_CHANNEL:
             u = u + noise.epsilon * env.u_scale * noise.draws(t, *batch, env.n_u)
         u = env.clamp(u)
-        x_next = step(env, x, u)
+        x_next = env.step_fn(x, u)
         if channel == STATE_CHANNEL:
             x_next = x_next + noise.epsilon * noise.draws(t, *batch, env.n_x)
         if not (all_alive and all_finite(x_next)):
@@ -206,7 +218,7 @@ def rollout(
     K: Optional[np.ndarray] = None,
     noise: Optional[NoiseModel] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step`` for t < N.
+    """Execute u_t = clamp(ubar_t + K_t (x_t - xbar_t)) through ``step_fn`` for t < N.
 
     x_bar (T, n_x) is the reference trajectory and x_bar[0] the start state:
     T = N + 1 with K (N, n_u, n_x), and without K only x_bar[0] is read. The
@@ -217,12 +229,17 @@ def rollout(
     added to x_{t+1}, on the control channel eps * u_scale * w_t is added to
     u_t before clamping.
 
+    u_bar, K, the x_bar rows read and, for control noise, env.u_scale must
+    be finite; they are checked once, before the first step.
+
     Returns the whole history: time-major states (N+1, ..., n_x), the
     applied controls (N, ..., n_u) and the alive mask (...). A row whose
     state goes non-finite is marked dead and held at 0 while the batch keeps
-    stepping, so every call makes exactly N step calls. The line search and
-    the open-loop rollout read this history; the Monte-Carlo evaluator adds
-    up its costs as the loop steps instead and keeps none.
+    stepping, so every call makes exactly N env.step_fn calls. A feedback
+    control that overflows reaches step_fn as it is, and its row dies once
+    its state goes non-finite. The line search and the open-loop rollout
+    read this history; the Monte-Carlo evaluator adds up its costs as the
+    loop steps instead and keeps none.
     """
     with np.errstate(all="ignore"):
         *steps, (x_N, alive) = _closed_loop(env, x_bar, u_bar, K, noise)

@@ -60,6 +60,14 @@ def check_rollouts(M: int) -> int:
     return M
 
 
+def check_epsilons(epsilons: Sequence[float]) -> list[float]:
+    """The grid as floats, once it is checked to be non-empty, non-negative and ascending."""
+    epsilons = [float(e) for e in epsilons]
+    if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
+        raise ContractViolation("epsilons must be non-empty, non-negative and ascending")
+    return epsilons
+
+
 def monte_carlo_eval(
     env: Environment,
     policy: DecoupledPolicy,
@@ -129,9 +137,7 @@ def epsilon_sweep(
     own stream and the results come back in epsilon order, so the output is
     the same either way, and so is the first failing level's error.
     """
-    epsilons = [float(e) for e in epsilons]
-    if any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
-        raise ContractViolation("epsilons must be non-negative and ascending")
+    epsilons = check_epsilons(epsilons)
 
     def level(i: int) -> RolloutStats:
         noise = NoiseModel(epsilon=epsilons[i], channel=channel, seed=child_seed(seed, i))

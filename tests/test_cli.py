@@ -437,12 +437,13 @@ class TestExitCodes:
             ("sweep", "[eval]\nrollouts = -3"),
             ("sweep", "[eval]\nepsilons = 0.5, 1.5"),
             ("sweep", "[eval]\nepsilons = -0.1, 0.05"),
+            ("sweep", "[eval]\nepsilons ="),
             ("sweep", "[noise]\nchannel = bogus"),
         ],
         ids=[
             "eval-no-rollouts", "eval-negative-rollouts", "eval-bad-channel",
             "sweep-no-rollouts", "sweep-negative-rollouts", "sweep-epsilon-above-one",
-            "sweep-negative-epsilon", "sweep-bad-channel",
+            "sweep-negative-epsilon", "sweep-empty-epsilon-grid", "sweep-bad-channel",
         ],
     )
     def test_rejected_eval_setting_leaves_no_config_echo(

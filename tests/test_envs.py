@@ -424,14 +424,61 @@ class TestRollouts:
         assert np.all(states[2:, 1] == 0.0)
         assert np.all(np.isfinite(states))
         assert calls == [((3, 2), (3, 1))] * 4  # without K every row still gets its control row
+        # a feedback control that overflows under an infinite bound reaches step_fn as
+        # it is, and its row dies the same way: here K_1 dx_1 = 1e200 * 1e200
+        calls.clear()
+        env = make_linear_env(A=[[1e200, 0.0], [0.0, 1.0]], horizon=3,
+                              control_bounds=[[-np.inf, np.inf]])
+        counted = replace(env, step_fn=counting)
+        x_bar = np.zeros((4, 2))
+        x_bar[0] = env.x0
+        K = np.tile([[[1e200, 0.0]]], (3, 1, 1))
+        states, controls, alive = rollout(counted, x_bar, np.zeros((3, 2, 1)), K)
+        assert alive.tolist() == [False, False] and np.all(controls[1] == np.inf)
+        assert np.all(states[2:] == 0.0)
+        assert calls == [((2, 2), (2, 1))] * 3
+        # on the linear test system only row 1, which reaches x_1 = (1, 10), overflows
+        env = make_linear_env(horizon=3, control_bounds=[[-np.inf, np.inf]])
+        u_bar = np.zeros((3, 2, 1))
+        u_bar[0, 1] = 100.0
+        K = np.tile([[[0.0, 1e308]]], (3, 1, 1))
+        states, _, alive = rollout(env, x_bar, u_bar, K)
+        assert alive.tolist() == [True, False]
+        assert np.array_equal(states[:, 0], rollout(env, x_bar, u_bar[:, 0], K)[0])
 
     def test_non_finite_nominal_control_rejected(self):
         # clamping would turn an infinite control into the bound; it is refused instead
         env = make_pendulum_env()
+        calls = []
+        counted = replace(env, step_fn=lambda x, u: calls.append(x.shape) or env.step_fn(x, u))
         controls = np.zeros((5, 1))
         controls[2] = np.inf
         with pytest.raises(ContractViolation, match="non-finite"):
-            rollout_open_loop(env, env.x0, controls, unit_cost(2, 1))
+            rollout_open_loop(counted, env.x0, controls, unit_cost(2, 1))
+        # the loop steps step_fn unchecked, so all it reads is checked before the first
+        # step: K_t and x_bar_t for t < N, and u_scale for control noise, which an
+        # infinite bound makes infinite
+        unbounded = replace(counted, control_bounds=[[-np.inf, np.inf]])
+        nan_gain, nan_ref = np.zeros((5, 1, 2)), np.zeros((6, 2))
+        nan_gain[1, 0, 1] = np.nan
+        nan_ref[3, 0] = np.nan
+        for run_env, x_bar, u_bar, K, noise in (
+            (counted, np.zeros((6, 2)), np.zeros((5, 1)), nan_gain, None),
+            (counted, np.zeros((6, 2)), np.zeros((5, 3, 1)), nan_gain, None),
+            (counted, nan_ref, np.zeros((5, 1)), np.zeros((5, 1, 2)), None),
+            (counted, nan_ref[3:], np.zeros((5, 1)), None, None),
+            (unbounded, np.zeros((1, 2)), np.zeros((5, 3, 1)), None, NoiseModel(0.1, "control")),
+            (unbounded, np.zeros((1, 2)), np.zeros((5, 3, 1)), None, NoiseModel(0.0, "control")),
+        ):
+            with pytest.raises(ContractViolation, match="non-finite"):
+                rollout(run_env, x_bar, u_bar, K, noise)
+        assert calls == []
+        # x_bar_N is never read, and without K nothing after x_bar_0 is
+        nan_ref[3, 0], nan_ref[5, 0] = 0.0, np.nan
+        for K in (np.zeros((5, 1, 2)), None):
+            states, _, alive = rollout(counted, nan_ref, np.zeros((5, 1)), K)
+            assert alive and np.all(np.isfinite(states))
+        assert len(calls) == 10
 
     @pytest.mark.parametrize("batch", [(), (3,)], ids=["one", "batch"])
     def test_empty_horizon_returns_the_start_state(self, batch):
@@ -463,7 +510,17 @@ class TestRollouts:
                 rollout(env, np.zeros((1, 2)), u_bar)
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 1, 2)))
+        # K is read through np.asarray: a nested list of the wrong shape is refused
+        with pytest.raises(ContractViolation, match="dimensions"):
+            rollout(env, np.zeros((6, 2)), np.zeros((5, 1)), [[[0.0, 0.0]]] * 4)
         assert calls == []  # every check runs before the first step
+        # and a nested list of the right shape steps exactly like the array
+        linear = make_linear_env(horizon=2)
+        x_bar, u_bar = np.zeros((3, 2)), np.zeros((2, 1))
+        x_bar[0] = linear.x0
+        K = [[[-1.0, -1.5]], [[-0.5, 2.0]]]
+        listed, array = rollout(linear, x_bar, u_bar, K), rollout(linear, x_bar, u_bar, np.array(K))
+        assert all(np.array_equal(a, b) for a, b in zip(listed, array))
 
 
 class TestBuilders:

@@ -351,6 +351,11 @@ class TestEpsilonSweep:
         with pytest.raises(ContractViolation, match="ascending"):
             epsilon_sweep(env, policy, "state", (0.05, 0.01), 10, cost)
 
+    def test_empty_grid_rejected(self):
+        env, cost, policy = small_problem()
+        with pytest.raises(ContractViolation, match="non-empty"):
+            epsilon_sweep(env, policy, "state", (), 10, cost)
+
     def test_negative_epsilon_rejected(self):
         env, cost, policy = small_problem()
         with pytest.raises(ContractViolation):
