@@ -14,7 +14,8 @@ once and adds up each one's cost as it steps, storing no history.
 
 The RK4 environments integrate one point (the line search's one
 trajectory) on Python floats and a batch on numpy arrays, through the
-same stage code and physics; a point equals its one-row batch bit for bit.
+same stage code and physics, bound to math and to numpy once, as the
+environment is built; a point equals its one-row batch bit for bit.
 Where Python floats raise on overflow and numpy returns inf or nan, the
 point is integrated again as a one-row batch, so a diverging candidate
 gets numpy's result and is rejected like any other.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -129,14 +131,22 @@ def all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+def _as_floats(env: Environment, name: str, a) -> np.ndarray:
+    """a as a float array; numpy's refusal (a ragged nested list) is a contract violation."""
+    try:
+        return np.asarray(a, dtype=float)
+    except ValueError as e:
+        raise ContractViolation(f"bad dimensions for {env.name}: {name} ({e})") from None
+
+
 def step(env: Environment, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Deterministic black-box transition; controls clamped before integration.
 
     The checked entry for identification and outside callers; the rollout
     loop checks its inputs once and calls step_fn.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x = _as_floats(env, "x", x)
+    u = _as_floats(env, "u", u)
     if x.shape[-1] != env.n_x or u.shape[-1] != env.n_u:
         raise ContractViolation(
             f"bad dimensions for {env.name}: state {x.shape}, control {u.shape}"
@@ -162,10 +172,10 @@ def _closed_loop(
     Consume it under np.errstate(all="ignore"): a diverging row overflows
     before it is masked.
     """
-    x_bar = np.asarray(x_bar, dtype=float)
-    u_bar = np.asarray(u_bar, dtype=float)
+    x_bar = _as_floats(env, "x_bar", x_bar)
+    u_bar = _as_floats(env, "u_bar", u_bar)
     if K is not None:
-        K = np.asarray(K, dtype=float)
+        K = _as_floats(env, "K", K)
     if (
         x_bar.shape[1:] != (env.n_x,)
         or len(x_bar) < 1
@@ -266,25 +276,26 @@ def rollout_open_loop(
 # integrators and built-in environments
 
 
-def rk4_step(deriv, dt: float, substeps: int = 4) -> Callable:
-    """Returns step_fn(x, u): classic fixed-step RK4 of deriv over dt, split into substeps.
+def rk4_step(physics, dt: float, substeps: int = 4) -> Callable:
+    """Returns step_fn(x, u): classic fixed-step RK4 of physics over dt, split into substeps.
 
-    deriv takes the list of state components and the list of control
-    components and returns the list of state derivatives. One point
-    (1-D x and u) runs its stages on Python floats, which costs far less
-    than numpy's per-call overhead on 1-element arrays; a batch splits x
-    and u into component arrays over its batch axes and stacks the result
-    once. Both run the same stage code, and float64 arithmetic, sin and cos
-    give the same bits either way, so a point equals its one-row batch bit
-    for bit. Where Python floats raise and numpy returns inf or nan
-    (math.sin(inf), a division by zero), the point is integrated again as a
-    one-row batch, so it gets numpy's result.
+    physics(lib) returns deriv, which takes sin and cos from lib and maps the
+    lists of state and control components to the list of state derivatives;
+    it is bound here, once per library. One point (1-D x and u) runs the
+    stages on Python floats through physics(math), far cheaper than numpy's
+    per-call overhead on 1-element arrays; a batch runs its component arrays
+    through physics(numpy) and stacks the result once. float64 arithmetic,
+    sin and cos give the same bits either way, so a point equals its one-row
+    batch bit for bit. Where Python floats raise and numpy returns inf or
+    nan (math.sin(inf), a division by zero), the point is integrated again
+    as a one-row batch, so it gets numpy's result.
     """
     h = dt / substeps
     # 0.5 * h * k evaluates as (0.5 * h) * k, so hoisting the step factors keeps every bit
     half, sixth = 0.5 * h, h / 6.0
+    point_deriv, batch_deriv = physics(math), physics(np)
 
-    def stages(x: list, u: list) -> list:
+    def stages(deriv, x: list, u: list) -> list:
         for _ in range(substeps):
             # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
             # so no more than one stage is held at a time
@@ -300,23 +311,14 @@ def rk4_step(deriv, dt: float, substeps: int = 4) -> Callable:
     def step_fn(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         if x.ndim == 1 and u.ndim == 1:
             try:
-                return np.array(stages(x.tolist(), u.tolist()))
+                return np.array(stages(point_deriv, x.tolist(), u.tolist()))
             except (ArithmeticError, ValueError):
                 return step_fn(x[None], u[None])[0]
         x = [x[..., i] for i in range(x.shape[-1])]
         u = [u[..., i] for i in range(u.shape[-1])]
-        return np.stack(stages(x, u), axis=-1)
+        return np.stack(stages(batch_deriv, x, u), axis=-1)
 
     return step_fn
-
-
-def _sin(a):
-    # exact type: np.float64 subclasses float, and math.sin(np.float64(inf)) raises
-    return math.sin(a) if type(a) is float else np.sin(a)
-
-
-def _cos(a):
-    return math.cos(a) if type(a) is float else np.cos(a)
 
 
 LINEAR_TEST_A = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -363,7 +365,7 @@ def make_linear_env(
     )
 
 
-def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
+def _rk4_env(name, physics, x_goal, dt, horizon, limit, substeps) -> Environment:
     """A one-input system integrated by rk4_step, starting at rest at the origin."""
     if substeps < 1:
         raise ContractViolation(f"substeps={substeps} must be >= 1")
@@ -376,25 +378,26 @@ def _rk4_env(name, deriv, x_goal, dt, horizon, limit, substeps) -> Environment:
         control_bounds=[[-limit, limit]],
         x0=np.zeros(len(x_goal)),
         x_goal=x_goal,
-        step_fn=rk4_step(deriv, dt, substeps),
+        step_fn=rk4_step(physics, dt, substeps),
     )
 
 
-def pendulum_deriv(*, mass, length, gravity, damping):
+def pendulum_deriv(lib, *, mass, length, gravity, damping):
     """Damped torque-actuated pendulum; theta = 0 hanging, theta = pi upright.
 
-    Returns deriv(x, u) in component form: x = (theta, omega) and
-    u = (torque,); it returns (d theta/dt, d omega/dt). The parameters are
-    bound once, and so are the two constant products: Python evaluates them
-    first in the written-out expression too, so every bit is the same.
+    Returns deriv(x, u) on math's or numpy's sin (lib) in component form:
+    x = (theta, omega), u = (torque,) and it returns (d theta/dt, d omega/dt).
+    The parameters are bound once, and so are the two constant products:
+    Python evaluates them first in the written-out expression too, so no bit moves.
     """
+    sin = lib.sin
     weight_torque = mass * gravity * length
     inertia = mass * length**2
 
     def deriv(x, u):
         theta, omega = x
         (torque,) = u
-        return omega, (torque - damping * omega - weight_torque * _sin(theta)) / inertia
+        return omega, (torque - damping * omega - weight_torque * sin(theta)) / inertia
 
     return deriv
 
@@ -406,24 +409,26 @@ def make_pendulum_env(
     damping: float = PENDULUM_PARAMS["damping"],
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
-    deriv = pendulum_deriv(**dict(PENDULUM_PARAMS, damping=damping))
-    return _rk4_env("pendulum", deriv, [np.pi, 0.0], dt, horizon, torque_limit, substeps)
+    physics = partial(pendulum_deriv, **dict(PENDULUM_PARAMS, damping=damping))
+    return _rk4_env("pendulum", physics, [np.pi, 0.0], dt, horizon, torque_limit, substeps)
 
 
-def cartpole_deriv(*, cart_mass, pole_mass, pole_length, gravity):
+def cartpole_deriv(lib, *, cart_mass, pole_mass, pole_length, gravity):
     """Cart-pole; pole angle theta = 0 hanging below the cart, pi upright.
 
-    Returns deriv(x, u) in component form: x = (pos, dpos, theta, dtheta)
-    and u = (force,); it returns their time derivatives in the same order.
+    Returns deriv(x, u) on math's or numpy's sin and cos (lib) in component
+    form: x = (pos, dpos, theta, dtheta), u = (force,); it returns their
+    time derivatives in the same order.
     Squares are written as products: numpy squares an array by multiplying,
     but ``** 2`` on a float or a numpy scalar calls libm's pow, which rounds
     differently in the last bit on about 1 in 1,250 random inputs.
     """
+    sin, cos = lib.sin, lib.cos
 
     def deriv(x, u):
         _, dpos, theta, dtheta = x
         (force,) = u
-        s, c = _sin(theta), _cos(theta)
+        s, c = sin(theta), cos(theta)
         accel = (force + pole_mass * s * (pole_length * (dtheta * dtheta) + gravity * c)) / (
             cart_mass + pole_mass * (s * s)
         )
@@ -439,8 +444,8 @@ def make_cartpole_env(
     force_limit: float = 20.0,
     substeps: int = RK4_SUBSTEPS,
 ) -> Environment:
-    deriv = cartpole_deriv(**CARTPOLE_PARAMS)
-    return _rk4_env("cartpole", deriv, [0.0, 0.0, np.pi, 0.0], dt, horizon, force_limit, substeps)
+    physics = partial(cartpole_deriv, **CARTPOLE_PARAMS)
+    return _rk4_env("cartpole", physics, [0.0, 0.0, np.pi, 0.0], dt, horizon, force_limit, substeps)
 
 
 ENV_BUILDERS = {

@@ -104,9 +104,9 @@ def _field_value(fx_fu, x, u):
 
     x, u = tuple(np.asarray(x, dtype=float)), tuple(np.atleast_1d(u))
     if fx_fu is pendulum_continuous_jacobians:
-        return np.array(pendulum_deriv(**PENDULUM_PARAMS)(x, u))
+        return np.array(pendulum_deriv(np, **PENDULUM_PARAMS)(x, u))
     if fx_fu is cartpole_continuous_jacobians:
-        return np.array(cartpole_deriv(**CARTPOLE_PARAMS)(x, u))
+        return np.array(cartpole_deriv(np, **CARTPOLE_PARAMS)(x, u))
     raise ValueError("unknown field")
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -62,6 +63,9 @@ class TestStep:
         env = make_linear_env()
         with pytest.raises(ContractViolation, match="dimensions"):
             step(env, np.zeros(3), np.zeros(1))
+        # a ragged x is refused as a contract violation, not numpy's ValueError
+        with pytest.raises(ContractViolation, match="dimensions"):
+            step(env, [[0.0, 0.0], [0.0]], np.zeros(1))
 
     def test_non_finite_input_rejected(self):
         env = make_linear_env()
@@ -156,11 +160,10 @@ class TestIntegratorFidelity:
         # d/dt x = a x integrates to exp(a t) within RK4's O(h^5) error
         a = -0.7
 
-        def deriv(x, u):
-            (x1,) = x
-            return (a * x1,)
+        def physics(lib):
+            return lambda x, u: (a * x[0],)
 
-        x = rk4_step(deriv, 0.1, substeps=4)(np.array([1.0]), np.zeros(1))
+        x = rk4_step(physics, 0.1, substeps=4)(np.array([1.0]), np.zeros(1))
         assert x[0] == pytest.approx(np.exp(a * 0.1), rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -513,6 +516,14 @@ class TestRollouts:
         # K is read through np.asarray: a nested list of the wrong shape is refused
         with pytest.raises(ContractViolation, match="dimensions"):
             rollout(env, np.zeros((6, 2)), np.zeros((5, 1)), [[[0.0, 0.0]]] * 4)
+        # a ragged nested list is refused as a contract violation, not numpy's ValueError
+        for x_bar, u_bar, K in (
+            (np.zeros((3, 2)), np.zeros((2, 1)), [[[0.0, 0.0]], [[0.0]]]),
+            ([[0.0, 0.0], [0.0]], np.zeros((2, 1)), None),
+            (np.zeros((3, 2)), [[0.0], [0.0, 1.0]], None),
+        ):
+            with pytest.raises(ContractViolation, match="dimensions"):
+                rollout(env, x_bar, u_bar, K)
         assert calls == []  # every check runs before the first step
         # and a nested list of the right shape steps exactly like the array
         linear = make_linear_env(horizon=2)
@@ -597,7 +608,7 @@ class TestBuilders:
         torque=st.floats(-5.0, 5.0),
     )
     def test_pendulum_deriv_velocity_slot_is_consistent(self, theta, omega, torque):
-        d = pendulum_deriv(**PENDULUM_PARAMS)((theta, omega), (torque,))
+        d = pendulum_deriv(math, **PENDULUM_PARAMS)((theta, omega), (torque,))
         assert d[0] == omega
 
     @pytest.mark.parametrize(
@@ -608,14 +619,35 @@ class TestBuilders:
         ],
     )
     def test_derivs_on_numpy_scalars_keep_numpy_semantics(self, deriv, params, x):
-        # np.float64 subclasses float, but an infinite numpy-scalar angle
-        # must give numpy's nan, not math.sin's ValueError
-        physics = deriv(**params)
+        # bound to numpy, the physics keeps numpy's semantics on np.float64
+        # (a float subclass): an infinite angle gives nan, not math.sin's ValueError
+        physics = deriv(np, **params)
         with np.errstate(all="ignore"):
             scalars = physics([np.float64(v) for v in x], [np.float64(0.5)])
             arrays = physics([np.array([v]) for v in x], [np.array([0.5])])
         assert all(type(d) is not float for d in scalars)
         assert np.array_equal(np.array(scalars), np.array(arrays)[:, 0], equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "make, physics_name",
+        [(make_pendulum_env, "pendulum_deriv"), (make_cartpole_env, "cartpole_deriv")],
+        ids=["pendulum", "cartpole"],
+    )
+    def test_physics_is_bound_once_per_library(self, monkeypatch, make, physics_name):
+        bound = []
+        physics = getattr(dilqr.envs, physics_name)
+
+        def spy(lib, **params):
+            bound.append(lib)
+            return physics(lib, **params)
+
+        monkeypatch.setattr(dilqr.envs, physics_name, spy)
+        env = make()
+        assert bound == [math, np]
+        step(env, env.x0, np.ones(1))
+        step(env, np.tile(env.x0, (3, 1)), np.ones((3, 1)))
+        rollout(env, env.x0[None], np.ones((4, 2, 1)))
+        assert bound == [math, np]
 
     @settings(max_examples=20, deadline=None)
     @given(u=st.floats(-500.0, 500.0), seed=st.integers(0, 1000))
