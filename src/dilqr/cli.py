@@ -8,8 +8,10 @@ environment at PROBE_POINTS and with u on its upper bound: black-box rows
 next to the error. A sigma, n_s or seed study is a set of runs.
 
 All file output lands under the --out directory, alongside a verbatim echo
-of the effective configuration. Timing columns are written as 0.0 unless
-run.record_timing is set, so repeated runs produce bit-identical files.
+of the effective configuration. Nothing is written under --out until the
+command's work has succeeded, so a failed command writes nothing there.
+Timing columns are written as 0.0 unless run.record_timing is set, so
+repeated runs produce bit-identical files.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .config import ConfigError, RunConfig, default_config, load_config, parse_s
 from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
 from .errors import ContractViolation, NumericalFailure
 from .evaluation import (
-    COST_VAR, MEAN_COST_GAP, check_epsilons, check_rollouts, epsilon_sweep, monte_carlo_eval,
-    variance_scaling_fit,
+    COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
 )
 from .feedback import build_policy
 from .ilqr import optimize
@@ -61,7 +62,7 @@ def _load(args) -> RunConfig:
 
 
 def _out_dir(args, cfg: RunConfig) -> Path:
-    """Create --out and write config.txt; called once the inputs have passed their checks."""
+    """Create --out and write config.txt; called once the command's work has succeeded."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(cfg.dump())
@@ -83,11 +84,9 @@ def _config_env(cfg: RunConfig, file_env: str, file_horizon: int, made: str):
 def cmd_train(args) -> int:
     cfg = _load(args)
     env = cfg.make_env()
-    cost = cfg.make_cost(env)
-    opt = cfg.make_optimizer()
-    out = _out_dir(args, cfg)
     u_init = np.zeros((env.horizon, env.n_u))
-    traj, trace = optimize(env, cost, env.x0, u_init, opt)
+    traj, trace = optimize(env, cfg.make_cost(env), env.x0, u_init, cfg.make_optimizer())
+    out = _out_dir(args, cfg)
     save_trajectory(out / "trajectory.txt", traj, env.name)
     record_timing = cfg.get("run", "record_timing")
     last = len(trace) - 1
@@ -113,9 +112,8 @@ def cmd_feedback(args) -> int:
     cfg = _load(args)
     traj, env_name = load_trajectory(args.trajectory)
     env = _config_env(cfg, env_name, traj.horizon, "trajectory was recorded")
-    est, cost = cfg.make_estimator(), cfg.make_cost(env)
+    policy = build_policy(env, traj, cfg.make_estimator(), cfg.make_cost(env))
     out = _out_dir(args, cfg)
-    policy = build_policy(env, traj, est, cost)
     save_policy(out / "policy.txt", policy, env.name)
     print(f"feedback: wrote {out / 'policy.txt'} ({traj.horizon} gains)")
     return EXIT_OK
@@ -137,9 +135,8 @@ def cmd_eval(args) -> int:
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost, noise = cfg.make_cost(env), cfg.make_noise()
-    M = check_rollouts(cfg.get("eval", "rollouts"))
+    stats = monte_carlo_eval(env, policy, noise, cfg.get("eval", "rollouts"), cost)
     out = _out_dir(args, cfg)
-    stats = monte_carlo_eval(env, policy, noise, M, cost)
     _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
     print(f"eval: eps={stats.epsilon} cost_mean={stats.cost_mean!r} cost_var={stats.cost_var!r}")
     return EXIT_OK
@@ -150,15 +147,10 @@ def cmd_sweep(args) -> int:
     policy, env_name = load_policy(args.policy)
     env = _config_env(cfg, env_name, policy.nominal.horizon, "policy was built")
     cost = cfg.make_cost(env)
-    epsilons = check_epsilons(sorted(cfg.get("eval", "epsilons")))
-    M = check_rollouts(cfg.get("eval", "rollouts"))
-    for epsilon in (0.0, *epsilons):
-        cfg.make_noise(epsilon)  # each level's NoiseModel checks its inputs before any output
-    out = _out_dir(args, cfg)
     sweep = epsilon_sweep(
-        env, policy, cfg.get("noise", "channel"), epsilons, M, cost, seed=cfg.get("run", "seed")
+        env, policy, cfg.get("noise", "channel"), sorted(cfg.get("eval", "epsilons")),
+        cfg.get("eval", "rollouts"), cost, seed=cfg.get("run", "seed"),
     )
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, [_stats_row(s) for s in sweep])
     clean = [s for s in sweep if s.divergences == 0]
     nominal_cost = monte_carlo_eval(env, policy, cfg.make_noise(0.0), 1, cost).cost_mean
     fit_rows = []
@@ -170,6 +162,8 @@ def cmd_sweep(args) -> int:
             continue
         fit_rows.append((response, fit.slope, fit.intercept, fit.r_squared, len(fit.epsilons)))
         print(f"sweep: {response} slope={fit.slope:.3f} r2={fit.r_squared:.4f}")
+    out = _out_dir(args, cfg)
+    _write_csv(out / "sweep.csv", SWEEP_HEADER, [_stats_row(s) for s in sweep])
     _write_csv(out / "fit.csv", ["response", "slope", "intercept", "r_squared", "n_points"], fit_rows)
     return EXIT_OK
 
@@ -207,7 +201,6 @@ def cmd_jacobian_bench(args) -> int:
     env = cfg.make_env()
     est = cfg.make_estimator()
     n_s = est.resolve_n_s(env)
-    out = _out_dir(args, cfg)
     record_timing = cfg.get("run", "record_timing")
     rows = []
     for point, (x, u) in _bench_points(env).items():
@@ -224,6 +217,7 @@ def cmd_jacobian_bench(args) -> int:
                 (env.name, point, method, param, wall if record_timing else 0.0,
                  m.eval_count, float(err))
             )
+    out = _out_dir(args, cfg)
     _write_csv(
         out / "bench.csv",
         ["env", "point", "method", "n_s_or_h", "wall_time_s", "eval_count",

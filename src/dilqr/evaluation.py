@@ -53,21 +53,6 @@ class ScalingFit:
     dropped: int = 0
 
 
-def check_rollouts(M: int) -> int:
-    """M, once it is checked to be a rollout count of at least 1."""
-    if M < 1:
-        raise ContractViolation("M must be >= 1")
-    return M
-
-
-def check_epsilons(epsilons: Sequence[float]) -> list[float]:
-    """The grid as floats, once it is checked to be non-empty, non-negative and ascending."""
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
-        raise ContractViolation("epsilons must be non-empty, non-negative and ascending")
-    return epsilons
-
-
 def monte_carlo_eval(
     env: Environment,
     policy: DecoupledPolicy,
@@ -85,7 +70,8 @@ def monte_carlo_eval(
     Divergent rollouts (non-finite states) are excluded from the moments and
     counted. Deterministic given (noise.seed, M).
     """
-    check_rollouts(M)
+    if M < 1:
+        raise ContractViolation("M must be >= 1")
     nominal = policy.nominal
     # states, controls, gains, cost (n_x, n_u)
     dims = (nominal.states.shape[1:], nominal.controls.shape[1:], policy.gains.shape[1:],
@@ -135,22 +121,28 @@ def epsilon_sweep(
     this process may use, at most one level per thread: numpy releases the
     GIL in the elementwise kernels that bound a level. Each level keeps its
     own stream and the results come back in epsilon order, so the output is
-    the same either way, and so is the first failing level's error.
+    the same either way, and so is the first failing level's error. Every
+    level's NoiseModel is built, and so checked, before the first level runs.
     """
-    epsilons = check_epsilons(epsilons)
+    epsilons = [float(e) for e in epsilons]
+    if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
+        raise ContractViolation("epsilons must be non-empty, non-negative and ascending")
+    noises = [
+        NoiseModel(epsilon=e, channel=channel, seed=child_seed(seed, i))
+        for i, e in enumerate(epsilons)
+    ]
 
-    def level(i: int) -> RolloutStats:
-        noise = NoiseModel(epsilon=epsilons[i], channel=channel, seed=child_seed(seed, i))
+    def level(noise: NoiseModel) -> RolloutStats:
         return monte_carlo_eval(env, policy, noise, M, cost)
 
     affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(epsilons))
     if M < PARALLEL_MIN_ROLLOUTS or workers < 2:
-        return [level(i) for i in range(len(epsilons))]
+        return [level(noise) for noise in noises]
     from concurrent.futures import ThreadPoolExecutor  # here only: it costs RSS to import
 
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(level, range(len(epsilons))))
+        return list(pool.map(level, noises))
 
 
 COST_VAR = "cost_var"
@@ -194,7 +186,7 @@ def variance_scaling_fit(
         epsilons=tuple(e for e, _ in kept),
         slope=float(slope),
         intercept=float(intercept),
-        r_squared=float(min(r2, 1.0)),
+        r_squared=r2,
         dropped=dropped,
     )
 

@@ -397,7 +397,7 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize("env_name", ["pendulum", "cartpole"])
-    def test_overflowing_perturbation_draw_is_numerical_failure(self, tmp_path, env_name):
+    def test_overflowing_perturbation_draw_is_numerical_failure(self, tmp_path, env_name, capsys):
         # sigma * N(0, 1) overflows to inf at sigma = 1e308; the draw is checked
         # before any step call, in one line and with no numpy warnings
         cfg = tmp_path / "overflowing_sigma.cfg"
@@ -411,6 +411,19 @@ class TestExitCodes:
             "numerical failure: identification failed at t=0: "
             "perturbations of sigma=1e+308 are not finite\n"
         )
+        assert not (tmp_path / "o").exists()
+        # jacobian-bench draws the same perturbations after its reference fit
+        assert run("jacobian-bench", "--config", str(cfg), "--out", str(tmp_path / "b")) == EXIT_NUMERICAL
+        assert "perturbations of sigma=1e+308 are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, linear_cfg, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run("train", "--config", linear_cfg, "--out", str(taken)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "File exists" in err
+        assert taken.read_text() == "not a directory\n"
 
     def test_rejected_input_file_leaves_no_config_echo(self, tmp_path, linear_cfg, capsys):
         out = tmp_path / "run"
@@ -488,7 +501,8 @@ class TestExitCodes:
         assert parser.prog == "dilqr"
 
     def test_import_does_not_load_scipy(self):
-        probe = "import sys, dilqr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        # nor concurrent.futures, which epsilon_sweep imports on its threaded branch only
+        probe = "import sys, dilqr.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
             timeout=120,

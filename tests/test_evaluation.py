@@ -361,6 +361,19 @@ class TestEpsilonSweep:
         with pytest.raises(ContractViolation):
             epsilon_sweep(env, policy, "state", (-0.01, 0.05), 10, cost)
 
+    def test_a_bad_level_is_refused_before_any_level_runs(self, monkeypatch):
+        env, cost, policy = small_problem()
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return monte_carlo_eval(*args)
+
+        monkeypatch.setattr(evaluation, "monte_carlo_eval", spy)
+        with pytest.raises(ContractViolation, match=r"epsilon must lie in \[0, 1\)"):
+            epsilon_sweep(env, policy, "state", (0.01, 0.02, 1.5), 10, cost)
+        assert calls == []
+
 
 def on_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
