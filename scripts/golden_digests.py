@@ -4,9 +4,11 @@ For each environment in ENV_BUILDERS and each seed in SEEDS, runs
 `dilqr train -> feedback -> eval -> sweep` and `dilqr jacobian-bench`
 in-process with `eval.rollouts = ROLLOUTS`, each command into its own
 directory, and hashes every file the five commands write. One more sweep of
-the cart-pole seed-0 policy at `eval.rollouts = PARALLEL_MIN_ROLLOUTS` pins
-the bytes of the sweep whose levels run on threads (on a single core it runs
-them in turn, and must write the same bytes). The digests are stored with the numpy
+the cart-pole seed-0 policy at `eval.rollouts = PARALLEL_ROLLOUTS` (8,192, at
+or above `evaluation.PARALLEL_MIN_ROLLOUTS`) pins the bytes of a sweep whose
+levels run in forked worker processes, under the key `sweep-threaded` that it
+got when they ran on threads (on a single core it runs them in turn, and must
+write the same bytes). The digests are stored with the numpy
 and BLAS versions that produced them, because a different BLAS build may
 round differently; tests/test_golden.py recomputes them and fails on any
 changed byte or on a version mismatch.
@@ -37,11 +39,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dilqr.cli import main as dilqr_main  # noqa: E402
 from dilqr.envs import ENV_BUILDERS  # noqa: E402
-from dilqr.evaluation import PARALLEL_MIN_ROLLOUTS  # noqa: E402
 
 DIGEST_FILE = ROOT / "tests" / "golden_digests.json"
 SEEDS = (0, 7)
 ROLLOUTS = 500
+PARALLEL_ROLLOUTS = 8192
 
 
 def library_versions() -> dict:
@@ -80,10 +82,10 @@ def run_pipeline(root: Path, env_name: str, seed: int) -> None:
     _run("jacobian-bench", *common, "--out", str(run / "bench"))
 
 
-def run_threaded_sweep(root: Path) -> None:
-    """sweep of the cart-pole seed-0 policy at PARALLEL_MIN_ROLLOUTS into root/cartpole/seed0/sweep-threaded."""
+def run_parallel_sweep(root: Path) -> None:
+    """sweep of the cart-pole seed-0 policy at PARALLEL_ROLLOUTS into root/cartpole/seed0/sweep-threaded."""
     run = root / "cartpole" / "seed0"
-    cfg = _config(run / "threaded.cfg", "cartpole", PARALLEL_MIN_ROLLOUTS)
+    cfg = _config(run / "parallel.cfg", "cartpole", PARALLEL_ROLLOUTS)
     _run("sweep", "--config", str(cfg), "--seed", "0", "--out", str(run / "sweep-threaded"),
          str(run / "feedback" / "policy.txt"))
 
@@ -95,7 +97,7 @@ def pipeline_digests() -> dict[str, str]:
         for env_name in ENV_BUILDERS:
             for seed in SEEDS:
                 run_pipeline(root, env_name, seed)
-        run_threaded_sweep(root)
+        run_parallel_sweep(root)
         return {
             path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*"))

@@ -8,6 +8,8 @@ statistics scale with the noise factor.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,11 +21,14 @@ from .errors import ContractViolation
 from .feedback import DecoupledPolicy
 
 
-# Rollouts per level from which epsilon_sweep runs its levels on threads.
-# Below it, handing the GIL between threads costs more than a second core
-# gains: on a 2-core VM two threads ran a cart-pole sweep at 0.6-0.9x the
-# speed of one at M = 1,000-2,000, 1.4x at 4,000 and 1.4-1.8x at 10,000.
-PARALLEL_MIN_ROLLOUTS = 8192
+# Rollouts per level from which epsilon_sweep runs its levels in forked
+# workers. Below it a fork costs about what a second core gains: on a 2-core
+# VM, over the default 8-level grid, forked beat in turn in at least 9 of 10
+# interleaved rounds at every power of two from 1,024 to 8,192 on linear_test,
+# pendulum and cart-pole, in every set of rounds taken (one to three; median
+# speed-up 1.1-1.8x at 1,024, 1.4-1.7x at 8,192); at 512 linear_test won 8,
+# 10 and 2 of 10.
+PARALLEL_MIN_ROLLOUTS = 1024
 
 
 @dataclass(frozen=True)
@@ -117,12 +122,19 @@ def epsilon_sweep(
 ) -> list[RolloutStats]:
     """One RolloutStats per epsilon, each from a disjoint noise stream.
 
-    With M >= PARALLEL_MIN_ROLLOUTS the levels run on one thread per core
-    this process may use, at most one level per thread: numpy releases the
-    GIL in the elementwise kernels that bound a level. Each level keeps its
-    own stream and the results come back in epsilon order, so the output is
-    the same either way, and so is the first failing level's error. Every
-    level's NoiseModel is built, and so checked, before the first level runs.
+    With M >= PARALLEL_MIN_ROLLOUTS, on Linux, the levels run on W processes,
+    W = min(cores in this process's CPU affinity, levels): this process runs
+    levels 0, W, 2W, ... and each of W - 1 children made by os.fork runs
+    levels w, w + W, ..., so the Monte-Carlo kernel runs outside the GIL.
+    Elsewhere, or below the gate, they run in turn. Each level keeps its own
+    stream and the results come back in epsilon order, so the output is the
+    same either way, and so is the first failing level's error. Every level's
+    NoiseModel is built, and so checked, before the first level runs.
+
+    Fork safety rests on a child running numpy code only, taking no lock that
+    another thread of this process may hold, and writing nothing but its
+    result to its own pipe before it leaves by os._exit. Python >= 3.12 warns
+    (DeprecationWarning) when a process with threads forks.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
@@ -135,14 +147,66 @@ def epsilon_sweep(
     def level(noise: NoiseModel) -> RolloutStats:
         return monte_carlo_eval(env, policy, noise, M, cost)
 
-    affinity = getattr(os, "sched_getaffinity", None)  # not on macOS or Windows
-    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(epsilons))
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    workers = min(len(affinity(0)), len(noises)) if affinity else 1
     if M < PARALLEL_MIN_ROLLOUTS or workers < 2:
         return [level(noise) for noise in noises]
-    from concurrent.futures import ThreadPoolExecutor  # here only: it costs RSS to import
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(level, noises))
+    def attempt(noise: NoiseModel) -> tuple[bool, object]:
+        try:
+            return True, level(noise)
+        except Exception as exc:  # raised again below, in epsilon order
+            return False, exc
+
+    shares = _forked(lambda share: [attempt(noise) for noise in share],
+                     [noises[w::workers] for w in range(workers)])
+    outcomes = [shares[i % workers][i // workers] for i in range(len(noises))]
+    for ok, outcome in outcomes:
+        if not ok:
+            raise outcome
+    return [stats for _, stats in outcomes]
+
+
+def _forked(run, shares: list) -> list:
+    """[run(share) for share in shares], shares[1:] each in a forked child.
+
+    A child pickles its result down a pipe and leaves by os._exit, so it
+    flushes no inherited stdio buffer and runs no atexit handler. Every child
+    is reaped before this returns or raises; if the caller leaves by an
+    exception, the children still running are killed first. A child that
+    hands back no result raises ChildProcessError with its exit status.
+    """
+    readers, pids = [], []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            readers.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        pickle.dump(run(share), pipe)
+                        pipe.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        mine = run(shares[0])
+        handed = [reader.read() for reader in readers]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, codes):
+        if code != 0:
+            raise ChildProcessError(f"epsilon_sweep worker {pid} exited with status {code} "
+                                    "and handed back no levels")
+    return [mine] + [pickle.loads(blob) for blob in handed]
 
 
 COST_VAR = "cost_var"

@@ -501,7 +501,7 @@ class TestExitCodes:
         assert parser.prog == "dilqr"
 
     def test_import_does_not_load_scipy(self):
-        # nor concurrent.futures, which epsilon_sweep imports on its threaded branch only
+        # nor concurrent.futures: epsilon_sweep forks its workers and needs no pool
         probe = "import sys, dilqr.cli; print(sorted({'scipy', 'concurrent.futures'} & set(sys.modules)))"
         result = subprocess.run(
             [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,

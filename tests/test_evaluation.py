@@ -1,5 +1,5 @@
-import concurrent.futures
 import os
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -379,52 +379,71 @@ def on_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-class TestThreadedSweep:
+def forks_counted(monkeypatch) -> list:
+    """The pids of the children epsilon_sweep forks, by a spy on the real os.fork."""
+    real_fork, pids = os.fork, []
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def derailing_problem(monkeypatch):
+    """small_problem whose batches derail whole once their states spread past
+    0.1, with each failing level's epsilon tagged on its error."""
+    env, cost, policy = small_problem()
+    linear = env.step_fn
+
+    def derails(x, u):
+        x_next = linear(x, u)
+        return np.full_like(x_next, np.inf) if x.std(axis=0).max() > 0.1 else x_next
+
+    def tagged(env, policy, noise, M, cost):
+        try:
+            return monte_carlo_eval(env, policy, noise, M, cost)
+        except ContractViolation as exc:
+            exc.epsilon = noise.epsilon
+            raise
+
+    monkeypatch.setattr(evaluation, "monte_carlo_eval", tagged)
+    return replace(env, step_fn=derails), cost, policy
+
+
+class TestForkedSweep:
     """From PARALLEL_MIN_ROLLOUTS rollouts per level, epsilon_sweep runs its
-    levels on one thread per core; the output must not depend on it."""
+    levels on one process per core, all but its own share in forked children;
+    the output must not depend on it, and no child may outlive the sweep."""
 
     M = evaluation.PARALLEL_MIN_ROLLOUTS
 
     @pytest.mark.parametrize("channel", ["state", "control"])
-    def test_threads_give_the_sequential_sweep(self, monkeypatch, trained_cartpole, channel):
+    def test_forks_give_the_sequential_sweep(self, monkeypatch, trained_cartpole, channel):
         run, eps = trained_cartpole, (0.01, 0.04, 0.08)
-        pools = []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                pools.append(self)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        forks = forks_counted(monkeypatch)
 
         def sweep(cores):
             on_cores(monkeypatch, cores)
             return epsilon_sweep(run.env, run.policy, channel, eps, self.M, run.cost, seed=3)
 
-        threaded = sweep(2)
-        assert [pool._max_workers for pool in pools] == [2]
-        assert len(pools[0]._threads) <= 2
-        assert threaded == sweep(1)
-        assert len(pools) == 1
+        forked = sweep(2)
+        assert len(forks) == 1
+        assert forked == sweep(1)
+        assert len(forks) == 1
 
     def test_a_level_that_all_diverges_fails_alike(self, monkeypatch):
-        env, cost, policy = small_problem()
-        linear = env.step_fn
-
-        def derails(x, u):
-            # a batch whose states spread wider than 0.1 blows up whole
-            x_next = linear(x, u)
-            return np.full_like(x_next, np.inf) if x.std(axis=0).max() > 0.1 else x_next
-
-        def tagged(env, policy, noise, M, cost):
-            try:
-                return monte_carlo_eval(env, policy, noise, M, cost)
-            except ContractViolation as exc:
-                exc.epsilon = noise.epsilon
-                raise
-
-        env = replace(env, step_fn=derails)
-        monkeypatch.setattr(evaluation, "monte_carlo_eval", tagged)
+        # level 0.3 fails in the child's share and 0.5 in the caller's: the
+        # child's error, epsilon tag and all, comes back through the pickle
+        env, cost, policy = derailing_problem(monkeypatch)
         raised = []
         for cores in (2, 1):
             on_cores(monkeypatch, cores)
@@ -433,64 +452,93 @@ class TestThreadedSweep:
             raised.append((str(info.value), info.value.epsilon))
         assert raised == [("all rollouts diverged; cannot form moments", 0.3)] * 2
 
-    def test_no_more_workers_than_cores_and_none_below_the_gate(self, monkeypatch):
-        # a stand-in pool records its size and maps in the calling thread, so
-        # claiming more cores than the machine has starts no thread
-        workers = []
-
-        class Inline:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+    def test_one_child_per_core_but_the_callers_and_none_below_the_gate(self, monkeypatch):
+        forks = forks_counted(monkeypatch)
         env, cost, policy = small_problem()
         eps = (0.01, 0.02, 0.03, 0.04)
-        for cores, M in ((1, self.M), (4, self.M - 1)):
-            on_cores(monkeypatch, cores)
-            epsilon_sweep(env, policy, "state", eps, M, cost)
-        assert workers == []
+        on_cores(monkeypatch, 1)
+        in_turn = epsilon_sweep(env, policy, "state", eps, self.M, cost)
+        on_cores(monkeypatch, 4)
+        epsilon_sweep(env, policy, "state", eps, self.M - 1, cost)
+        assert forks == []
+        children = []
         for cores in (2, 3, 8):
             on_cores(monkeypatch, cores)
-            epsilon_sweep(env, policy, "state", eps, self.M, cost)
-        assert workers == [2, 3, 4]
+            assert epsilon_sweep(env, policy, "state", eps, self.M, cost) == in_turn
+            children.append(len(forks))
+            forks.clear()
+        assert children == [1, 2, 3]
 
-    def test_without_cpu_affinity_the_sweep_counts_cores(self, monkeypatch):
-        # macOS and Windows have no os.sched_getaffinity; os.cpu_count stands in
-        workers = []
-
-        class Spy(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                workers.append(max_workers)
-
+    def test_without_cpu_affinity_the_levels_run_in_turn(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
         env, cost, policy = small_problem()
         eps = (0.01, 0.02, 0.03)
         on_cores(monkeypatch, 1)
         in_turn = epsilon_sweep(env, policy, "state", eps, self.M, cost)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
+        forks = forks_counted(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity")
-        for cores in (2, None):  # cpu_count() may not know
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            assert epsilon_sweep(env, policy, "state", eps, self.M, cost) == in_turn
-        assert workers == [2]
+        assert epsilon_sweep(env, policy, "state", eps, self.M, cost) == in_turn
+        assert forks == []
 
-    def test_at_most_one_level_per_worker_is_in_flight(self, monkeypatch, trained_cartpole):
-        # eight levels on two workers hold at most two levels' arrays at once
+    def test_the_calling_process_holds_at_most_one_level_at_a_time(self, monkeypatch, trained_cartpole):
+        # of eight levels on two processes, the caller runs its four in turn
         run = trained_cartpole
         unit = self.M * run.env.n_x * 8
         on_cores(monkeypatch, 2)
         eps = DEFAULT_EPSILON_GRID
         peak = traced_peak(lambda: epsilon_sweep(run.env, run.policy, "state", eps, self.M, run.cost))
-        assert peak < 2 * LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
+        assert peak < LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
+
+    @pytest.mark.parametrize("eps", [(0.01, 0.02, 0.03, 0.04), (0.01, 0.02, 0.3), (0.01, 0.3)],
+                             ids=["good", "fails-in-caller", "fails-in-child"])
+    def test_no_child_outlives_a_sweep(self, monkeypatch, eps):
+        env, cost, policy = derailing_problem(monkeypatch)
+        forks = forks_counted(monkeypatch)
+        on_cores(monkeypatch, 2)
+        if max(eps) < 0.3:
+            assert len(epsilon_sweep(env, policy, "state", eps, self.M, cost)) == len(eps)
+        else:
+            with pytest.raises(ContractViolation, match="all rollouts diverged") as info:
+                epsilon_sweep(env, policy, "state", eps, self.M, cost)
+            assert info.value.epsilon == 0.3
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_is_named_and_reaped(self, monkeypatch):
+        env, cost, policy = small_problem()
+        caller = os.getpid()
+
+        def dies_in_a_child(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return monte_carlo_eval(*args)
+
+        monkeypatch.setattr(evaluation, "monte_carlo_eval", dies_in_a_child)
+        on_cores(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
+            epsilon_sweep(env, policy, "state", (0.01, 0.02), self.M, cost)
+        assert_no_child_left()
+
+    def test_leaving_by_an_exception_kills_the_children(self, monkeypatch):
+        # the caller's share is interrupted while its child would run for a minute
+        env, cost, policy = small_problem()
+        caller = os.getpid()
+
+        class Interrupted(BaseException):
+            pass
+
+        def level(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise Interrupted
+
+        monkeypatch.setattr(evaluation, "monte_carlo_eval", level)
+        on_cores(monkeypatch, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(Interrupted):
+            epsilon_sweep(env, policy, "state", (0.01, 0.02), self.M, cost)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
 
 
 class TestScalingFit:
