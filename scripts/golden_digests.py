@@ -3,12 +3,15 @@
 For each environment in ENV_BUILDERS and each seed in SEEDS, runs
 `dilqr train -> feedback -> eval -> sweep` and `dilqr jacobian-bench`
 in-process with `eval.rollouts = ROLLOUTS`, each command into its own
-directory, and hashes every file the five commands write. One more sweep of
-the cart-pole seed-0 policy at `eval.rollouts = PARALLEL_ROLLOUTS` (8,192, at
-or above `evaluation.PARALLEL_MIN_ROLLOUTS`) pins the bytes of a sweep whose
-levels run in forked worker processes, under the key `sweep-threaded` that it
-got when they ran on threads (on a single core it runs them in turn, and must
-write the same bytes). The digests are stored with the numpy
+directory, and hashes every file the five commands write. Two more sweeps of
+the cart-pole seed-0 policy pin the bytes of sweeps whose levels run in
+forked worker processes (from `evaluation.PARALLEL_MIN_ROLLOUTS` rollouts per
+level; on a single core they run in turn, and must write the same bytes):
+one at `eval.rollouts = PARALLEL_ROLLOUTS` (8,192), one level per batch,
+under the key `sweep-threaded` that it got when the levels ran on threads;
+and one at `PACKED_ROLLOUTS` (1,000, the CLI default), whose levels each
+process packs into one batch of up to `evaluation.PACK_MAX_ROWS` rows, under
+`sweep-packed`. The digests are stored with the numpy
 and BLAS versions that produced them, because a different BLAS build may
 round differently; tests/test_golden.py recomputes them and fails on any
 changed byte or on a version mismatch.
@@ -44,6 +47,7 @@ DIGEST_FILE = ROOT / "tests" / "golden_digests.json"
 SEEDS = (0, 7)
 ROLLOUTS = 500
 PARALLEL_ROLLOUTS = 8192
+PACKED_ROLLOUTS = 1000
 
 
 def library_versions() -> dict:
@@ -82,11 +86,11 @@ def run_pipeline(root: Path, env_name: str, seed: int) -> None:
     _run("jacobian-bench", *common, "--out", str(run / "bench"))
 
 
-def run_parallel_sweep(root: Path) -> None:
-    """sweep of the cart-pole seed-0 policy at PARALLEL_ROLLOUTS into root/cartpole/seed0/sweep-threaded."""
+def run_parallel_sweep(root: Path, rollouts: int, name: str) -> None:
+    """sweep of the cart-pole seed-0 policy at `rollouts` into root/cartpole/seed0/<name>."""
     run = root / "cartpole" / "seed0"
-    cfg = _config(run / "parallel.cfg", "cartpole", PARALLEL_ROLLOUTS)
-    _run("sweep", "--config", str(cfg), "--seed", "0", "--out", str(run / "sweep-threaded"),
+    cfg = _config(run / f"{name}.cfg", "cartpole", rollouts)
+    _run("sweep", "--config", str(cfg), "--seed", "0", "--out", str(run / name),
          str(run / "feedback" / "policy.txt"))
 
 
@@ -97,7 +101,8 @@ def pipeline_digests() -> dict[str, str]:
         for env_name in ENV_BUILDERS:
             for seed in SEEDS:
                 run_pipeline(root, env_name, seed)
-        run_parallel_sweep(root)
+        run_parallel_sweep(root, PARALLEL_ROLLOUTS, "sweep-threaded")
+        run_parallel_sweep(root, PACKED_ROLLOUTS, "sweep-packed")
         return {
             path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(root.rglob("*"))

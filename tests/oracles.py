@@ -316,22 +316,31 @@ def rows_of(controls, M):
     return np.broadcast_to(controls[:, None], (controls.shape[0], M, controls.shape[1]))
 
 
-def history_monte_carlo_eval(env, policy, noise, M, cost):
-    """The Monte-Carlo evaluator as it was before it streamed its costs.
+def history_rollout_costs(env, policy, noise, rows, cost):
+    """Each of `rows` rollouts' cost, terminal squared error and alive flag, from the stored history.
 
-    The kernel stores every rollout's states (N+1, M, n_x) and controls
-    (N, M, n_u); total_cost then reads that history back, and the terminal
-    squared error comes from its last row. The streaming evaluator must
-    reproduce it field for field.
+    The kernel stores every rollout's states (N+1, rows, n_x) and controls
+    (N, rows, n_u); total_cost then reads that history back, and the
+    terminal squared error comes from its last row.
     """
     nominal = policy.nominal
-    rows = 1 if noise.epsilon == 0.0 else M
     states, controls, ok = rollout(
         env, nominal.states, rows_of(nominal.controls, rows), policy.gains, noise
     )
     with np.errstate(all="ignore"):
         costs = total_cost(states, controls, cost)
         terminal_sq = np.sum((states[-1] - cost.x_goal) ** 2, axis=-1)
+    return costs, terminal_sq, ok
+
+
+def history_monte_carlo_eval(env, policy, noise, M, cost):
+    """The Monte-Carlo evaluator as it was before it streamed its costs.
+
+    The moments of history_rollout_costs; the streaming evaluator must
+    reproduce it field for field.
+    """
+    rows = 1 if noise.epsilon == 0.0 else M
+    costs, terminal_sq, ok = history_rollout_costs(env, policy, noise, rows, cost)
     n_ok = int(np.sum(ok))
     if n_ok == 0:
         raise ContractViolation("all rollouts diverged; cannot form moments")

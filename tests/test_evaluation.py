@@ -27,12 +27,13 @@ from dilqr.evaluation import (
     RolloutStats,
     epsilon_sweep,
     monte_carlo_eval,
+    rollout_costs,
     variance_scaling_fit,
 )
 from dilqr.feedback import DecoupledPolicy, build_policy
 from dilqr.sysid import EstimatorConfig
 
-from oracles import history_monte_carlo_eval
+from oracles import history_monte_carlo_eval, history_rollout_costs
 
 
 def small_problem(horizon=3):
@@ -206,6 +207,20 @@ class TestStreamingEvaluator:
         assert 0 < streamed.divergences < 1025
         assert streamed == history_monte_carlo_eval(env, policy, noise, 1025, cost)
 
+    @pytest.mark.parametrize("levels", [1, 3])
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    @pytest.mark.parametrize("run", ["trained_linear", "trained_pendulum", "trained_cartpole"])
+    def test_rollout_costs_rows_match_history_oracle(self, request, run, channel, levels):
+        # level j's rows of one batch are its rollouts when it steps alone
+        run, M = request.getfixturevalue(run), 300
+        noises = [NoiseModel(epsilon=e, channel=channel, seed=11 + j)
+                  for j, e in enumerate((0.05, 0.01, 0.08)[:levels])]
+        batch = rollout_costs(run.env, run.policy, noises, M, run.cost)
+        for j, noise in enumerate(noises):
+            alone = history_rollout_costs(run.env, run.policy, noise, M, run.cost)
+            for got, want in zip(batch, alone):
+                assert np.array_equal(got[j * M:(j + 1) * M], want)
+
     def test_peak_memory_holds_no_array_with_both_N_and_M_axes(self, trained_cartpole):
         # each step draws its own (M, n_x) noise, so the peak is a few (M, n_x)
         # arrays whatever the horizon; an (N, M, n_x) array of draws or states
@@ -367,12 +382,28 @@ class TestEpsilonSweep:
 
         def spy(*args):
             calls.append(args)
-            return monte_carlo_eval(*args)
+            return rollout_costs(*args)
 
-        monkeypatch.setattr(evaluation, "monte_carlo_eval", spy)
+        monkeypatch.setattr(evaluation, "rollout_costs", spy)
         with pytest.raises(ContractViolation, match=r"epsilon must lie in \[0, 1\)"):
             epsilon_sweep(env, policy, "state", (0.01, 0.02, 1.5), 10, cost)
         assert calls == []
+
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_a_rollout_count_below_one_is_refused_before_any_step_or_fork(self, monkeypatch, M):
+        env, cost, policy = small_problem()
+        steps = []
+
+        def counting(x, u):
+            steps.append(x.shape)
+            return env.step_fn(x, u)
+
+        forks = forks_counted(monkeypatch)
+        on_cores(monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "PARALLEL_MIN_ROLLOUTS", M)  # the gate lets M through
+        with pytest.raises(ContractViolation, match="M must be >= 1"):
+            epsilon_sweep(replace(env, step_fn=counting), policy, "state", (0.0, 0.01, 0.02), M, cost)
+        assert steps == [] and forks == []
 
 
 def on_cores(monkeypatch, n):
@@ -399,23 +430,24 @@ def assert_no_child_left():
 
 
 def derailing_problem(monkeypatch):
-    """small_problem whose batches derail whole once their states spread past
-    0.1, with each failing level's epsilon tagged on its error."""
-    env, cost, policy = small_problem()
-    linear = env.step_fn
+    """small_problem over 20 steps whose rollouts derail, each on its own, once
+    their velocity passes 0.3, with each failing level's epsilon tagged on its
+    error: at M = PARALLEL_MIN_ROLLOUTS every rollout of a level at epsilon
+    0.3 or 0.5 derails, and a level at epsilon <= 0.04 keeps most of its."""
+    env, cost, policy = small_problem(horizon=20)
+    linear, moments = env.step_fn, evaluation._moments
 
     def derails(x, u):
-        x_next = linear(x, u)
-        return np.full_like(x_next, np.inf) if x.std(axis=0).max() > 0.1 else x_next
+        return np.where(np.abs(x[..., 1:]) > 0.3, np.inf, linear(x, u))
 
-    def tagged(env, policy, noise, M, cost):
+    def tagged(noise, *rows):
         try:
-            return monte_carlo_eval(env, policy, noise, M, cost)
+            return moments(noise, *rows)
         except ContractViolation as exc:
             exc.epsilon = noise.epsilon
             raise
 
-    monkeypatch.setattr(evaluation, "monte_carlo_eval", tagged)
+    monkeypatch.setattr(evaluation, "_moments", tagged)
     return replace(env, step_fn=derails), cost, policy
 
 
@@ -480,14 +512,16 @@ class TestForkedSweep:
         assert epsilon_sweep(env, policy, "state", eps, self.M, cost) == in_turn
         assert forks == []
 
-    def test_the_calling_process_holds_at_most_one_level_at_a_time(self, monkeypatch, trained_cartpole):
-        # of eight levels on two processes, the caller runs its four in turn
+    def test_the_calling_process_holds_at_most_one_batch_at_a_time(self, monkeypatch, trained_cartpole):
+        # of eight levels on two processes, the caller steps its four in two
+        # batches of two levels, one after the other
         run = trained_cartpole
-        unit = self.M * run.env.n_x * 8
+        monkeypatch.setattr(evaluation, "PACK_MAX_ROWS", 2 * self.M)
+        unit = 2 * self.M * run.env.n_x * 8
         on_cores(monkeypatch, 2)
         eps = DEFAULT_EPSILON_GRID
         peak = traced_peak(lambda: epsilon_sweep(run.env, run.policy, "state", eps, self.M, run.cost))
-        assert peak < LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (M, n_x) arrays"
+        assert peak < LEVEL_PEAK_UNITS * unit, f"peak {peak} B is {peak / unit:.1f} (batch rows, n_x) arrays"
 
     @pytest.mark.parametrize("eps", [(0.01, 0.02, 0.03, 0.04), (0.01, 0.02, 0.3), (0.01, 0.3)],
                              ids=["good", "fails-in-caller", "fails-in-child"])
@@ -511,9 +545,9 @@ class TestForkedSweep:
         def dies_in_a_child(*args):
             if os.getpid() != caller:
                 os._exit(3)
-            return monte_carlo_eval(*args)
+            return rollout_costs(*args)
 
-        monkeypatch.setattr(evaluation, "monte_carlo_eval", dies_in_a_child)
+        monkeypatch.setattr(evaluation, "rollout_costs", dies_in_a_child)
         on_cores(monkeypatch, 2)
         with pytest.raises(ChildProcessError, match="exited with status 3"):
             epsilon_sweep(env, policy, "state", (0.01, 0.02), self.M, cost)
@@ -527,18 +561,64 @@ class TestForkedSweep:
         class Interrupted(BaseException):
             pass
 
-        def level(*args):
+        def batch(*args):
             if os.getpid() != caller:
                 time.sleep(60)
             raise Interrupted
 
-        monkeypatch.setattr(evaluation, "monte_carlo_eval", level)
+        monkeypatch.setattr(evaluation, "rollout_costs", batch)
         on_cores(monkeypatch, 2)
         t0 = time.perf_counter()
         with pytest.raises(Interrupted):
             epsilon_sweep(env, policy, "state", (0.01, 0.02), self.M, cost)
         assert time.perf_counter() - t0 < 30
         assert_no_child_left()
+
+
+class TestPackedSweep:
+    """Each process steps its levels in batches of whole levels, up to
+    PACK_MAX_ROWS rows; the output must not depend on how they are packed."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    def test_a_packed_sweep_equals_one_level_per_batch(self, monkeypatch, trained_cartpole,
+                                                        channel, cores):
+        # rollouts whose pole spins past 10 rad/s derail, each on its own: some
+        # at epsilon 0.9, inside a batch with other levels; none below
+        run, M = trained_cartpole, 100
+        cartpole = run.env.step_fn
+        env = replace(run.env, step_fn=lambda x, u: np.where(
+            np.abs(x[..., 3:]) > 10, np.inf, cartpole(x, u)))
+        eps = (0.0, 0.01, 0.02, 0.04, 0.08, 0.9)
+        monkeypatch.setattr(evaluation, "PARALLEL_MIN_ROLLOUTS", M)
+        forks = forks_counted(monkeypatch)
+        on_cores(monkeypatch, cores)
+
+        def sweep(cap):
+            monkeypatch.setattr(evaluation, "PACK_MAX_ROWS", cap)
+            return epsilon_sweep(env, run.policy, channel, eps, M, run.cost, seed=5)
+
+        alone = sweep(1)
+        assert sweep(3 * M) == alone
+        assert [s.divergences > 0 for s in alone] == [False] * 5 + [True]
+        assert alone[-1].divergences < M
+        assert len(forks) == 2 * (cores - 1)
+
+    def test_noise_draws_once_per_level_per_step(self, monkeypatch):
+        env, cost, policy = small_problem()
+        calls, draws = [], NoiseModel.draws
+
+        def spy(noise, t, rows, dim):
+            calls.append((noise.seed, t, rows))
+            return draws(noise, t, rows, dim)
+
+        monkeypatch.setattr(NoiseModel, "draws", spy)
+        on_cores(monkeypatch, 1)
+        M = 50
+        sweep = epsilon_sweep(env, policy, "state", (0.0, 0.01, 0.02, 0.03), M, cost)
+        N = policy.nominal.horizon
+        expected = [(s.seed, t, 1 if s.epsilon == 0.0 else M) for s in sweep for t in range(N)]
+        assert sorted(calls) == sorted(expected)
 
 
 class TestScalingFit:
