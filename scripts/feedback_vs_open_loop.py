@@ -3,7 +3,10 @@
 
 Trains an environment, then evaluates the same nominal trajectory with and
 without its LQR gains on paired noise streams, printing Var(J) and terminal
-MSE at each noise level.
+MSE at each noise level, and the paired closed-minus-open cost difference:
+its mean over the rollouts that stay finite under both policies, and that
+mean's standard error. Rollout i draws the same noise under both policies,
+so the pairing cancels the noise the two costs share.
 
     python3 scripts/feedback_vs_open_loop.py --env cartpole
 """
@@ -16,7 +19,7 @@ import numpy as np
 import dilqr
 from dilqr.config import default_config, parse_seed
 from dilqr.envs import ENV_BUILDERS, NoiseModel
-from dilqr.evaluation import monte_carlo_eval
+from dilqr.evaluation import rollout_costs
 
 
 def main():
@@ -40,15 +43,22 @@ def main():
     open_loop = policy.with_zero_gains()
 
     print(f"{args.env}: nominal cost {traj.cost:.4f}, M={args.rollouts}, channel={args.channel}")
-    print(f"{'eps':>6} {'closed var':>12} {'open var':>12} {'closed mse':>12} {'open mse':>12}")
+    print(
+        f"{'eps':>6} {'closed var':>12} {'open var':>12} {'closed mse':>12} {'open mse':>12}"
+        f" {'closed-open':>12} {'se':>12}"
+    )
     for eps in args.epsilons:
         noise = NoiseModel(epsilon=eps, channel=args.channel, seed=args.seed)
-        closed = monte_carlo_eval(env, policy, noise, args.rollouts, cost)
-        opened = monte_carlo_eval(env, open_loop, noise, args.rollouts, cost)
-        print(
-            f"{eps:>6} {closed.cost_var:>12.5g} {opened.cost_var:>12.5g}"
-            f" {closed.terminal_mse_mean:>12.5g} {opened.terminal_mse_mean:>12.5g}"
+        # each rollout's cost, terminal squared error and alive flag, paired by row
+        c_costs, c_sq, c_alive = rollout_costs(env, policy, [noise], args.rollouts, cost)
+        o_costs, o_sq, o_alive = rollout_costs(env, open_loop, [noise], args.rollouts, cost)
+        diff = (c_costs - o_costs)[c_alive & o_alive]
+        columns = (
+            np.var(c_costs[c_alive], ddof=1), np.var(o_costs[o_alive], ddof=1),
+            np.mean(c_sq[c_alive]), np.mean(o_sq[o_alive]),
+            np.mean(diff), np.std(diff, ddof=1) / np.sqrt(len(diff)),
         )
+        print(f"{eps:>6} " + " ".join(f"{c:>12.5g}" for c in columns))
     return 0
 
 

@@ -16,6 +16,16 @@ The RK4 environments integrate one point (the line search's one
 trajectory) on Python floats and a batch on numpy arrays, through the
 same stage code and physics, bound to math and to numpy once, as the
 environment is built; a point equals its one-row batch bit for bit.
+The stage code is generated for the environment's n_x, written out one
+statement per state component, because on a point a loop over the
+components costs several times the physics it integrates. For n_x = 2 a
+stage reads
+
+    [k0, k1] = deriv([x0 + half * k0, x1 + half * k1], u)
+    t0 = t0 + 2.0 * k0
+    t1 = t1 + 2.0 * k1
+
+and rk4_step shows the whole of it.
 Where Python floats raise on overflow and numpy returns inf or nan, the
 point is integrated again as a one-row batch, so a diverging candidate
 gets numpy's result and is rejected like any other.
@@ -276,37 +286,93 @@ def rollout_open_loop(
 # integrators and built-in environments
 
 
-def rk4_step(physics, dt: float, substeps: int = 4) -> Callable:
+# The RK4 stages written out per state component; _rk4_stages fills in the
+# component indices, and nothing else. Each component keeps one running total
+# t and one stage k, and the arithmetic is the classic update's, term by term.
+_RK4_STAGES = """\
+def bind(half, h, sixth, substeps):
+    def stages(deriv, x, u):
+        [{x}] = x
+        for _ in range(substeps):
+            [{k}] = deriv([{x}], u)
+            {t_k}
+            [{k}] = deriv([{x_half_k}], u)
+            {t_2k}
+            [{k}] = deriv([{x_half_k}], u)
+            {t_2k}
+            [{k}] = deriv([{x_h_k}], u)
+            {x_next}
+        return [{x}]
+    return stages
+"""
+
+
+def _rk4_stages(n_x: int, half: float, h: float, sixth: float, substeps: int) -> Callable:
+    """The stage function of rk4_step for n_x components, compiled once from _RK4_STAGES."""
+
+    def each(term: str, sep: str = ", ") -> str:
+        return sep.join(term.replace("#", str(i)) for i in range(n_x))
+
+    lines = "\n" + " " * 12  # one statement per component, in the loop body
+    source = _RK4_STAGES.format(
+        x=each("x#"),
+        k=each("k#"),
+        t_k=each("t# = k#", lines),
+        x_half_k=each("x# + half * k#"),
+        t_2k=each("t# = t# + 2.0 * k#", lines),
+        x_h_k=each("x# + h * k#"),
+        x_next=each("x# = x# + sixth * (t# + k#)", lines),
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["bind"](half, h, sixth, substeps)
+
+
+def rk4_step(physics, n_x: int, dt: float, substeps: int = 4) -> Callable:
     """Returns step_fn(x, u): classic fixed-step RK4 of physics over dt, split into substeps.
 
     physics(lib) returns deriv, which takes sin and cos from lib and maps the
-    lists of state and control components to the list of state derivatives;
-    it is bound here, once per library. One point (1-D x and u) runs the
-    stages on Python floats through physics(math), far cheaper than numpy's
-    per-call overhead on 1-element arrays; a batch runs its component arrays
-    through physics(numpy) and stacks the result once. float64 arithmetic,
-    sin and cos give the same bits either way, so a point equals its one-row
-    batch bit for bit. Where Python floats raise and numpy returns inf or
-    nan (math.sin(inf), a division by zero), the point is integrated again
-    as a one-row batch, so it gets numpy's result.
+    lists of n_x state and of control components to the n_x state
+    derivatives; it is bound here, once per library. One point (1-D x and u)
+    runs the stages on Python floats through physics(math), far cheaper than
+    numpy's per-call overhead on 1-element arrays; a batch runs its component
+    arrays through physics(numpy) and stacks the result once. float64
+    arithmetic, sin and cos give the same bits either way, so a point equals
+    its one-row batch bit for bit. Where Python floats raise and numpy
+    returns inf or nan (math.sin(inf), a division by zero), the point is
+    integrated again as a one-row batch, so it gets numpy's result.
+
+    Both paths run one stage function, generated here for n_x from
+    _RK4_STAGES. A loop over the components costs a list comprehension per
+    stage update, which takes most of a one-point step; written out
+    straight, the stages cost little beside the deriv calls. For n_x = 2 it
+    reads, with half = h / 2 and sixth = h / 6:
+
+        def stages(deriv, x, u):
+            [x0, x1] = x
+            for _ in range(substeps):
+                [k0, k1] = deriv([x0, x1], u)
+                t0 = k0
+                t1 = k1
+                [k0, k1] = deriv([x0 + half * k0, x1 + half * k1], u)
+                t0 = t0 + 2.0 * k0
+                t1 = t1 + 2.0 * k1
+                [k0, k1] = deriv([x0 + half * k0, x1 + half * k1], u)
+                t0 = t0 + 2.0 * k0
+                t1 = t1 + 2.0 * k1
+                [k0, k1] = deriv([x0 + h * k0, x1 + h * k1], u)
+                x0 = x0 + sixth * (t0 + k0)
+                x1 = x1 + sixth * (t1 + k1)
+            return [x0, x1]
+
+    so k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
+    and no more than one stage is held at a time. A state with other than
+    n_x components fails to unpack and raises ValueError.
     """
     h = dt / substeps
     # 0.5 * h * k evaluates as (0.5 * h) * k, so hoisting the step factors keeps every bit
-    half, sixth = 0.5 * h, h / 6.0
+    stages = _rk4_stages(n_x, 0.5 * h, h, h / 6.0, substeps)
     point_deriv, batch_deriv = physics(math), physics(np)
-
-    def stages(deriv, x: list, u: list) -> list:
-        for _ in range(substeps):
-            # k1 + 2 k2 + 2 k3 + k4 is added left to right as each stage is made,
-            # so no more than one stage is held at a time
-            total = k = deriv(x, u)
-            k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
-            total = [a + 2.0 * b for a, b in zip(total, k)]
-            k = deriv([xi + half * ki for xi, ki in zip(x, k)], u)
-            total = [a + 2.0 * b for a, b in zip(total, k)]
-            k = deriv([xi + h * ki for xi, ki in zip(x, k)], u)
-            x = [xi + sixth * (a + b) for xi, a, b in zip(x, total, k)]
-        return x
 
     def step_fn(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         if x.ndim == 1 and u.ndim == 1:
@@ -378,7 +444,7 @@ def _rk4_env(name, physics, x_goal, dt, horizon, limit, substeps) -> Environment
         control_bounds=[[-limit, limit]],
         x0=np.zeros(len(x_goal)),
         x_goal=x_goal,
-        step_fn=rk4_step(physics, dt, substeps),
+        step_fn=rk4_step(physics, len(x_goal), dt, substeps),
     )
 
 

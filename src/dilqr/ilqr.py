@@ -6,7 +6,9 @@ coordinates z = (u, x, 1), where the value function is one matrix P over
 (x, 1) and a timestep is one product Z = H_t + F_t' P F_t. It adds mu*I to
 the value Hessian inside Q_ux and Q_uu only (state-regularization
 variant). Each timestep symmetrizes Q_uu and takes one solve of it for
-K_t and k_t together. After the recursion, one batched numpy Cholesky
+K_t and k_t together; with one control that solve is a product with the
+reciprocal of Q_uu, bit for bit, which skips np.linalg.solve's per-call
+overhead. After the recursion, one batched numpy Cholesky
 factorization and finiteness check covers every Q_uu and gain. A Q_uu that
 is not positive definite, or a non-finite Q_uu or (k_t, K_t), fails the
 pass at the first failing t in recursion order, so the caller can raise mu.
@@ -117,8 +119,9 @@ def backward_pass(
     Q_uu [K_t k_t] = -[Q_ux Q_u] and takes
     P = Z_(x,1)(x,1) + [Q_ux Q_u]'[K_t k_t], symmetrized.
 
-    A singular Q_uu, whose solve raises, gets NaN gains and the recursion
-    runs on. _checked runs once on the whole stack of Q_uu and gains; only
+    At n_u = 1 the solve is the product with 1 / Q_uu, bit for bit, so a
+    singular Q_uu gets non-finite gains; at n_u > 1 a solve that raises
+    stores NaN gains. Either way the recursion runs on. _checked runs once on the whole stack of Q_uu and gains; only
     when that fails does it run per step, N-1 down to 0, to raise
     NotPositiveDefinite(t) at the first t where Q_uu is not positive
     definite or not finite, or where k_t or K_t is not finite. Every step
@@ -149,19 +152,25 @@ def backward_pass(
     P[:n_x, n_x] = P[n_x, :n_x] = terminal_partials(traj.states[N], cost)
     S = np.empty((N, n_u, n_x + 1))  # -[K_t k_t]
     Q_uus = np.empty((N, n_u, n_u))
-    # overflow only ever yields inf or nan, which _checked turns into
-    # NotPositiveDefinite(t), so numpy's warnings would just be noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow and 1 / 0 only ever yield inf or nan, which _checked turns
+    # into NotPositiveDefinite(t), so numpy's warnings would just be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         H[:, :n_u, :-1] += mu * (models.B.transpose(0, 2, 1) @ F[:, :n_x, :-1])
         for t in range(N - 1, -1, -1):
             Z = H[t] + F_T[t] @ P @ F[t]
             Z_u = Z[:n_u, n_u:]
             # the check and the solve see one matrix
             Q_uu = Q_uus[t] = 0.5 * (Z[:n_u, :n_u] + Z[:n_u, :n_u].T)
-            try:
-                S[t] = np.linalg.solve(Q_uu, Z_u)
-            except np.linalg.LinAlgError:
-                S[t] = np.nan  # fails the check at t, and every t below it
+            if n_u == 1:
+                # Z_u has n_x + 1 >= 2 columns, so solve runs the BLAS's trsm,
+                # which in the OpenBLAS that tests/golden_digests.json records
+                # multiplies by the reciprocal: solve's bits, without its overhead
+                S[t] = Z_u * (1.0 / Q_uu[0, 0])
+            else:
+                try:
+                    S[t] = np.linalg.solve(Q_uu, Z_u)
+                except np.linalg.LinAlgError:
+                    S[t] = np.nan  # fails the check at t, and every t below it
             P = Z[n_u:, n_u:] - Z_u.T @ S[t]
             P = 0.5 * (P + P.T)
             P[n_x, n_x] = 0.0

@@ -28,7 +28,7 @@ from dilqr.envs import (
     step,
 )
 from dilqr.errors import ContractViolation
-from oracles import rows_of, stacked_cartpole_step, stacked_pendulum_step
+from oracles import rows_of, stacked_cartpole_step, stacked_pendulum_step, stacked_rk4_step
 
 
 def unit_cost(n_x, n_u):
@@ -163,7 +163,7 @@ class TestIntegratorFidelity:
         def physics(lib):
             return lambda x, u: (a * x[0],)
 
-        x = rk4_step(physics, 0.1, substeps=4)(np.array([1.0]), np.zeros(1))
+        x = rk4_step(physics, 1, 0.1, substeps=4)(np.array([1.0]), np.zeros(1))
         assert x[0] == pytest.approx(np.exp(a * 0.1), rel=1e-10)
 
     @pytest.mark.parametrize(
@@ -187,6 +187,77 @@ class TestIntegratorFidelity:
         assert out.shape == expected.shape == (*batch, env.n_x)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
+
+
+def chain_physics(n_x):
+    """Synthetic physics on n_x coupled components and one control: each
+    derivative reads its neighbours through sin and cos, so every component
+    of every stage feeds the next."""
+
+    def physics(lib):
+        sin, cos = lib.sin, lib.cos
+
+        def deriv(x, u):
+            (force,) = u
+            return [
+                sin(x[(i + 1) % n_x]) - 0.3 * x[i] + (0.5 + cos(x[i - 1])) * force / (i + 1)
+                for i in range(n_x)
+            ]
+
+        return deriv
+
+    return physics
+
+
+class TestGeneratedStages:
+    """rk4_step's stage code is generated per n_x; these pin it at sizes no
+    built-in environment has."""
+
+    @pytest.mark.parametrize("n_x", [3, 6])
+    @pytest.mark.parametrize("batch", [(), (7,), (420,)])
+    def test_stages_match_stacked_rk4_bit_for_bit(self, n_x, batch):
+        physics = chain_physics(n_x)
+        step_fn = rk4_step(physics, n_x, 0.15, substeps=4)
+
+        def stacked_deriv(x, u):
+            return np.stack(physics(np)([x[..., i] for i in range(n_x)], [u[..., 0]]), axis=-1)
+
+        rng = np.random.default_rng(n_x * 1000 + sum(batch))
+        x = rng.normal(scale=2.0, size=(*batch, n_x))
+        u = rng.normal(scale=3.0, size=(*batch, 1))
+        out = step_fn(x, u)
+        expected = stacked_rk4_step(stacked_deriv, x, u, 0.15, 4)
+        assert out.shape == expected.shape == (*batch, n_x)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("make", [make_pendulum_env, make_cartpole_env], ids=["pendulum", "cartpole"])
+    def test_stage_code_is_compiled_once_per_environment(self, monkeypatch, make):
+        compiled = []
+
+        def spy(source, namespace):
+            compiled.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(dilqr.envs, "exec", spy, raising=False)
+        env = make()
+        assert len(compiled) == 1
+        assert f"x{env.n_x - 1}" in compiled[0] and f"x{env.n_x}" not in compiled[0]
+        step(env, env.x0, np.ones(1))
+        step(env, np.tile(env.x0, (3, 1)), np.ones((3, 1)))
+        rollout(env, env.x0[None], np.ones((4, 2, 1)))
+        assert len(compiled) == 1
+
+    def test_a_state_with_the_wrong_number_of_components_raises(self):
+        # the physics reads x[0] only, so nothing but the stages can notice a
+        # second component; a loop over zip(x, k) used to drop it silently
+        def physics(lib):
+            return lambda x, u: (-0.7 * x[0],)
+
+        step_fn = rk4_step(physics, 1, 0.1)
+        assert step_fn(np.ones(1), np.zeros(1)).shape == (1,)
+        for x in (np.ones(2), np.ones((5, 2)), np.ones((5, 0))):
+            with pytest.raises(ValueError, match="unpack"):
+                step_fn(x, np.zeros((*x.shape[:-1], 1)))
 
 
 class TestNoiseModel:

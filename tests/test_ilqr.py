@@ -1,5 +1,7 @@
+import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +184,28 @@ class TestBackwardPass:
             traj, cost, models = random_problem(rng, 2, 6)
             assert_single_solve_matches_to_rounding(traj, cost, models, float(rng.uniform(0.0, 1e-3)))
 
+    @pytest.mark.parametrize("columns", [2, 3, 5])
+    def test_single_control_reciprocal_is_solve_bit_for_bit(self, columns):
+        # backward_pass takes Z_u * (1 / q) for solve(q, Z_u) at n_u = 1, where
+        # Z_u has n_x + 1 columns: 3 on pendulum, 5 on cart-pole. With two or
+        # more right-hand sides solve runs the BLAS's trsm, which multiplies by
+        # the reciprocal (one right-hand side goes through a division instead).
+        rng = np.random.default_rng(40 + columns)
+        n = 100_000
+        q = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n)
+        q *= 10.0 ** np.concatenate([rng.integers(-300, 301, n - 400), np.repeat([-300, -299, 299, 300], 100)])
+        Z_u = rng.normal(size=(n, 1, columns))
+        solved = np.linalg.solve(q[:, None, None], Z_u)
+        reciprocal = Z_u * (1.0 / q)[:, None, None]
+        differ = np.count_nonzero(np.any(solved != reciprocal, axis=(1, 2)))
+        recorded = json.loads((Path(__file__).parent / "golden_digests.json").read_text())["blas"]
+        assert differ == 0, (
+            f"Z_u * (1 / q) differs from np.linalg.solve on {differ} of {n} 1x1 systems. "
+            f"backward_pass's n_u = 1 branch rests on the BLAS's trsm multiplying by the "
+            f"reciprocal, as {recorded} (recorded in tests/golden_digests.json) does; "
+            f"this numpy's BLAS is {np.show_config(mode='dicts')['Build Dependencies']['blas']}"
+        )
+
     def test_overflowing_recursion_raises_instead_of_returning_nan(self):
         # A = 1e200 makes J_xx overflow to inf after one step, so Q_uu at t = 0
         # is not finite and k_0 would be nan
@@ -256,10 +280,10 @@ def switched_problem(B, A=0.0, mu=-2.0):
     """A scalar problem whose Q_uu at t is set by B[t] alone: 1 + B[t]^2 (1 + mu).
 
     With A = 0 every P_xx is Q = 1 and Q_N = 1, so at mu = -2 a step with
-    B_t = 0 has Q_uu = 1, B_t = 1 gives the singular Q_uu = 0 exactly (its
-    solve raises, and the pass stores NaN gains there) and B_t = 2 the
-    indefinite Q_uu = -3 (its solve succeeds). Either way the recursion
-    runs on to t = 0.
+    B_t = 0 has Q_uu = 1, B_t = 1 gives the singular Q_uu = 0 exactly (the
+    oracle's solve raises, and the pass's reciprocal 1 / 0 gives non-finite
+    gains there) and B_t = 2 the indefinite Q_uu = -3 (its solve succeeds).
+    Either way the recursion runs on to t = 0.
     """
     N = len(B)
     cost = QuadraticCostModel(Q=1.0, R=1.0, Q_terminal=1.0, x_goal=[0.0])
@@ -297,8 +321,8 @@ class TestBatchedCheck:
         ids=["indefinite_above_singular", "singular_alone", "singular_above_indefinite"],
     )
     def test_singular_q_uu_whose_solve_raises(self, B, t):
-        # the NaN gains at the singular t fail its check, and the NaN steps
-        # below it never hide it
+        # the non-finite gains at the singular t fail its check, and the
+        # non-finite steps below it never hide it
         self.assert_fails_where_the_oracle_does(*switched_problem(B), t)
 
     @pytest.mark.parametrize(

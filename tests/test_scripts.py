@@ -60,6 +60,18 @@ def test_study_scripts_run_on_the_linear_system(tmp_path, name, args, expect):
     assert "linear_test" in out and expect in out
 
 
+def test_feedback_vs_open_loop_prints_the_paired_difference(tmp_path):
+    out = run_script("feedback_vs_open_loop.py", "--env", "linear_test", "--rollouts", "50",
+                     "--epsilons", "0.02", "0.05", cwd=tmp_path).splitlines()
+    assert out[1].split() == ["eps", "closed", "var", "open", "var", "closed", "mse", "open", "mse",
+                              "closed-open", "se"]
+    rows = [[float(v) for v in line.split()] for line in out[2:]]
+    assert [row[0] for row in rows] == [0.02, 0.05]
+    for eps, *_, diff, se in rows:
+        # on the linear system the gains lower the cost, by more than the paired error
+        assert diff + se < 0 < se, (eps, diff, se)
+
+
 def test_train_swingup_reports_the_stop_reason_and_slopes(tmp_path):
     out = run_script("train_swingup.py", "--env", "linear_test", "--rollouts", "50",
                      "--out", str(tmp_path), cwd=tmp_path)
