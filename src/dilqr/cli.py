@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, default_config, load_config, parse_seed
-from .envs import make_env  # noqa: F401  (unused here; perfbench/layers.py wraps cli.make_env)
+from .costs import total_cost
+from .envs import make_env, rollout  # noqa: F401  (perfbench/layers.py wraps cli.make_env)
 from .errors import ContractViolation, NumericalFailure
 from .evaluation import (
     COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
@@ -152,7 +153,9 @@ def cmd_sweep(args) -> int:
         cfg.get("eval", "rollouts"), cost, seed=cfg.get("run", "seed"),
     )
     clean = [s for s in sweep if s.divergences == 0]
-    nominal_cost = monte_carlo_eval(env, policy, cfg.make_noise(0.0), 1, cost).cost_mean
+    # the gap's reference: the nominal replayed without noise, charged under the config's cost
+    states, controls, _ = rollout(env, policy.nominal.states, policy.nominal.controls, policy.gains)
+    nominal_cost = total_cost(states, controls, cost)
     fit_rows = []
     for response in (COST_VAR, MEAN_COST_GAP):
         try:

@@ -172,9 +172,9 @@ class RunConfig:
     def make_optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(**self.values["optimizer"], estimator=self.make_estimator())
 
-    def make_noise(self, epsilon: float | None = None) -> NoiseModel:
+    def make_noise(self) -> NoiseModel:
         return NoiseModel(
-            epsilon=self.get("noise", "epsilon") if epsilon is None else epsilon,
+            epsilon=self.get("noise", "epsilon"),
             channel=self.get("noise", "channel"),
             seed=self.get("run", "seed"),
         )

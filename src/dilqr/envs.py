@@ -12,10 +12,12 @@ open-loop rollout (no K) and the ILQR line search (one trajectory) read.
 The Monte-Carlo evaluator steps all M noisy rollouts through the loop at
 once and adds up each one's cost as it steps, storing no history.
 
-The RK4 environments integrate one point (the line search's one
-trajectory) on Python floats and a batch on numpy arrays, through the
-same stage code and physics, bound to math and to numpy once, as the
-environment is built; a point equals its one-row batch bit for bit.
+The RK4 environments integrate a call with one row in x and one in u (a
+point, such as the line search's one trajectory, or a batch of one row)
+on Python floats, and any larger batch on numpy arrays, through the same
+stage code and physics, bound to math and to numpy once, as the
+environment is built. A point and its one-row batch take the same path,
+so they are equal by construction.
 The stage code is generated for the environment's n_x, written out one
 statement per state component, because on a point a loop over the
 components costs several times the physics it integrates. For n_x = 2 a
@@ -27,8 +29,8 @@ stage reads
 
 and rk4_step shows the whole of it.
 Where Python floats raise on overflow and numpy returns inf or nan, the
-point is integrated again as a one-row batch, so a diverging candidate
-gets numpy's result and is rejected like any other.
+same call runs the numpy stages instead, so a diverging candidate gets
+numpy's result and is rejected like any other.
 
 Stochastic execution adds eps * w_t to x_{t+1} on the state channel, or
 eps * u_scale * w_t to the control before clamping on the control
@@ -333,14 +335,18 @@ def rk4_step(physics, n_x: int, dt: float, substeps: int = 4) -> Callable:
 
     physics(lib) returns deriv, which takes sin and cos from lib and maps the
     lists of n_x state and of control components to the n_x state
-    derivatives; it is bound here, once per library. One point (1-D x and u)
-    runs the stages on Python floats through physics(math), far cheaper than
-    numpy's per-call overhead on 1-element arrays; a batch runs its component
-    arrays through physics(numpy) and stacks the result once. float64
-    arithmetic, sin and cos give the same bits either way, so a point equals
-    its one-row batch bit for bit. Where Python floats raise and numpy
-    returns inf or nan (math.sin(inf), a division by zero), the point is
-    integrated again as a one-row batch, so it gets numpy's result.
+    derivatives; it is bound here, once per library. A call whose x and u
+    each hold one row, a point (1-D x and u) or a batch of one row, runs
+    the stages on Python floats through physics(math), far cheaper than
+    numpy's per-call overhead on 1-element arrays. It returns the shape the
+    array stages would: (n_x,) for a point, and for a batch of one row the
+    broadcast leading axes, all of length 1, plus n_x. Any other batch runs
+    its component arrays through physics(numpy) and stacks the result once.
+    float64 arithmetic, sin and cos give the same bits either way, so each
+    row of a batch equals that row stepped alone. Where Python floats raise
+    and numpy returns inf or nan (math.sin(inf), a division by zero), the
+    same call runs the array stages, so it gets numpy's result; step_fn
+    never calls itself.
 
     Both paths run one stage function, generated here for n_x from
     _RK4_STAGES. A loop over the components costs a list comprehension per
@@ -375,11 +381,14 @@ def rk4_step(physics, n_x: int, dt: float, substeps: int = 4) -> Callable:
     point_deriv, batch_deriv = physics(math), physics(np)
 
     def step_fn(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if x.ndim == 1 and u.ndim == 1:
+        point = x.ndim == u.ndim == 1
+        if point or (x.size == x.shape[-1] and u.size == u.shape[-1]):  # one row each
+            x_row, u_row = (x, u) if point else (x.ravel(), u.ravel())
             try:
-                return np.array(stages(point_deriv, x.tolist(), u.tolist()))
+                row = np.array(stages(point_deriv, x_row.tolist(), u_row.tolist()))
+                return row if point else row.reshape((1,) * (max(x.ndim, u.ndim) - 1) + row.shape)
             except (ArithmeticError, ValueError):
-                return step_fn(x[None], u[None])[0]
+                pass  # where floats raise, the array stages below return inf or nan
         x = [x[..., i] for i in range(x.shape[-1])]
         u = [u[..., i] for i in range(u.shape[-1])]
         return np.stack(stages(batch_deriv, x, u), axis=-1)

@@ -2,7 +2,8 @@
 
 Files are line-oriented decimal text at full round-trip precision, so a
 save/load cycle is bit-exact. Layout: a versioned magic line, `key = value`
-header fields, then bracketed array sections with one row per line.
+header fields, then bracketed array sections with one row per line. Only
+blank lines may follow the last section.
 """
 
 from __future__ import annotations
@@ -85,6 +86,14 @@ class _Parser:
         self.pos += rows
         return data
 
+    def end(self) -> None:
+        """Refuse any non-blank line after the last section read."""
+        for number, line in enumerate(self.lines[self.pos :], self.pos + 1):
+            if line.strip():
+                raise ContractViolation(
+                    f"{self.path}:{number}: text after the last section: {line!r}"
+                )
+
     def field(self, key: str, parse=str):
         """Header field `key` converted by parse; missing or malformed raises ContractViolation."""
         if key not in self.header:
@@ -107,6 +116,7 @@ def _read_trajectory(path, magic: str) -> tuple[_Parser, NominalTrajectory]:
 
 def load_trajectory(path) -> tuple[NominalTrajectory, str]:
     p, traj = _read_trajectory(path, TRAJECTORY_MAGIC)
+    p.end()
     return traj, p.field("env")
 
 
@@ -114,4 +124,5 @@ def load_policy(path) -> tuple[DecoupledPolicy, str]:
     p, traj = _read_trajectory(path, POLICY_MAGIC)
     N, n_x, n_u = traj.horizon, traj.states.shape[1], traj.controls.shape[1]
     gains = p.section("gains", N, n_u * n_x).reshape(N, n_u, n_x)
+    p.end()
     return DecoupledPolicy(nominal=traj, gains=gains), p.field("env")

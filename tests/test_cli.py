@@ -20,7 +20,8 @@ from dilqr.cli import (
 from dilqr.config import parse_config
 from dilqr.costs import total_cost
 from dilqr.errors import NumericalFailure
-from dilqr.envs import ENV_BUILDERS, make_env, rollout
+from dilqr.envs import ENV_BUILDERS, NoiseModel, make_env, rollout
+from dilqr.evaluation import monte_carlo_eval, variance_scaling_fit
 from dilqr.serialize import load_policy, load_trajectory, save_policy
 from dilqr.sysid import EstimatorConfig, estimate_fd, estimate_llscd
 
@@ -231,6 +232,55 @@ class TestPipeline:
             f"sweep: mean_cost_gap not fitted: {reason}",
         ]
         assert (out / "fit.csv").read_text() == "response,slope,intercept,r_squared,n_points\n"
+
+
+@pytest.fixture(scope="module")
+def seeded_policy(tmp_path_factory):
+    """get(name, seed): the policy file that train and feedback write at that run seed."""
+    made = {}
+
+    def get(name, seed):
+        if (name, seed) not in made:
+            out = tmp_path_factory.mktemp(f"{name}-{seed}")
+            cfg = out / "env.cfg"
+            cfg.write_text(f"[env]\nname = {name}\n")
+            common = ["--config", str(cfg), "--seed", str(seed), "--out", str(out)]
+            assert run("train", *common) == EXIT_OK
+            assert run("feedback", *common, str(out / "trajectory.txt")) == EXIT_OK
+            made[name, seed] = out / "policy.txt"
+        return made[name, seed]
+
+    return get
+
+
+class TestSweepReference:
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])
+    def test_gap_reference_is_the_noiseless_one_row_eval(
+        self, monkeypatch, tmp_path, seeded_policy, name, seed, channel
+    ):
+        # the sweep replays the nominal; monte_carlo_eval at epsilon = 0 steps
+        # the same rollout as a one-row batch and must give the same bits
+        policy_file = seeded_policy(name, seed)
+        text = f"[env]\nname = {name}\n[noise]\nchannel = {channel}\n[eval]\nrollouts = 4\n"
+        cfg_file = tmp_path / "sweep.cfg"
+        cfg_file.write_text(text)
+        references = []
+
+        def spy(sweep, response, nominal_cost=None):
+            references.append(nominal_cost)
+            return variance_scaling_fit(sweep, response, nominal_cost=nominal_cost)
+
+        monkeypatch.setattr(dilqr.cli, "variance_scaling_fit", spy)
+        argv = ["--config", str(cfg_file), "--seed", str(seed), "--out", str(tmp_path / "out")]
+        assert run("sweep", *argv, str(policy_file)) == EXIT_OK
+        cfg = parse_config(text)
+        env = cfg.make_env()
+        policy, _ = load_policy(policy_file)
+        noise = NoiseModel(epsilon=0.0, channel=channel, seed=seed)
+        expected = monte_carlo_eval(env, policy, noise, 1, cfg.make_cost(env)).cost_mean
+        assert [float(r).hex() for r in references] == [expected.hex()] * 2
 
 
 class TestDeterminism:

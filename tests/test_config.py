@@ -128,10 +128,11 @@ class TestFactories:
         with pytest.raises(ConfigError, match="entries"):
             cfg.make_cost(env)
 
-    def test_make_noise_epsilon_override(self):
+    def test_make_noise_reads_the_config_epsilon(self):
         cfg = default_config()
         assert cfg.make_noise().epsilon == 0.05
-        assert cfg.make_noise(0.02).epsilon == 0.02
+        cfg.set("noise", "epsilon", 0.02)
+        assert cfg.make_noise().epsilon == 0.02
 
     def test_estimator_inherits_run_seed(self):
         cfg = default_config()

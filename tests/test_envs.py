@@ -260,6 +260,63 @@ class TestGeneratedStages:
                 step_fn(x, np.zeros((*x.shape[:-1], 1)))
 
 
+def recording_physics(calls):
+    """Damped-pendulum physics whose deriv appends its library's name to calls at each call."""
+
+    def physics(lib):
+        def deriv(x, u):
+            calls.append(lib.__name__)
+            theta, omega = x
+            (torque,) = u
+            return omega, torque - 0.1 * omega - 9.81 * lib.sin(theta)
+
+        return deriv
+
+    return physics
+
+
+class TestSingleRowRule:
+    """One row each in x and u runs the float stages; anything else runs the array stages."""
+
+    @pytest.mark.parametrize(
+        "x_shape, u_shape, out_shape",
+        [((2,), (1,), (2,)), ((1, 2), (1, 1), (1, 2)), ((1, 2), (1,), (1, 2)),
+         ((2,), (1, 1), (1, 2)), ((1, 1, 2), (1,), (1, 1, 2))],
+        ids=["point", "one-row-batch", "one-row-x", "one-row-u", "one-row-3d"],
+    )
+    def test_one_row_runs_the_float_stages(self, x_shape, u_shape, out_shape):
+        calls = []
+        step_fn = rk4_step(recording_physics(calls), 2, 0.1, substeps=4)
+        x, u = np.array([0.8, -0.5]), np.array([1.5])
+        point = step_fn(x, u)
+        calls.clear()
+        out = step_fn(x.reshape(x_shape), u.reshape(u_shape))
+        assert calls == ["math"] * 16  # 4 substeps of 4 stages
+        assert out.shape == out_shape
+        assert np.array_equal(out.reshape(-1), point)
+
+    def test_two_rows_run_the_array_stages(self):
+        calls = []
+        step_fn = rk4_step(recording_physics(calls), 2, 0.1, substeps=4)
+        out = step_fn(np.array([[0.8, -0.5], [0.1, 0.2]]), np.array([[1.5], [-1.0]]))
+        assert calls == ["numpy"] * 16
+        assert out.shape == (2, 2)
+
+    @pytest.mark.parametrize("batch", [(), (1,)], ids=["point", "one-row-batch"])
+    def test_a_row_the_floats_refuse_runs_the_array_stages_once(self, batch):
+        # math.sin(inf) raises at the first stage; numpy's sin returns nan
+        calls = []
+        step_fn = rk4_step(recording_physics(calls), 2, 0.1, substeps=4)
+        x, u = np.full((*batch, 2), np.inf), np.zeros((*batch, 1))
+        with np.errstate(all="ignore"):
+            out = step_fn(x, u)
+            two_rows = step_fn(np.full((2, 2), np.inf), np.zeros((2, 1)))
+        assert calls == ["math"] + ["numpy"] * 16 + ["numpy"] * 16
+        assert out.shape == (*batch, 2)
+        assert np.isnan(out).all()
+        assert np.array_equal(out.reshape(-1), two_rows[0], equal_nan=True)
+
+
 class TestNoiseModel:
     def test_zero_epsilon_matches_deterministic_step(self):
         env = make_linear_env()

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from dilqr.serialize import (
     save_policy,
     save_trajectory,
 )
+
+BENCHMARK_POLICY = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cartpole_policy.txt"
 
 # values chosen to stress decimal round-tripping: exact dyadics, repeating
 # binary fractions, subnormal-adjacent magnitudes, and long mantissas
@@ -182,6 +187,40 @@ class TestMalformedFiles:
             load(p)
         assert main([command, "--out", str(tmp_path / "out"), str(p)]) == EXIT_USAGE
         assert "is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["policy", "trajectory"])
+    def test_text_after_the_last_section_rejected(self, tmp_path, capsys, kind):
+        # a policy with one gains row too many; a trajectory with a [gains] block
+        traj = awkward_trajectory()
+        p = tmp_path / f"{kind}.txt"
+        if kind == "policy":
+            save_policy(p, DecoupledPolicy(traj, np.zeros((4, 1, 2))), "pendulum")
+            load, command, extra = load_policy, "eval", ["1.0 2.0"]
+        else:
+            save_trajectory(p, traj, "pendulum")
+            load, command, extra = load_trajectory, "feedback", ["[gains]"] + ["0.0 0.0"] * 4
+        last = len(p.read_text().splitlines())
+        p.write_text(p.read_text() + "\n".join(extra) + "\n")
+        where = rf"{kind}.txt:{last + 1}: text after the last section: '{re.escape(extra[0])}'"
+        with pytest.raises(ContractViolation, match=where):
+            load(p)
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), str(p)]) == EXIT_USAGE
+        assert "text after the last section" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blank_lines_after_the_last_section_still_load(self, tmp_path):
+        traj = awkward_trajectory()
+        p = tmp_path / "policy.txt"
+        save_policy(p, DecoupledPolicy(traj, np.ones((4, 1, 2))), "pendulum")
+        p.write_text(p.read_text() + "\n  \n\t\n")
+        loaded, _ = load_policy(p)
+        assert np.array_equal(loaded.gains, np.ones((4, 1, 2)))
+
+    def test_the_stored_benchmark_policy_loads(self):
+        policy, env_name = load_policy(BENCHMARK_POLICY)
+        assert env_name == "cartpole"
+        assert policy.gains.shape == (policy.nominal.horizon, 1, 4)
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.txt"
