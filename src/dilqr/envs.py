@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .costs import NominalTrajectory, QuadraticCostModel, total_cost
-from .errors import ContractViolation
+from .errors import ContractViolation, Diverged
 
 STATE_CHANNEL = "state"
 CONTROL_CHANNEL = "control"
@@ -210,6 +210,8 @@ def _closed_loop(
         read.append(env.u_scale)
     if not all(map(all_finite, read)):
         raise ContractViolation("non-finite u_bar, K, x_bar or noise u_scale passed to rollout")
+    if channel and not np.any(noise.epsilon):
+        channel = None  # every draw would be scaled by zero
     x = np.full((*batch, env.n_x), x_bar[0])
     alive = np.ones(batch, dtype=bool)
     # alive.all(): until a row dies, one whole-batch check stands in for the per-row one
@@ -249,7 +251,9 @@ def rollout(
     A NoiseModel needs the (N, M, n_u) form, and step t adds rollout i's
     draw, row i of noise.draws(t, M, dim): on the state channel eps * w_t is
     added to x_{t+1}, on the control channel eps * u_scale * w_t is added to
-    u_t before clamping.
+    u_t before clamping. Noise at epsilon = 0 (every level's, for stacked
+    levels) is checked alike but draws nothing: each draw would be scaled
+    by zero.
 
     u_bar, K, the x_bar rows read and, for control noise, env.u_scale must
     be finite; they are checked once, before the first step.
@@ -277,10 +281,11 @@ def rollout_open_loop(
     """Deterministic rollout of a control sequence from x0, with its cost.
 
     The trajectory records, and is charged for, the applied (clamped) controls.
+    A state that goes non-finite raises Diverged.
     """
     states, applied, alive = rollout(env, np.atleast_2d(x0), np.atleast_2d(controls))
     if not alive:
-        raise ContractViolation("open-loop rollout diverged")
+        raise Diverged("open-loop rollout diverged")
     return NominalTrajectory(states, applied, total_cost(states, applied, cost))
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+The CLI exits 1 on a ContractViolation (bad input) and 2 on any
+NumericalFailure (valid input the numerics could not carry through).
+"""
 
 
 class ContractViolation(ValueError):
@@ -32,3 +36,6 @@ class NotPositiveDefinite(NumericalFailure):
 class RegularizationExhausted(NumericalFailure):
     """The regularizer hit its cap with the backward pass still failing."""
 
+
+class Diverged(NumericalFailure):
+    """A rollout's state went non-finite: the open-loop rollout, or all M of an evaluated noise level."""

@@ -3,7 +3,9 @@
 Provides per-rollout costs for one or more noise levels stepped as one
 batch, per-epsilon rollout statistics (cost mean/variance, terminal
 squared deviation from goal) and log-log power-law fits of how those
-statistics scale with the noise factor.
+statistics scale with the noise factor. monte_carlo_eval (one level) and
+epsilon_sweep (a grid of levels) reach their statistics through one level
+path, _levels; a level whose rollouts all diverge raises errors.Diverged.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .costs import QuadraticCostModel, stage_cost, terminal_cost
 from .envs import Environment, NoiseModel, _closed_loop, child_seed
-from .errors import ContractViolation
+from .errors import ContractViolation, Diverged
 from .feedback import DecoupledPolicy
 
 
@@ -85,10 +87,10 @@ def rollout_costs(
     The len(noises) * M rollouts step as one batch; level j owns rows
     [jM, (j + 1)M), and rollout i of level j gets row i of that level's
     noise.draws at each step, so its noise, and every product epsilon * w,
-    is the same as when the level steps alone. Each rollout's cost is added
-    up while the batch steps, in total_cost's order, so neither the draws
-    nor a state or control history is stored: memory is O(len(noises) * M),
-    whatever the horizon. A divergent rollout (non-finite state) is not
+    is the same as when the level steps alone; levels all at epsilon = 0
+    draw nothing. Each rollout's cost is added up while the batch steps, in
+    total_cost's order, so neither the draws nor a state or control history
+    is stored: memory is O(len(noises) * M), whatever the horizon. A divergent rollout (non-finite state) is not
     alive; its cost and terminal error are what the kernel left.
     """
     if M < 1:
@@ -136,7 +138,7 @@ def _moments(noise: NoiseModel, M: int, costs, terminal_sq, alive) -> RolloutSta
     """One level's RolloutStats from its rows of rollout_costs; divergent rows are left out and counted."""
     n_ok = int(np.sum(alive))
     if n_ok == 0:
-        raise ContractViolation("all rollouts diverged; cannot form moments")
+        raise Diverged("all rollouts diverged; cannot form moments")
     cost_var = float(np.var(costs[alive], ddof=1)) if n_ok > 1 else 0.0
     return RolloutStats(
         epsilon=noise.epsilon,
@@ -159,17 +161,14 @@ def monte_carlo_eval(
 ) -> RolloutStats:
     """M independent closed-loop rollouts, run as one batch; unbiased sample moments.
 
-    The moments of a one-level rollout_costs: rollout i gets row i of each
-    step's noise.draws, and the prefix-stable streams make rollout i's
-    noise independent of M. Divergent rollouts (non-finite states) are
-    excluded from the moments and counted. Deterministic given
+    The one level of _levels: rollout i gets row i of each step's
+    noise.draws, and the prefix-stable streams make rollout i's noise
+    independent of M; at epsilon = 0 one noiseless row stands for all M.
+    Divergent rollouts (non-finite states) are excluded from the moments
+    and counted; if all M diverge it raises Diverged. Deterministic given
     (noise.seed, M).
     """
-    if M < 1:
-        raise ContractViolation("M must be >= 1")
-    # at epsilon = 0 every rollout is the same noiseless rollout; the rows are one view
-    rows = 1 if noise.epsilon == 0.0 else M
-    return _moments(noise, M, *rollout_costs(env, policy, [noise], rows, cost))
+    return _levels(env, policy, [noise], M, cost)[0]
 
 
 def epsilon_sweep(
@@ -183,17 +182,43 @@ def epsilon_sweep(
 ) -> list[RolloutStats]:
     """One RolloutStats per epsilon, each from a disjoint noise stream.
 
+    Level i is monte_carlo_eval under NoiseModel(epsilons[i], channel,
+    child_seed(seed, i)), bit for bit; _levels runs them all, and raises
+    the first failing level's error. The grid and every level's NoiseModel
+    are checked before the first level runs.
+    """
+    epsilons = [float(e) for e in epsilons]
+    if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
+        raise ContractViolation("epsilons must be non-empty, non-negative and ascending")
+    noises = [
+        NoiseModel(epsilon=e, channel=channel, seed=child_seed(seed, i))
+        for i, e in enumerate(epsilons)
+    ]
+    return _levels(env, policy, noises, M, cost)
+
+
+def _levels(
+    env: Environment,
+    policy: DecoupledPolicy,
+    noises: list,
+    M: int,
+    cost: QuadraticCostModel,
+) -> list[RolloutStats]:
+    """One RolloutStats per level of noises (ascending in epsilon), in order: M rollouts each.
+
     With M >= PARALLEL_MIN_ROLLOUTS, on Linux, the levels run on W processes,
     W = min(cores in this process's CPU affinity, levels): this process runs
     levels 0, W, 2W, ... and each of W - 1 children made by os.fork runs
     levels w, w + W, ..., so the rollouts run outside the GIL. Elsewhere,
-    or below the gate, this process runs them all. Each process steps its levels in
-    batches of whole levels through rollout_costs, as many as fit in
-    PACK_MAX_ROWS rows (at least one), and reduces each level from its own
-    rows; a level at epsilon = 0 steps alone, as one row. Each level keeps
-    its own stream and the results come back in epsilon order, so the
-    output is the same however the levels are split or packed, and so is
-    the first failing level's error. M and every level's NoiseModel are
+    below the gate, or with one level, this process runs them all and forks
+    nothing. Each process steps its levels in batches of whole levels
+    through rollout_costs, as many as fit in PACK_MAX_ROWS rows (at least
+    one), and reduces each level from its own rows; a level at epsilon = 0
+    steps alone, as one row. A process stops at its first failing batch or
+    level and hands back the levels it finished with that error; the levels
+    are then walked in order and the first failure is raised. Each level
+    keeps its own stream, so the output, and the first failing level's
+    error, are the same however the levels are split or packed. M is
     checked before the first level runs.
 
     Fork safety rests on a child running numpy code only, taking no lock that
@@ -201,65 +226,41 @@ def epsilon_sweep(
     result to its own pipe before it leaves by os._exit. Python >= 3.12 warns
     (DeprecationWarning) when a process with threads forks.
     """
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons or any(e < 0 for e in epsilons) or epsilons != sorted(epsilons):
-        raise ContractViolation("epsilons must be non-empty, non-negative and ascending")
     if M < 1:
         raise ContractViolation("M must be >= 1")
-    noises = [
-        NoiseModel(epsilon=e, channel=channel, seed=child_seed(seed, i))
-        for i, e in enumerate(epsilons)
-    ]
 
-    def run(share: list) -> list:
-        """(ok, RolloutStats | exception) per level of share, in order."""
-        # epsilons ascend, so the levels at epsilon = 0, each its own one-row
-        # batch, lead, and the batches keep the share's order
+    def run(share: list) -> tuple:
+        """(RolloutStats of share's levels up to its first failure, that failure or None)."""
+        # levels ascend in epsilon, so the levels at epsilon = 0, each its own
+        # one-row batch, lead, and the batches keep the share's order
         batches = [[noise] for noise in share if noise.epsilon == 0.0]
         packed = [noise for noise in share if noise.epsilon != 0.0]
         per_batch = max(1, PACK_MAX_ROWS // M)
         batches += [packed[i:i + per_batch] for i in range(0, len(packed), per_batch)]
-        return [outcome for batch in batches
-                for outcome in _batch_outcomes(env, policy, batch, M, cost)]
+        done = []
+        try:
+            for batch in batches:
+                rows = 1 if batch[0].epsilon == 0.0 else M
+                costs, terminal_sq, alive = rollout_costs(env, policy, batch, rows, cost)
+                for j, noise in enumerate(batch):
+                    level = slice(j * rows, (j + 1) * rows)
+                    done.append(_moments(noise, M, costs[level], terminal_sq[level], alive[level]))
+                del costs, terminal_sq, alive  # freed before the next batch steps
+        except Exception as exc:  # raised by _levels, in level order
+            return done, exc
+        return done, None
 
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    workers = min(len(affinity(0)), len(noises)) if affinity else 1
-    if M < PARALLEL_MIN_ROLLOUTS or workers < 2:
-        outcomes = run(noises)
-    else:
-        shares = _forked(run, [noises[w::workers] for w in range(workers)])
-        outcomes = [shares[i % workers][i // workers] for i in range(len(noises))]
-    for ok, outcome in outcomes:
-        if not ok:
-            raise outcome
-    return [stats for _, stats in outcomes]
-
-
-def _batch_outcomes(
-    env: Environment,
-    policy: DecoupledPolicy,
-    batch: list,
-    M: int,
-    cost: QuadraticCostModel,
-) -> list:
-    """(ok, RolloutStats | exception) per level of one rollout_costs batch, in order.
-
-    A batch's error is each of its levels'. The batch's arrays are freed on
-    return, before the next batch steps.
-    """
-    rows = 1 if batch[0].epsilon == 0.0 else M
-    try:
-        costs, terminal_sq, alive = rollout_costs(env, policy, batch, rows, cost)
-    except Exception as exc:  # raised again by epsilon_sweep, in epsilon order
-        return [(False, exc)] * len(batch)
-    outcomes = []
-    for j, noise in enumerate(batch):
-        level = slice(j * rows, (j + 1) * rows)
-        try:
-            outcomes.append((True, _moments(noise, M, costs[level], terminal_sq[level], alive[level])))
-        except ContractViolation as exc:
-            outcomes.append((False, exc))
-    return outcomes
+    parallel = affinity and M >= PARALLEL_MIN_ROLLOUTS
+    workers = min(len(affinity(0)), len(noises)) if parallel else 1
+    shares = _forked(run, [noises[w::workers] for w in range(workers)])
+    stats = []
+    for i in range(len(noises)):
+        done, failure = shares[i % workers]
+        if i // workers == len(done):
+            raise failure
+        stats.append(done[i // workers])
+    return stats
 
 
 def _forked(run, shares: list) -> list:

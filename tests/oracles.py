@@ -15,7 +15,7 @@ import scipy.linalg
 
 from dilqr.costs import stage_cost, terminal_cost, total_cost
 from dilqr.envs import CARTPOLE_PARAMS, PENDULUM_PARAMS, rollout
-from dilqr.errors import ContractViolation, NotPositiveDefinite
+from dilqr.errors import Diverged, NotPositiveDefinite
 from dilqr.evaluation import RolloutStats
 
 
@@ -343,7 +343,7 @@ def history_monte_carlo_eval(env, policy, noise, M, cost):
     costs, terminal_sq, ok = history_rollout_costs(env, policy, noise, rows, cost)
     n_ok = int(np.sum(ok))
     if n_ok == 0:
-        raise ContractViolation("all rollouts diverged; cannot form moments")
+        raise Diverged("all rollouts diverged; cannot form moments")
     cost_var = float(np.var(costs[ok], ddof=1)) if n_ok > 1 else 0.0
     return RolloutStats(
         epsilon=noise.epsilon,

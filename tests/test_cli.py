@@ -467,6 +467,28 @@ class TestExitCodes:
         assert "perturbations of sigma=1e+308 are not finite" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("command, setting, cores", [
+        ("eval", "[noise]\nepsilon = 0.5", 2),
+        ("sweep", "[eval]\nrollouts = 600", 1),
+        ("sweep", "[eval]\nrollouts = 600", 2),
+    ], ids=["eval", "sweep-in-turn", "sweep-forked"])
+    def test_a_diverged_evaluation_is_numerical_failure(
+        self, tmp_path, seeded_policy, monkeypatch, capsys, command, setting, cores
+    ):
+        # the default pendulum's policy stepped at dt = 1e3: every rollout overflows;
+        # at 600 rollouts per level a sweep on two cores forks, and its child's error
+        # comes back through the pipe
+        cfg = tmp_path / "diverging.cfg"
+        cfg.write_text(f"[env]\nname = pendulum\ndt = 1e3\n\n{setting}\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out = tmp_path / "o"
+        argv = ("--config", str(cfg), "--out", str(out), str(seeded_policy("pendulum", 0)))
+        assert run(command, *argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: all rollouts diverged; cannot form moments\n"
+        )
+        assert not out.exists()
+
     def test_out_naming_a_file_is_usage_error(self, tmp_path, linear_cfg, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")

@@ -27,7 +27,7 @@ from dilqr.envs import (
     rollout_open_loop,
     step,
 )
-from dilqr.errors import ContractViolation
+from dilqr.errors import ContractViolation, Diverged
 from oracles import rows_of, stacked_cartpole_step, stacked_pendulum_step, stacked_rk4_step
 
 
@@ -462,6 +462,12 @@ class TestRollouts:
             assert np.array_equal(traj.states[t + 1], x)
         assert np.array_equal(traj.controls, controls)
         assert traj.cost == total_cost(traj.states, controls, cost)
+
+    def test_overflowing_open_loop_rollout_is_a_numerical_failure(self):
+        # valid input on an explosively unstable map: the state overflows within the horizon
+        env = make_linear_env(A=[[1e80, 0], [0, 1e80]], B=[[0.0], [1.0]], horizon=10)
+        with pytest.raises(Diverged, match="open-loop rollout diverged"):
+            rollout_open_loop(env, env.x0, np.zeros((10, 1)), unit_cost(2, 1))
 
     @pytest.mark.parametrize("channel", ["state", "control"])
     @pytest.mark.parametrize("name", ["linear_test", "pendulum", "cartpole"])

@@ -12,6 +12,7 @@ from dilqr.envs import (
     LINEAR_TEST_A,
     LINEAR_TEST_B,
     NoiseModel,
+    child_seed,
     make_cartpole_env,
     make_linear_env,
     make_pendulum_env,
@@ -19,7 +20,7 @@ from dilqr.envs import (
     rollout_open_loop,
 )
 from dilqr import evaluation
-from dilqr.errors import ContractViolation
+from dilqr.errors import ContractViolation, Diverged
 from dilqr.evaluation import (
     COST_VAR,
     DEFAULT_EPSILON_GRID,
@@ -263,7 +264,7 @@ class TestMonteCarloEval:
         nominal = NominalTrajectory(nominal_states, np.zeros((10, 1)), 0.0)
         policy = DecoupledPolicy(nominal, np.zeros((10, 1, 2)))
         for epsilon in (0.1, 0.0):
-            with pytest.raises(ContractViolation, match="diverged"):
+            with pytest.raises(Diverged, match="diverged"):
                 monte_carlo_eval(env, policy, NoiseModel(epsilon=epsilon, seed=0), 8, cost)
 
     def test_policy_for_another_environment_rejected(self):
@@ -324,6 +325,23 @@ class TestMonteCarloEval:
         states, controls, _ = rollout(damped, nominal.states, nominal.controls, policy.gains)
         assert stats.cost_mean == total_cost(states, controls, cost)
         assert stats.cost_mean != nominal.cost
+
+    @pytest.mark.parametrize("channel", ["state", "control"])
+    def test_zero_epsilon_draws_no_noise(self, monkeypatch, channel):
+        env, cost, policy = small_problem()
+        calls, draws = [], NoiseModel.draws
+
+        def spy(noise, *args):
+            calls.append(args)
+            return draws(noise, *args)
+
+        monkeypatch.setattr(NoiseModel, "draws", spy)
+        stats = monte_carlo_eval(env, policy, NoiseModel(0.0, channel, seed=4), 50, cost)
+        assert calls == []
+        states, controls, _ = rollout(
+            env, policy.nominal.states, policy.nominal.controls, policy.gains
+        )
+        assert stats.cost_mean == total_cost(states, controls, cost)
 
     def test_zero_epsilon_steps_one_row(self):
         env, cost, policy = small_problem()
@@ -389,6 +407,23 @@ class TestEpsilonSweep:
             epsilon_sweep(env, policy, "state", (0.01, 0.02, 1.5), 10, cost)
         assert calls == []
 
+    def test_a_process_stops_at_its_first_failing_level(self, monkeypatch):
+        # in turn, one level per batch: every rollout of level 1 (epsilon 0.3) derails
+        env, cost, policy = derailing_problem(monkeypatch)
+        M, derails, steps = evaluation.PARALLEL_MIN_ROLLOUTS, env.step_fn, []
+
+        def counting(x, u):
+            steps.append(x.shape)
+            return derails(x, u)
+
+        on_cores(monkeypatch, 1)
+        monkeypatch.setattr(evaluation, "PACK_MAX_ROWS", M)
+        with pytest.raises(Diverged, match="all rollouts diverged") as info:
+            epsilon_sweep(replace(env, step_fn=counting), policy, "state",
+                          (0.01, 0.3, 0.4, 0.5), M, cost)
+        assert info.value.epsilon == 0.3
+        assert steps == [(M, env.n_x)] * (2 * policy.nominal.horizon)
+
     @pytest.mark.parametrize("M", [0, -1])
     def test_a_rollout_count_below_one_is_refused_before_any_step_or_fork(self, monkeypatch, M):
         env, cost, policy = small_problem()
@@ -404,6 +439,12 @@ class TestEpsilonSweep:
         with pytest.raises(ContractViolation, match="M must be >= 1"):
             epsilon_sweep(replace(env, step_fn=counting), policy, "state", (0.0, 0.01, 0.02), M, cost)
         assert steps == [] and forks == []
+
+
+def one_level_each(env, policy, channel, epsilons, M, cost, seed):
+    """epsilon_sweep's levels, each from monte_carlo_eval under the stream the sweep gives it."""
+    return [monte_carlo_eval(env, policy, NoiseModel(e, channel, child_seed(seed, i)), M, cost)
+            for i, e in enumerate(epsilons)]
 
 
 def on_cores(monkeypatch, n):
@@ -443,7 +484,7 @@ def derailing_problem(monkeypatch):
     def tagged(noise, *rows):
         try:
             return moments(noise, *rows)
-        except ContractViolation as exc:
+        except Diverged as exc:
             exc.epsilon = noise.epsilon
             raise
 
@@ -470,6 +511,9 @@ class TestForkedSweep:
         forked = sweep(2)
         assert len(forks) == 1
         assert forked == sweep(1)
+        # each level is monte_carlo_eval of its own stream, which forks nothing
+        on_cores(monkeypatch, 2)
+        assert forked == one_level_each(run.env, run.policy, channel, eps, self.M, run.cost, seed=3)
         assert len(forks) == 1
 
     def test_a_level_that_all_diverges_fails_alike(self, monkeypatch):
@@ -479,7 +523,7 @@ class TestForkedSweep:
         raised = []
         for cores in (2, 1):
             on_cores(monkeypatch, cores)
-            with pytest.raises(ContractViolation, match="all rollouts diverged") as info:
+            with pytest.raises(Diverged, match="all rollouts diverged") as info:
                 epsilon_sweep(env, policy, "state", (0.01, 0.3, 0.5), self.M, cost)
             raised.append((str(info.value), info.value.epsilon))
         assert raised == [("all rollouts diverged; cannot form moments", 0.3)] * 2
@@ -532,7 +576,7 @@ class TestForkedSweep:
         if max(eps) < 0.3:
             assert len(epsilon_sweep(env, policy, "state", eps, self.M, cost)) == len(eps)
         else:
-            with pytest.raises(ContractViolation, match="all rollouts diverged") as info:
+            with pytest.raises(Diverged, match="all rollouts diverged") as info:
                 epsilon_sweep(env, policy, "state", eps, self.M, cost)
             assert info.value.epsilon == 0.3
         assert len(forks) == 1
@@ -600,6 +644,7 @@ class TestPackedSweep:
 
         alone = sweep(1)
         assert sweep(3 * M) == alone
+        assert alone == one_level_each(env, run.policy, channel, eps, M, run.cost, seed=5)
         assert [s.divergences > 0 for s in alone] == [False] * 5 + [True]
         assert alone[-1].divergences < M
         assert len(forks) == 2 * (cores - 1)
@@ -617,7 +662,8 @@ class TestPackedSweep:
         M = 50
         sweep = epsilon_sweep(env, policy, "state", (0.0, 0.01, 0.02, 0.03), M, cost)
         N = policy.nominal.horizon
-        expected = [(s.seed, t, 1 if s.epsilon == 0.0 else M) for s in sweep for t in range(N)]
+        # the level at epsilon = 0 would scale its draws by zero, and makes none
+        expected = [(s.seed, t, M) for s in sweep[1:] for t in range(N)]
         assert sorted(calls) == sorted(expected)
 
 
