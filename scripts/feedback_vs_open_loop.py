@@ -18,7 +18,7 @@ import numpy as np
 
 import dilqr
 from dilqr.config import default_config, parse_seed
-from dilqr.envs import ENV_BUILDERS, NoiseModel
+from dilqr.envs import CONTROL_CHANNEL, ENV_BUILDERS, STATE_CHANNEL, NoiseModel
 from dilqr.evaluation import rollout_costs
 
 
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--env", default="pendulum", choices=list(ENV_BUILDERS))
     ap.add_argument("--epsilons", type=float, nargs="+", default=[0.02, 0.05, 0.1])
     ap.add_argument("--rollouts", type=int, default=1_000)
-    ap.add_argument("--channel", default="state", choices=["state", "control"])
+    ap.add_argument("--channel", default=STATE_CHANNEL, choices=[STATE_CHANNEL, CONTROL_CHANNEL])
     ap.add_argument("--seed", type=parse_seed, default=0)
     args = ap.parse_args()
 

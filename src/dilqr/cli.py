@@ -20,6 +20,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,10 @@ from .costs import total_cost
 from .envs import make_env, rollout  # noqa: F401  (perfbench/layers.py wraps cli.make_env)
 from .errors import ContractViolation, NumericalFailure
 from .evaluation import (
-    COST_VAR, MEAN_COST_GAP, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
+    COST_VAR, MEAN_COST_GAP, RolloutStats, epsilon_sweep, monte_carlo_eval, variance_scaling_fit,
 )
 from .feedback import build_policy
-from .ilqr import optimize
+from .ilqr import IterationRecord, optimize
 from .serialize import load_policy, load_trajectory, save_policy, save_trajectory
 from .sysid import estimate_fd, estimate_llscd
 
@@ -42,9 +43,15 @@ EXIT_NUMERICAL = 2
 
 
 def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(int(v))
     if isinstance(v, float):
         return repr(float(v))  # plain round-trip digits, also for np.float64
     return str(v)
+
+
+def _header(cls) -> list:
+    return [f.name for f in fields(cls)]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -93,12 +100,10 @@ def cmd_train(args) -> int:
     last = len(trace) - 1
     _write_csv(
         out / "trace.csv",
-        ["iteration", "cost", "mu", "alpha", "accepted", "wall_time_s", "eval_count",
-         "backward_success", "best_cost", "stop_reason"],
+        _header(IterationRecord) + ["stop_reason"],
         [
-            (r.iteration, r.cost, r.mu, r.alpha, int(r.accepted),
-             r.wall_time_s if record_timing else 0.0, r.eval_count,
-             int(r.backward_success), r.best_cost, trace.stop_reason if i == last else "")
+            astuple(r if record_timing else replace(r, wall_time_s=0.0))
+            + (trace.stop_reason if i == last else "",)
             for i, r in enumerate(trace.records)
         ],
     )
@@ -120,17 +125,6 @@ def cmd_feedback(args) -> int:
     return EXIT_OK
 
 
-SWEEP_HEADER = [
-    "epsilon", "channel", "n_rollouts", "divergences",
-    "cost_mean", "cost_var", "terminal_mse_mean", "seed",
-]
-
-
-def _stats_row(s):
-    return (s.epsilon, s.channel, s.n_rollouts, s.divergences,
-            s.cost_mean, s.cost_var, s.terminal_mse_mean, s.seed)
-
-
 def cmd_eval(args) -> int:
     cfg = _load(args)
     policy, env_name = load_policy(args.policy)
@@ -138,7 +132,7 @@ def cmd_eval(args) -> int:
     cost, noise = cfg.make_cost(env), cfg.make_noise()
     stats = monte_carlo_eval(env, policy, noise, cfg.get("eval", "rollouts"), cost)
     out = _out_dir(args, cfg)
-    _write_csv(out / "eval.csv", SWEEP_HEADER, [_stats_row(stats)])
+    _write_csv(out / "eval.csv", _header(RolloutStats), [astuple(stats)])
     print(f"eval: eps={stats.epsilon} cost_mean={stats.cost_mean!r} cost_var={stats.cost_var!r}")
     return EXIT_OK
 
@@ -166,7 +160,7 @@ def cmd_sweep(args) -> int:
         fit_rows.append((response, fit.slope, fit.intercept, fit.r_squared, len(fit.epsilons)))
         print(f"sweep: {response} slope={fit.slope:.3f} r2={fit.r_squared:.4f}")
     out = _out_dir(args, cfg)
-    _write_csv(out / "sweep.csv", SWEEP_HEADER, [_stats_row(s) for s in sweep])
+    _write_csv(out / "sweep.csv", _header(RolloutStats), map(astuple, sweep))
     _write_csv(out / "fit.csv", ["response", "slope", "intercept", "r_squared", "n_points"], fit_rows)
     return EXIT_OK
 

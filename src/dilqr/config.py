@@ -4,10 +4,11 @@ Every key has a default; unknown sections or keys are rejected with the
 offending line number. The effective (fully defaulted) config is echoed
 alongside every run's outputs for provenance.
 
-Each default has one home. The [optimizer] and [estimator] sections are
-built from the fields of `ilqr.OptimizerConfig` and `sysid.EstimatorConfig`
-(the estimator's seed is `run.seed`), and `eval.epsilons` defaults to
-`evaluation.DEFAULT_EPSILON_GRID`. The [env], [cost], [noise] and [run]
+Each default has one home. The [optimizer], [estimator] and [noise]
+sections are built from the fields of `ilqr.OptimizerConfig`,
+`sysid.EstimatorConfig` and `envs.NoiseModel` (the estimator's and the
+noise's seed is `run.seed`), and `eval.epsilons` defaults to
+`evaluation.DEFAULT_EPSILON_GRID`. Only the [env], [cost], [eval] and [run]
 defaults are written out in SCHEMA below.
 """
 
@@ -91,10 +92,7 @@ SCHEMA = {
     },
     "optimizer": _fields_section(OptimizerConfig, omit="estimator"),
     "estimator": _fields_section(EstimatorConfig, omit="seed"),
-    "noise": {
-        "epsilon": (_parse_float, 0.05),
-        "channel": (str, "state"),
-    },
+    "noise": _fields_section(NoiseModel, omit="seed"),
     "eval": {
         "rollouts": (int, 1000),
         "epsilons": (_parse_floats, DEFAULT_EPSILON_GRID),
@@ -173,11 +171,7 @@ class RunConfig:
         return OptimizerConfig(**self.values["optimizer"], estimator=self.make_estimator())
 
     def make_noise(self) -> NoiseModel:
-        return NoiseModel(
-            epsilon=self.get("noise", "epsilon"),
-            channel=self.get("noise", "channel"),
-            seed=self.get("run", "seed"),
-        )
+        return NoiseModel(**self.values["noise"], seed=self.get("run", "seed"))
 
     # -- text round trip ---------------------------------------------------
 

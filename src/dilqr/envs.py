@@ -110,7 +110,7 @@ class NoiseModel:
     takes row i of them.
     """
 
-    epsilon: float
+    epsilon: float = 0.05
     channel: str = STATE_CHANNEL
     seed: int = 0
 
@@ -335,7 +335,10 @@ def _rk4_stages(n_x: int, half: float, h: float, sixth: float, substeps: int) ->
     return namespace["bind"](half, h, sixth, substeps)
 
 
-def rk4_step(physics, n_x: int, dt: float, substeps: int = 4) -> Callable:
+RK4_SUBSTEPS = 4
+
+
+def rk4_step(physics, n_x: int, dt: float, substeps: int = RK4_SUBSTEPS) -> Callable:
     """Returns step_fn(x, u): classic fixed-step RK4 of physics over dt, split into substeps.
 
     physics(lib) returns deriv, which takes sin and cos from lib and maps the
@@ -406,8 +409,6 @@ LINEAR_TEST_B = np.array([[0.0], [0.1]])
 
 PENDULUM_PARAMS = dict(mass=1.0, length=1.0, gravity=9.81, damping=0.1)
 CARTPOLE_PARAMS = dict(cart_mass=1.0, pole_mass=0.1, pole_length=0.5, gravity=9.81)
-
-RK4_SUBSTEPS = 4
 
 
 def make_linear_env(

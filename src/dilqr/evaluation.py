@@ -50,14 +50,16 @@ PACK_MAX_ROWS = 4096
 
 @dataclass(frozen=True)
 class RolloutStats:
+    """One noise level's moments; the field order is eval.csv's and sweep.csv's column order."""
+
     epsilon: float
+    channel: str
     n_rollouts: int
+    divergences: int
     cost_mean: float
     cost_var: float
     terminal_mse_mean: float
-    channel: str
     seed: int
-    divergences: int = 0
 
     def __post_init__(self):
         if self.n_rollouts < 1:

@@ -78,15 +78,20 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One optimize iteration. The field order is trace.csv's column order;
+    the trace's stop_reason is appended as its last column."""
+
     iteration: int
     cost: float
-    best_cost: float  # lowest cost seen so far, the open-loop rollout included
     mu: float
     alpha: float
-    backward_success: bool
     accepted: bool
     wall_time_s: float
-    eval_count: int  # cumulative black-box transitions (rows passed to step)
+    # cumulative rows passed to step by identification and line search; the
+    # open-loop rollout's N rows before iteration 1 are not counted
+    eval_count: int
+    backward_success: bool
+    best_cost: float  # lowest cost seen so far, the open-loop rollout included
 
 
 StopReason = Literal["converged", "stalled", "line_search_exhausted", "max_iters"]
@@ -285,8 +290,9 @@ def optimize(
             best, best_it = current, it
         trace.records.append(
             IterationRecord(
-                it, current.cost, best.cost, mu, alpha_used, gains is not None, accepted,
-                time.perf_counter() - t_start, eval_count,
+                iteration=it, cost=current.cost, mu=mu, alpha=alpha_used, accepted=accepted,
+                wall_time_s=time.perf_counter() - t_start, eval_count=eval_count,
+                backward_success=gains is not None, best_cost=best.cost,
             )
         )
         if gains is not None:

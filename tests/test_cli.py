@@ -169,6 +169,19 @@ class TestPipeline:
         assert best[-1] == traj.cost
         assert f"after {len(rows)} iterations (converged)" in capsys.readouterr().out
 
+    def test_a_zero_iteration_run_writes_the_header_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[env]\nname = linear_test\n\n[optimizer]\nmax_iters = 0\n")
+        out = tmp_path / "run"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        assert "after 0 iterations (max_iters)" in capsys.readouterr().out
+        assert (out / "trace.csv").read_text() == (
+            "iteration,cost,mu,alpha,accepted,wall_time_s,eval_count,"
+            "backward_success,best_cost,stop_reason\n"
+        )
+        traj, _ = load_trajectory(out / "trajectory.txt")
+        assert traj.cost == 20.0  # the open-loop rollout from e_1 under u = 0
+
     def test_effective_config_echo_is_reloadable(self, tmp_path, linear_cfg):
         out = tmp_path / "run"
         run("train", "--config", linear_cfg, "--out", str(out))

@@ -671,7 +671,7 @@ class TestScalingFit:
     def _stats(self, eps, var, mean):
         return RolloutStats(
             epsilon=eps, n_rollouts=100, cost_mean=mean, cost_var=var,
-            terminal_mse_mean=0.0, channel="state", seed=0,
+            terminal_mse_mean=0.0, channel="state", seed=0, divergences=0,
         )
 
     def test_recovers_exact_power_law(self):

@@ -541,6 +541,29 @@ class TestOptimize:
         counts = [r.eval_count for r in trace.records]
         assert all(b > a for a, b in zip(counts, counts[1:]))
 
+    def test_eval_count_leaves_out_the_open_loop_rollout(self):
+        # eval_count counts identification and line-search rows; the N rows
+        # of the open-loop rollout before iteration 1 are stepped uncounted
+        cfg = default_config()
+        env = cfg.make_env()
+        stepped = []
+
+        def counting(x, u):
+            stepped.append(int(np.prod(np.shape(x)[:-1])))
+            return env.step_fn(x, u)
+
+        opt = replace(cfg.make_optimizer(), max_iters=3)
+        u_init = np.zeros((env.horizon, env.n_u))
+        _, trace = optimize(replace(env, step_fn=counting), cfg.make_cost(env), env.x0, u_init, opt)
+        N, n_s = env.horizon, opt.estimator.resolve_n_s(env)
+        assert (N, n_s) == (30, 7)
+        assert sum(stepped) == 1380
+        assert trace.records[-1].eval_count == sum(stepped) - N
+        # each iteration identifies 2 * n_s rows per step, then steps N rows at alpha = 1
+        assert [(r.alpha, r.accepted) for r in trace.records] == [(1.0, True)] * 3
+        assert [r.eval_count for r in trace.records] == [450, 900, 1350]
+        assert 2 * n_s * N + N == 450
+
 
 def _default_run(name, **overrides):
     cfg = default_config()
